@@ -3,14 +3,17 @@
 //
 // Usage:
 //
-//	darshan-job-summary <trace.darshan|trace.txt>
+//	darshan-job-summary <trace.darshan|trace.txt|trace.dxt.txt>
+//
+// The trace may be any rendering the fleet ingests: a binary log,
+// darshan-parser text, or a DXT per-operation text trace.
 package main
 
 import (
 	"fmt"
 	"os"
 
-	"ioagent/internal/darshan"
+	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/jobsummary"
 )
 
@@ -19,20 +22,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: darshan-job-summary <trace>")
 		os.Exit(2)
 	}
-	f, err := os.Open(os.Args[1])
+	raw, err := os.ReadFile(os.Args[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darshan-job-summary:", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	log, err := darshan.Decode(f)
-	if err != nil {
-		if _, serr := f.Seek(0, 0); serr != nil {
-			fmt.Fprintln(os.Stderr, "darshan-job-summary:", serr)
-			os.Exit(1)
-		}
-		log, err = darshan.ParseText(f)
-	}
+	log, _, err := ingest.Decode(raw)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "darshan-job-summary:", err)
 		os.Exit(1)

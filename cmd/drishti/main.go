@@ -3,7 +3,10 @@
 //
 // Usage:
 //
-//	drishti [-report] <trace.darshan|trace.txt>
+//	drishti [-report] <trace.darshan|trace.txt|trace.dxt.txt>
+//
+// The trace may be any rendering the fleet ingests: a binary log,
+// darshan-parser text, or a DXT per-operation text trace.
 package main
 
 import (
@@ -11,8 +14,8 @@ import (
 	"fmt"
 	"os"
 
-	"ioagent/internal/darshan"
 	"ioagent/internal/drishti"
+	"ioagent/internal/fleet/ingest"
 )
 
 func main() {
@@ -22,7 +25,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: drishti [-report] <trace>")
 		os.Exit(2)
 	}
-	log, err := loadTrace(flag.Arg(0))
+	raw, err := os.ReadFile(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "drishti:", err)
+		os.Exit(1)
+	}
+	log, _, err := ingest.Decode(raw)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "drishti:", err)
 		os.Exit(1)
@@ -33,19 +41,4 @@ func main() {
 		return
 	}
 	fmt.Print(res.Summary())
-}
-
-func loadTrace(path string) (*darshan.Log, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if log, err := darshan.Decode(f); err == nil {
-		return log, nil
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	return darshan.ParseText(f)
 }

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"ioagent/internal/darshan"
-	"ioagent/internal/dxt"
 	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/client"
@@ -362,30 +361,15 @@ func runStream(baseURL string, lane api.Lane, tenant string, chunkSize int, args
 	fmt.Printf("=== %s (%s) ===\n%s\n", path, header, diag.Text)
 }
 
-// loadTrace reads a binary Darshan log, darshan-parser text, or a DXT
-// per-operation text trace (sniffed by its magic first line and derived
-// through darshan.FromDXT — the same path the fleet ingest takes).
+// loadTrace reads a trace file in any rendering the fleet ingests,
+// through the same front door.
 func loadTrace(path string) (*darshan.Log, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if log, err := darshan.Decode(f); err == nil {
-		return log, nil
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(f)
-	if magic, _ := br.Peek(len(dxt.TextMagic)); string(magic) == dxt.TextMagic {
-		tr, err := dxt.ParseText(br)
-		if err != nil {
-			return nil, err
-		}
-		return darshan.FromDXT(tr), nil
-	}
-	return darshan.ParseText(br)
+	log, _, err := ingest.Decode(raw)
+	return log, err
 }
 
 func check(err error) {

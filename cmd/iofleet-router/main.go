@@ -25,8 +25,9 @@
 //	                            (idempotent by digest)
 //	POST /v1/jobs/stream        with X-Fleet-Digest: piped straight to the
 //	                            digest's owner, zero spool; without it:
-//	                            spooled to disk within -spool-max, digest
-//	                            derived, then forwarded with the header
+//	                            spooled to disk within -spool-max, then
+//	                            forwarded by the trailer's digest, or by
+//	                            the one the router derives when none came
 //	POST /v1/uploads            opened on the claimed digest's owner (or
 //	                            the first reachable node)
 //	PATCH|GET|DELETE /v1/uploads/{id}, POST /v1/uploads/{id}/complete

@@ -15,8 +15,8 @@ const (
 	// CodeBadRequest: the request itself is malformed (unknown lane,
 	// unparseable version header, ...).
 	CodeBadRequest Code = "bad_request"
-	// CodeBadTrace: the body is neither a binary Darshan log nor
-	// darshan-parser text, or parses to a trace with no module data.
+	// CodeBadTrace: the body is not a binary Darshan log, darshan-parser
+	// text or DXT text trace, or parses to a trace with no module data.
 	CodeBadTrace Code = "bad_trace"
 	// CodeTraceTooLarge: the body exceeds the server's configured limit
 	// (iofleetd -max-body). The message names the limit.

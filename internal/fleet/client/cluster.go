@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -12,9 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ioagent/internal/darshan"
-	"ioagent/internal/dxt"
 	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/fleet/ring"
 )
 
@@ -23,28 +21,16 @@ import (
 // router and every cluster-mode client agrees on which node owns a
 // submission without any coordination.
 //
-// Decodable traces route by their canonical content digest
-// (darshan.ContentDigest), so the binary and darshan-parser-text
-// renderings of one trace land on the SAME node and share its digest
-// cache — the property the streaming path's api.DigestHeader asserts
-// without shipping the body first. Bytes that decode as neither
-// rendering fall back to a hash of the wire bytes: they still route
-// consistently (to the node that will refuse them with bad_trace).
+// Bytes the fleet's front door (ingest.Decode — the same sniff and decode
+// every daemon runs) accepts route by their canonical content digest, so
+// every rendering of one trace lands on the SAME node and shares its
+// digest cache — the property the streaming path's api.DigestHeader
+// asserts without shipping the body first. Bytes it refuses fall back to
+// a hash of the wire bytes: they still route consistently (to the node
+// that will refuse them with bad_trace).
 func RouteKey(trace []byte) string {
-	if log, err := darshan.Decode(bytes.NewReader(trace)); err == nil {
-		if cd, derr := darshan.ContentDigest(log); derr == nil {
-			return cd
-		}
-	} else if bytes.HasPrefix(trace, []byte(dxt.TextMagic)) {
-		if t, derr := dxt.ParseText(bytes.NewReader(trace)); derr == nil {
-			if cd, cerr := darshan.ContentDigest(darshan.FromDXT(t)); cerr == nil {
-				return cd
-			}
-		}
-	} else if log, terr := darshan.ParseText(bytes.NewReader(trace)); terr == nil {
-		if cd, derr := darshan.ContentDigest(log); derr == nil {
-			return cd
-		}
+	if _, cd, err := ingest.Decode(trace); err == nil {
+		return cd
 	}
 	sum := sha256.Sum256(trace)
 	return hex.EncodeToString(sum[:])

@@ -25,8 +25,9 @@ type StreamOpts struct {
 	// header — which is what lets iofleet-router place the stream on its
 	// owning node without spooling a byte. When empty, SubmitStream
 	// computes the digest on the fly (teeing the outgoing bytes through
-	// the incremental parser) and sends it as an HTTP trailer: too late
-	// to route by, still verified end-to-end by the server.
+	// the incremental parser) and sends it as an HTTP trailer: a router
+	// spools the body to wait for it, then places by it just the same,
+	// and the server verifies it end-to-end.
 	Digest string
 }
 

@@ -479,6 +479,8 @@ func (j *Job) Info() JobInfo {
 }
 
 // complete transitions the job to its terminal state. Called exactly once.
+// Done closes before the lock is released, so whoever reads a terminal
+// Status also finds Done closed.
 func (j *Job) complete(res *ioagent.Result, err error, at time.Time) {
 	j.mu.Lock()
 	j.result = res
@@ -490,8 +492,8 @@ func (j *Job) complete(res *ioagent.Result, err error, at time.Time) {
 	} else {
 		j.status = StatusDone
 	}
-	j.mu.Unlock()
 	close(j.done)
+	j.mu.Unlock()
 }
 
 // Pool is a bounded worker pool that shards a stream of Darshan traces

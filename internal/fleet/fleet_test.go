@@ -466,3 +466,29 @@ func TestPoolJobLookup(t *testing.T) {
 		t.Error("unknown id should not resolve")
 	}
 }
+
+// TestJobDoneClosedBeforeTerminalStatusIsVisible: GET /v1/jobs/{id} reads
+// Status and GET /v1/jobs/{id}/diagnosis reads Done; a poller that saw
+// "done" must never then be told job_not_done. The observer spins on
+// Status while complete runs and checks Done the instant it turns
+// terminal.
+func TestJobDoneClosedBeforeTerminalStatusIsVisible(t *testing.T) {
+	for i := 0; i < 20000; i++ {
+		j := &Job{done: make(chan struct{}), status: StatusRunning}
+		early := make(chan bool)
+		go func() {
+			for j.Status() == StatusRunning {
+			}
+			select {
+			case <-j.Done():
+				early <- false
+			default:
+				early <- true
+			}
+		}()
+		j.complete(&ioagent.Result{}, nil, time.Now())
+		if <-early {
+			t.Fatalf("iteration %d: status was terminal while Done was still open", i)
+		}
+	}
+}

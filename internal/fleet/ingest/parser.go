@@ -62,7 +62,7 @@ type Parser struct {
 	dlp   *dxt.TextParser
 	carry []byte // trailing partial text line awaiting its newline
 
-	bin bytes.Buffer // binary mode: the whole (bounded) body
+	bin []byte // binary mode: the whole (bounded) body
 
 	err error // sticky: first failure poisons the parser
 }
@@ -71,6 +71,25 @@ type Parser struct {
 // (ErrTooLarge); maxBytes <= 0 means unbounded.
 func NewParser(maxBytes int64) *Parser {
 	return &Parser{maxBytes: maxBytes}
+}
+
+// Decode is the whole-input front door: one complete trace in any of
+// the three renderings in, the decoded log and its canonical content
+// digest out — exactly what a Parser fed the same bytes in any chunking
+// returns. It borrows trace instead of copying it (a binary body decodes
+// straight from the caller's slice), so a hop that already holds the
+// bounded body pays no second buffer.
+func Decode(trace []byte) (*darshan.Log, string, error) {
+	p := &Parser{n: int64(len(trace)), sniff: trace}
+	if p.decide() {
+		p.sniff = nil
+		if p.binary {
+			p.bin = trace
+		} else if err := p.feed(trace); err != nil {
+			return nil, "", err
+		}
+	}
+	return p.Finish()
 }
 
 // Write consumes the next chunk. It implements io.Writer, so a Parser
@@ -135,7 +154,7 @@ func (p *Parser) decide() bool {
 
 func (p *Parser) feed(b []byte) error {
 	if p.binary {
-		p.bin.Write(b)
+		p.bin = append(p.bin, b...)
 		return nil
 	}
 	data := b
@@ -209,7 +228,7 @@ func (p *Parser) Finish() (*darshan.Log, string, error) {
 		log = lp.Log()
 	case p.binary:
 		var err error
-		log, err = darshan.Decode(bytes.NewReader(p.bin.Bytes()))
+		log, err = darshan.Decode(bytes.NewReader(p.bin))
 		if err != nil {
 			p.err = err
 			return nil, "", err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"ioagent/internal/darshan"
@@ -172,68 +171,4 @@ func TestParserMidStreamError(t *testing.T) {
 	if _, err := p.Write([]byte("# darshan log version: 3.41\nPOSIX bogus line\nmore\n")); err == nil {
 		t.Error("malformed counter line did not fail the completing Write")
 	}
-}
-
-// FuzzParserChunking: for arbitrary text bodies split at arbitrary chunk
-// boundaries, the incremental parser must agree with the whole-body
-// parser — same accept/reject decision, same content digest.
-func FuzzParserChunking(f *testing.F) {
-	base := textRendering(f, testTrace(f, 4))
-	f.Add(base, uint16(1))
-	f.Add(base, uint16(7))
-	f.Add(base, uint16(4096))
-	f.Add([]byte("# darshan log version: 3.41\n"), uint16(3))
-	f.Add([]byte{0x1f, 0x8b, 0x00, 0x01}, uint16(1)) // gzip magic, torn body
-
-	f.Fuzz(func(t *testing.T, body []byte, seed uint16) {
-		if len(body) > 1<<20 {
-			return
-		}
-		// Whole-body reference: the server's buffered path.
-		wholeLog, wholeErr := darshan.ParseText(bytes.NewReader(body))
-		wholeOK := wholeErr == nil && len(wholeLog.ModuleList()) > 0
-		isBinary := len(body) >= 2 && body[0] == 0x1f && body[1] == 0x8b
-
-		// Incremental: random chunk sizes from the fuzzed seed.
-		rng := rand.New(rand.NewSource(int64(seed)))
-		p := NewParser(0)
-		var werr error
-		for off := 0; off < len(body); {
-			n := 1 + rng.Intn(97)
-			if n > len(body)-off {
-				n = len(body) - off
-			}
-			if _, werr = p.Write(body[off : off+n]); werr != nil {
-				break
-			}
-			off += n
-		}
-		var incLog *darshan.Log
-		var incDigest string
-		incErr := werr
-		if incErr == nil {
-			incLog, incDigest, incErr = p.Finish()
-		}
-
-		if isBinary {
-			// Binary bodies take the buffered decode path; just require a
-			// decision, not equivalence with the text parser.
-			return
-		}
-		if wholeOK != (incErr == nil) {
-			t.Fatalf("accept/reject diverged: whole-body ok=%v, incremental err=%v (body %q)", wholeOK, incErr, body)
-		}
-		if wholeOK {
-			want, derr := darshan.ContentDigest(wholeLog)
-			if derr != nil {
-				t.Fatal(derr)
-			}
-			if incDigest != want {
-				t.Fatalf("digest diverged: incremental %s != whole-body %s", incDigest, want)
-			}
-			if incLog == nil {
-				t.Fatal("incremental parse returned nil log")
-			}
-		}
-	})
 }

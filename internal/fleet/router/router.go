@@ -17,14 +17,16 @@
 //     digest; if the owner is down or draining, the next ring successor
 //     takes the work. The daemons' digest-idempotent submit contract is
 //     what makes that safe.
-//   - Streaming submissions (POST /v1/jobs/stream) that assert
-//     api.DigestHeader are placed by the header alone: the body flows
+//   - Streaming submissions (POST /v1/jobs/stream) follow one placement
+//     rule: an asserted api.DigestHeader places the stream and the
+//     owning daemon verifies it. Asserted as a header, the body flows
 //     through the router as a pure stream — zero buffering, zero spool,
-//     constant router memory no matter the trace size. Without the
-//     header the router cannot know the owner before seeing the bytes,
-//     so it spools the body to disk within a configured bound, derives
-//     the canonical digest itself, and forwards the spooled stream to
-//     the owner with the header set.
+//     constant router memory no matter the trace size. Asserted as a
+//     trailer, the router spools the body to disk within a configured
+//     bound only to wait for the claim, then forwards by it. A stream
+//     that asserts nothing is the only one the router parses: the
+//     fleet's front door (internal/fleet/ingest) runs over the finished
+//     spool, which is forwarded with the header set.
 //   - Upload sessions (/v1/uploads) open on the claimed digest's owner
 //     (or the first reachable node) and every later session call follows
 //     the node prefix in the session ID — session state is node-local.
@@ -54,6 +56,7 @@ import (
 	"ioagent/internal/darshan"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/client"
+	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/fleet/server"
 )
 
@@ -75,13 +78,15 @@ type Config struct {
 	// refused once instead of once per failover candidate.
 	MaxBody int64
 	// SpoolDir receives the temporary spool files for streaming
-	// submissions that arrive without api.DigestHeader (default: the OS
-	// temp dir). Digest-asserted streams never touch it.
+	// submissions that arrive without the api.DigestHeader header
+	// (default: the OS temp dir). Header-asserted streams never touch it.
 	SpoolDir string
 	// SpoolMax bounds one spooled stream in bytes (default MaxBody);
 	// beyond it the submission is refused with trace_too_large. This is
-	// the router's only per-stream storage cost — its memory stays
-	// constant either way.
+	// the router's only per-stream storage cost: its memory stays
+	// constant while a body arrives. Only a binary spool with no trailer
+	// claim is read back whole (within this bound), for the duration of
+	// its decode.
 	SpoolMax int64
 	// ClientOptions tune the per-node SDK clients (retry budget, poll
 	// interval, HTTP client). The router prepends its own defaults: 2
@@ -219,13 +224,10 @@ func (rt *Router) Handler() http.Handler {
 		}
 		server.WriteJSON(w, http.StatusAccepted, info)
 	})
-	// Streaming submission. With api.DigestHeader the router never reads
-	// the body at all: placement comes from the header, and the bytes
-	// pipe straight from the inbound request to the owning daemon.
-	// Without it, spool-then-route: the body lands in a bounded temp
-	// file, the router derives the canonical digest itself (so both
-	// renderings of a trace still reach one owner), and the spool
-	// streams on with the header set.
+	// Streaming submission. With the api.DigestHeader header the router
+	// never reads the body at all: placement comes from the header, and
+	// the bytes pipe straight from the inbound request to the owning
+	// daemon. Without it, spool-then-route (spoolAndRoute).
 	handle("POST /v1/jobs/stream", func(w http.ResponseWriter, r *http.Request) {
 		opts := client.StreamOpts{
 			Lane:   api.Lane(r.URL.Query().Get("lane")),
@@ -445,12 +447,12 @@ func (rt *Router) Handler() http.Handler {
 	return server.WithVersion(rt.cfg.ID, loopChecked)
 }
 
-// spoolAndRoute handles a header-less streaming submission: the body is
-// copied to a bounded temp file (the router's memory stays flat), the
-// canonical content digest is derived from the spooled bytes — honoring
-// a trailer-asserted digest as an integrity check on the way — and the
-// spool streams to the digest's ring owner with api.DigestHeader set, so
-// the daemon-side path is identical to a well-behaved client's.
+// spoolAndRoute handles a streaming submission with no digest header.
+// The spool exists to wait for the trailer: a well-formed trailer claim
+// (what the SDK's single-pass streams send) places the stream exactly
+// like a header claim — the router parses nothing and the owning daemon
+// verifies the claim. Only a stream without one runs the front door
+// (internal/fleet/ingest) here, over the finished spool.
 func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts client.StreamOpts) {
 	f, err := os.CreateTemp(rt.cfg.SpoolDir, "iofleet-spool-*")
 	if err != nil {
@@ -463,7 +465,8 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 		os.Remove(f.Name())
 	}()
 
-	if _, err := io.Copy(f, http.MaxBytesReader(w, r.Body, rt.cfg.SpoolMax)); err != nil {
+	n, err := io.Copy(f, http.MaxBytesReader(w, r.Body, rt.cfg.SpoolMax))
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			server.WriteError(w, api.Errorf(api.CodeTraceTooLarge,
@@ -476,36 +479,29 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 		return
 	}
 
-	// Canonicalize: both renderings of one trace must reach one owner.
-	if _, err := f.Seek(0, io.SeekStart); err == nil {
-		if log1, derr := darshan.Decode(f); derr == nil {
-			if cd, cerr := darshan.ContentDigest(log1); cerr == nil {
+	claim := r.Trailer.Get(api.DigestHeader)
+	if darshan.ValidContentDigest(claim) {
+		opts.Digest = claim
+	} else {
+		// A copy cut short (parse error, spool read error) yields no
+		// digest. Undecodable spools keep an empty Digest: the stream
+		// still forwards (to the digest-less route) and the owning daemon
+		// answers bad_trace with its usual server-side detail.
+		parser := ingest.NewParser(0)
+		if _, err := io.Copy(parser, io.NewSectionReader(f, 0, n)); err == nil {
+			if _, cd, err := parser.Finish(); err == nil {
 				opts.Digest = cd
 			}
-		} else if _, serr := f.Seek(0, io.SeekStart); serr == nil {
-			if log2, terr := darshan.ParseText(f); terr == nil {
-				if cd, cerr := darshan.ContentDigest(log2); cerr == nil {
-					opts.Digest = cd
-				}
-			}
+		}
+		if claim != "" && opts.Digest != "" {
+			server.WriteError(w, api.Errorf(api.CodeDigestMismatch,
+				"trailer %s %.12s… does not match the received trace (%.12s…)", api.DigestHeader, claim, opts.Digest))
+			return
 		}
 	}
-	// The body has been consumed, so the client's on-the-fly trailer (if
-	// any) is readable now; a mismatch is refused here, one hop early.
-	if claim := r.Trailer.Get(api.DigestHeader); claim != "" && opts.Digest != "" && claim != opts.Digest {
-		server.WriteError(w, api.Errorf(api.CodeDigestMismatch,
-			"trailer %s %.12s… does not match the received trace (%.12s…)", api.DigestHeader, claim, opts.Digest))
-		return
-	}
-	// Undecodable spools keep an empty Digest: the stream still forwards
-	// (to the digest-less route) and the owning daemon answers bad_trace
-	// with its usual server-side detail.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		log.Printf("iofleet-router: rewind spool: %v", err)
-		server.WriteError(w, api.Errorf(api.CodeInternal, "internal error; see router log"))
-		return
-	}
-	info, err := rt.cluster.SubmitStream(r.Context(), f, opts)
+	// A section of the spool is rewindable, so failover and per-node
+	// retries replay it from the start.
+	info, err := rt.cluster.SubmitStream(r.Context(), io.NewSectionReader(f, 0, n), opts)
 	if err != nil {
 		rt.writeErr(w, "stream submit (spooled)", err)
 		return
@@ -519,8 +515,8 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 // readBody slurps a bounded request body (buffered submissions, upload
 // chunks), mapping an overrun onto the same trace_too_large envelope a
 // daemon serves. Validation stays with the owning daemon (bad_trace);
-// the router only decodes bytes where placement requires it (RouteKey,
-// spoolAndRoute).
+// the router only runs the front door where placement requires it
+// (RouteKey, spoolAndRoute).
 func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, *api.Error) {
 	buf, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {

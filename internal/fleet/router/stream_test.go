@@ -9,11 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ioagent/internal/darshan"
+	"ioagent/internal/dxt"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/client"
 	"ioagent/internal/iosim"
@@ -162,37 +165,62 @@ func TestRouterStreamZeroSpoolByDigestHeader(t *testing.T) {
 	}
 }
 
-// TestRouterStreamSpoolsWithoutHeader: the no-header path spools within
-// its bound, derives the canonical digest itself, still reaches the
-// owner, and cleans its spool up afterwards. Beyond the bound it refuses
-// with trace_too_large.
+// dxtTrace renders a small workload as DXT per-operation text and
+// derives the counter log every ingest surface must decode it to.
+func dxtTrace(t *testing.T, seed int) ([]byte, *darshan.Log) {
+	t.Helper()
+	sim := iosim.New(iosim.Config{Seed: int64(seed)*29 + 11, NProcs: 2, EnableDXT: true})
+	f := sim.OpenShared(fmt.Sprintf("/scratch/rt-dxt-%03d.dat", seed), iosim.POSIX, false, nil)
+	for i := int64(0); i < 6; i++ {
+		f.WriteAt(int(i)%2, i*3000, 3000)
+	}
+	f.Close()
+	sim.Finalize()
+	tr := sim.DXT()
+	return []byte(dxt.TextString(tr)), darshan.FromDXT(tr)
+}
+
+// TestRouterStreamSpoolsWithoutHeader: a stream that asserts nothing
+// spools within its bound while the router's front door derives the
+// canonical digest — for every text rendering — still reaches the owner,
+// and cleans its spool up afterwards. Beyond the bound it refuses with
+// trace_too_large.
 func TestRouterStreamSpoolsWithoutHeader(t *testing.T) {
 	nodes := startNodes(t, "n1", "n2")
 	spool := t.TempDir()
 	_, c, base := startRouterCfg(t, nodes, spool, 1<<20)
 
-	log := routerTraceLog(t, 7)
-	body := textBytes(t, log)
-	digest, err := darshan.ContentDigest(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNode := ownerOf(t, nodes, digest)
+	parserLog := routerTraceLog(t, 7)
+	dxtBody, dxtLog := dxtTrace(t, 7)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		log  *darshan.Log
+	}{
+		{"darshan-parser text", textBytes(t, parserLog), parserLog},
+		{"DXT text", dxtBody, dxtLog},
+	} {
+		digest, err := darshan.ContentDigest(tc.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantNode := ownerOf(t, nodes, digest)
 
-	resp, err := http.Post(base+"/v1/jobs/stream", "application/octet-stream", &chunked64{data: body})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("header-less stream: %s", resp.Status)
-	}
-	if got := resp.Header.Get(api.DigestHeader); got != digest {
-		t.Errorf("router derived digest %q, want %q", got, digest)
-	}
-	var info api.JobInfo
-	decodeJSON(t, resp, &info)
-	if !strings.HasPrefix(info.ID, wantNode+"-") {
-		t.Errorf("spooled stream landed on %s, not canonical owner %s", info.ID, wantNode)
+		resp, err := http.Post(base+"/v1/jobs/stream", "application/octet-stream", &chunked64{data: tc.body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: header-less stream: %s", tc.name, resp.Status)
+		}
+		if got := resp.Header.Get(api.DigestHeader); got != digest {
+			t.Errorf("%s: router derived digest %q, want %q", tc.name, got, digest)
+		}
+		var info api.JobInfo
+		decodeJSON(t, resp, &info)
+		if !strings.HasPrefix(info.ID, wantNode+"-") {
+			t.Errorf("%s: spooled stream landed on %s, not canonical owner %s", tc.name, info.ID, wantNode)
+		}
 	}
 
 	// Spool cleaned up.
@@ -207,7 +235,7 @@ func TestRouterStreamSpoolsWithoutHeader(t *testing.T) {
 	// Over the bound: refused with trace_too_large and a hint to assert
 	// the digest.
 	big := textBytes(t, bigTrace(t, 2, 500))
-	resp, err = http.Post(base+"/v1/jobs/stream", "application/octet-stream", &chunked64{data: big})
+	resp, err := http.Post(base+"/v1/jobs/stream", "application/octet-stream", &chunked64{data: big})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +245,164 @@ func TestRouterStreamSpoolsWithoutHeader(t *testing.T) {
 	}
 	if _, err := c.Metrics(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRouterStreamTrailerPlaces: a trailer claim places the stream
+// exactly like a header claim. The router forwards the claim without
+// judging it — proven by the owning daemon, not the router, being the one
+// that meets a wrong claim and answers digest_mismatch.
+func TestRouterStreamTrailerPlaces(t *testing.T) {
+	daemon := startNodes(t, "n1")[0]
+	var (
+		mu        sync.Mutex
+		forwarded []string // X-Fleet-Digest of each stream reaching the daemon
+	)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/jobs/stream" {
+			mu.Lock()
+			forwarded = append(forwarded, r.Header.Get(api.DigestHeader))
+			mu.Unlock()
+		}
+		daemon.srv.Config.Handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	_, _, base := startRouterCfg(t, []*node{{id: daemon.id, pool: daemon.pool, srv: front}}, t.TempDir(), 0)
+
+	body, log := dxtTrace(t, 9)
+	digest, err := darshan.ContentDigest(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(trailer string) *http.Response {
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs/stream", &chunked64{data: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Trailer = http.Header{api.DigestHeader: {trailer}}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := post(digest)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("trailer-claimed stream: %s", resp.Status)
+	}
+	if got := resp.Header.Get(api.DigestHeader); got != digest {
+		t.Errorf("response digest %q, want the claim %q", got, digest)
+	}
+	resp.Body.Close()
+
+	wrong := strings.Repeat("0", 64)
+	resp = post(wrong)
+	var e api.Error
+	decodeJSON(t, resp, &e)
+	if resp.StatusCode != http.StatusUnprocessableEntity || e.Code != api.CodeDigestMismatch {
+		t.Errorf("wrong trailer = %s / %q, want 422 digest_mismatch", resp.Status, e.Code)
+	}
+	mu.Lock()
+	got := slices.Clone(forwarded)
+	mu.Unlock()
+	if want := []string{digest, wrong}; !slices.Equal(got, want) {
+		t.Errorf("daemon saw claims %v, want %v: the router must place by the trailer and leave verification to the owner", got, want)
+	}
+
+	// A trailer that is not a digest at all asserts nothing worth routing
+	// by: the router parses the spool and refuses the claim itself.
+	resp = post("nothex")
+	decodeJSON(t, resp, &e)
+	if e.Code != api.CodeDigestMismatch {
+		t.Errorf("malformed trailer = %q, want digest_mismatch", e.Code)
+	}
+}
+
+// TestOneTraceOneOwner: every rendering of one trace, through every
+// door, yields one digest and lands on one owner — router, SDK and ring
+// agree because they all ask the same front door.
+func TestOneTraceOneOwner(t *testing.T) {
+	nodes := startNodes(t, "n1", "n2", "n3")
+	rt, c, base := startRouterCfg(t, nodes, t.TempDir(), 0)
+	ctx := context.Background()
+
+	counterLog := routerTraceLog(t, 11)
+	dxtBody, dxtLog := dxtTrace(t, 11)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		log  *darshan.Log
+	}{
+		{"binary", routerTrace(t, 11), counterLog},
+		{"darshan-parser text", textBytes(t, counterLog), counterLog},
+		{"DXT text", dxtBody, dxtLog},
+	} {
+		digest, err := darshan.ContentDigest(tc.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := ownerOf(t, nodes, digest)
+
+		if key := client.RouteKey(tc.body); key != digest {
+			t.Errorf("%s: RouteKey %s, want content digest %s", tc.name, key, digest)
+		}
+		if got := nodeByURL(nodes, rt.Route(tc.body)[0]).id; got != owner {
+			t.Errorf("%s: Cluster.Route owner %s, want %s", tc.name, got, owner)
+		}
+
+		doors := []struct {
+			door   string
+			submit func() (api.JobInfo, error)
+		}{
+			{"buffered", func() (api.JobInfo, error) {
+				return c.Submit(ctx, api.SubmitRequest{Trace: tc.body})
+			}},
+			{"stream + header", func() (api.JobInfo, error) {
+				return c.SubmitStream(ctx, &chunked64{data: tc.body}, client.StreamOpts{Digest: digest})
+			}},
+			// The SDK's single-pass tee announces the trailer; it delivers
+			// one for the text renderings and none for binary.
+			{"stream + trailer", func() (api.JobInfo, error) {
+				return c.SubmitStream(ctx, &chunked64{data: tc.body}, client.StreamOpts{})
+			}},
+			{"stream, nothing asserted", func() (api.JobInfo, error) {
+				resp, err := http.Post(base+"/v1/jobs/stream", "application/octet-stream", &chunked64{data: tc.body})
+				if err != nil {
+					return api.JobInfo{}, err
+				}
+				if resp.StatusCode != http.StatusAccepted {
+					resp.Body.Close()
+					return api.JobInfo{}, fmt.Errorf("status %s", resp.Status)
+				}
+				if got := resp.Header.Get(api.DigestHeader); got != digest {
+					t.Errorf("%s: router answered digest %q, want %q", tc.name, got, digest)
+				}
+				var info api.JobInfo
+				decodeJSON(t, resp, &info)
+				return info, nil
+			}},
+			{"upload session", func() (api.JobInfo, error) {
+				return c.SubmitChunked(ctx, bytes.NewReader(tc.body), 64<<10, client.StreamOpts{Digest: digest})
+			}},
+		}
+		var jobDigest string
+		for _, d := range doors {
+			info, err := d.submit()
+			if err != nil {
+				t.Errorf("%s via %s: %v", tc.name, d.door, err)
+				continue
+			}
+			if !strings.HasPrefix(info.ID, owner+"-") {
+				t.Errorf("%s via %s: job %s is not on owner %s", tc.name, d.door, info.ID, owner)
+			}
+			if jobDigest == "" {
+				jobDigest = info.Digest
+			}
+			if info.Digest != jobDigest {
+				t.Errorf("%s via %s: job digest %s, want %s like every other door", tc.name, d.door, info.Digest, jobDigest)
+			}
+		}
 	}
 }
 

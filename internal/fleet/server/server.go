@@ -1,6 +1,6 @@
 // Package server implements the iofleetd HTTP surface over the versioned
 // wire contract in internal/fleet/api: route registration, version
-// negotiation, node-identity stamping, trace decoding, the error-envelope
+// negotiation, node-identity stamping, the error-envelope
 // discipline, and both metrics renderings (JSON and Prometheus text
 // exposition).
 //
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"ioagent/internal/darshan"
-	"ioagent/internal/dxt"
 	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/ingest"
@@ -188,75 +187,71 @@ func NewMux(cfg Config) http.Handler {
 		return true
 	}
 
-	handle("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		if refuseSubmission(w, r) {
-			return
+	// submitTrace serves both one-request submission shapes: they differ
+	// only in how the body reaches the front door (internal/fleet/ingest),
+	// which is what parse does. The digest may be asserted up front
+	// (header — what a router routes by), computed on the fly by the
+	// client (trailer), or left to the server; an asserted digest that
+	// does not match the parsed bytes is refused.
+	submitTrace := func(parse func(w http.ResponseWriter, r *http.Request) (*darshan.Log, string, error)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if refuseSubmission(w, r) {
+				return
+			}
+			lane, tenant, apiErr := parseSubmitParams(r)
+			if apiErr != nil {
+				WriteError(w, apiErr)
+				return
+			}
+			trace, cd, err := parse(w, r)
+			if err != nil {
+				if !errors.As(err, &apiErr) {
+					apiErr = ingestError(r, "submit", err, cfg.MaxBody)
+				}
+				WriteError(w, apiErr)
+				return
+			}
+			claim := r.Header.Get(api.DigestHeader)
+			if claim == "" {
+				claim = r.Trailer.Get(api.DigestHeader) // readable after body EOF
+			}
+			if apiErr := verifyDigestClaim(claim, cd); apiErr != nil {
+				WriteError(w, apiErr)
+				return
+			}
+			submitPreparsed(w, r, fleet.Preparsed{Log: trace, ContentDigest: cd},
+				fleet.SubmitOpts{Lane: fleet.Lane(lane), Tenant: tenant})
 		}
-		lane, tenant, apiErr := parseSubmitParams(r)
-		if apiErr != nil {
-			WriteError(w, apiErr)
-			return
+	}
+	// Buffered submission: one bounded read, decoded in place.
+	handle("POST /v1/jobs", submitTrace(func(w http.ResponseWriter, r *http.Request) (*darshan.Log, string, error) {
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, cfg.MaxBody)); err != nil {
+			var mbe *http.MaxBytesError
+			if errors.As(err, &mbe) {
+				return nil, "", api.Errorf(api.CodeTraceTooLarge,
+					"trace body exceeds the %d-byte limit (server -max-body)", cfg.MaxBody)
+			}
+			log.Printf("iofleetd: read submit body from %s: %v", r.RemoteAddr, err)
+			return nil, "", api.Errorf(api.CodeBadRequest, "read body: request aborted")
 		}
-		trace, apiErr := decodeTrace(w, r, cfg.MaxBody)
-		if apiErr != nil {
-			WriteError(w, apiErr)
-			return
-		}
-		cd, err := darshan.ContentDigest(trace)
-		if err != nil {
-			internalError(w, "content digest", err)
-			return
-		}
-		if apiErr := verifyDigestClaim(r.Header.Get(api.DigestHeader), cd); apiErr != nil {
-			WriteError(w, apiErr)
-			return
-		}
-		submitPreparsed(w, r, fleet.Preparsed{Log: trace, ContentDigest: cd},
-			fleet.SubmitOpts{Lane: fleet.Lane(lane), Tenant: tenant})
-	})
-
+		return ingest.Decode(buf.Bytes())
+	}))
 	// Streaming submission: the body is fed to the incremental parser as
-	// it arrives — for darshan-parser text, module pre-processing starts
-	// on the first complete line, long before the final chunk lands —
-	// and the raw bytes are never buffered. The digest may be asserted
-	// up front (header — what a router routes by), computed on the fly
-	// by the client (trailer), or left to the server; an asserted digest
-	// that does not match the parsed bytes is refused.
-	handle("POST /v1/jobs/stream", func(w http.ResponseWriter, r *http.Request) {
-		if refuseSubmission(w, r) {
-			return
-		}
-		lane, tenant, apiErr := parseSubmitParams(r)
-		if apiErr != nil {
-			WriteError(w, apiErr)
-			return
-		}
-		claim := r.Header.Get(api.DigestHeader)
-		if claim != "" && !darshan.ValidContentDigest(claim) {
-			WriteError(w, api.Errorf(api.CodeBadRequest,
-				"malformed %s header (want 64 hex chars)", api.DigestHeader))
-			return
+	// it arrives — for the text renderings, pre-processing starts on the
+	// first complete line, long before the final chunk lands — and the
+	// raw bytes are never buffered.
+	handle("POST /v1/jobs/stream", submitTrace(func(w http.ResponseWriter, r *http.Request) (*darshan.Log, string, error) {
+		if claim := r.Header.Get(api.DigestHeader); claim != "" && !darshan.ValidContentDigest(claim) {
+			return nil, "", api.Errorf(api.CodeBadRequest,
+				"malformed %s header (want 64 hex chars)", api.DigestHeader)
 		}
 		parser := ingest.NewParser(cfg.MaxBody)
 		if _, err := io.Copy(parser, r.Body); err != nil {
-			WriteError(w, ingestError(r, "stream", err, cfg.MaxBody))
-			return
+			return nil, "", err
 		}
-		trace, cd, err := parser.Finish()
-		if err != nil {
-			WriteError(w, ingestError(r, "stream", err, cfg.MaxBody))
-			return
-		}
-		if claim == "" {
-			claim = r.Trailer.Get(api.DigestHeader) // readable after body EOF
-		}
-		if apiErr := verifyDigestClaim(claim, cd); apiErr != nil {
-			WriteError(w, apiErr)
-			return
-		}
-		submitPreparsed(w, r, fleet.Preparsed{Log: trace, ContentDigest: cd},
-			fleet.SubmitOpts{Lane: fleet.Lane(lane), Tenant: tenant})
-	})
+		return parser.Finish()
+	}))
 
 	// Resumable upload sessions: open, append chunks at asserted offsets
 	// (each chunk hits the incremental parser immediately), resume after
@@ -733,7 +728,8 @@ func verifyDigestClaim(claim, computed string) *api.Error {
 }
 
 // ingestError maps the ingest layer's failures onto the wire taxonomy.
-// Parse detail stays server-side, like decodeTrace's.
+// Parse detail stays server-side, where the operator debugging a
+// client's bad_trace loop can see it.
 func ingestError(r *http.Request, op string, err error, maxBody int64) *api.Error {
 	switch {
 	case errors.Is(err, ingest.ErrTooLarge):
@@ -755,7 +751,8 @@ func ingestError(r *http.Request, op string, err error, maxBody int64) *api.Erro
 				"server is at offset %d, chunk asserted %d; resynchronize and resend", oe.Want, oe.Got)
 		}
 		log.Printf("iofleetd: %s from %s: %v", op, r.RemoteAddr, err)
-		return api.Errorf(api.CodeBadTrace, "body is neither a binary Darshan log nor darshan-parser text")
+		return api.Errorf(api.CodeBadTrace,
+			"body is not a binary Darshan log, darshan-parser text or DXT text trace with module data")
 	}
 }
 
@@ -817,49 +814,6 @@ func WantsText(r *http.Request) bool {
 		return true
 	}
 	return false
-}
-
-// decodeTrace reads the request body as a binary Darshan log, falling
-// back to a DXT per-operation text trace (dxt.TextMagic) and then to
-// darshan-parser text. Bodies over maxBody are refused with
-// api.CodeTraceTooLarge naming the configured limit.
-func decodeTrace(w http.ResponseWriter, r *http.Request, maxBody int64) (*darshan.Log, *api.Error) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, api.Errorf(api.CodeTraceTooLarge,
-				"trace body exceeds the %d-byte limit (server -max-body)", maxBody)
-		}
-		log.Printf("iofleetd: read submit body from %s: %v", r.RemoteAddr, err)
-		return nil, api.Errorf(api.CodeBadRequest, "read body: request aborted")
-	}
-	trace, err := darshan.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		if bytes.HasPrefix(buf.Bytes(), []byte(dxt.TextMagic)) {
-			t, derr := dxt.ParseText(bytes.NewReader(buf.Bytes()))
-			if derr != nil {
-				log.Printf("iofleetd: undecodable DXT trace from %s: %v", r.RemoteAddr, derr)
-				return nil, api.Errorf(api.CodeBadTrace, "body carries the DXT magic but is not a valid DXT text trace")
-			}
-			trace = darshan.FromDXT(t)
-		} else {
-			var terr error
-			trace, terr = darshan.ParseText(bytes.NewReader(buf.Bytes()))
-			if terr != nil {
-				// Both decoders' detail stays server-side, where the operator
-				// debugging a client's bad_trace loop can see it.
-				log.Printf("iofleetd: undecodable trace from %s: binary: %v; text: %v", r.RemoteAddr, err, terr)
-				return nil, api.Errorf(api.CodeBadTrace, "body is neither a binary Darshan log nor darshan-parser text")
-			}
-		}
-	}
-	// An empty or header-only body parses as a log with no modules; reject
-	// it here rather than queueing a job doomed to fail.
-	if len(trace.Modules) == 0 {
-		return nil, api.Errorf(api.CodeBadTrace, "trace contains no module data")
-	}
-	return trace, nil
 }
 
 // toAPIJob maps the pool's job snapshot onto the wire shape. The pool's

@@ -2,12 +2,15 @@ package darshan
 
 import (
 	"bufio"
-	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 
 	"ioagent/internal/dxt"
 )
@@ -36,188 +39,172 @@ const binaryVersion uint16 = 2
 // accept both.
 const binaryVersionDXT uint16 = 3
 
-// Encode writes the log in binary form to w.
+// Encode writes the log in binary form to w. The caller's log is only
+// read: records are ordered in codec-private scratch, never in place.
 func Encode(w io.Writer, l *Log) error {
-	gz := gzip.NewWriter(w)
-	if err := encodeRaw(gz, l); err != nil {
-		return err
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(w)
+	err := encodeRaw(gz, l)
+	if err == nil {
+		err = gz.Close()
 	}
-	return gz.Close()
+	gz.Reset(io.Discard) // an idle pool entry must not pin the caller's writer
+	gzipWriters.Put(gz)
+	return err
 }
 
-// encodeRaw writes the uncompressed canonical byte stream (everything
-// inside the gzip layer). ContentDigest hashes this form directly so the
-// digest never depends on the compressor's output, which is not
-// guaranteed stable across Go releases.
-func encodeRaw(w io.Writer, l *Log) error {
-	bw := bufio.NewWriter(w)
-	e := &encoder{w: bw}
+// gzipWriters recycles deflate state: a fresh gzip.Writer allocates about
+// 800 KB on its first write, which the journal paid once per fresh job.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 
+// encodeRaw writes the uncompressed byte stream (everything inside the
+// gzip layer).
+func encodeRaw(w io.Writer, l *Log) error {
+	e := encoders.Get().(*encoder)
+	defer e.release()
+	e.w = w
+	e.log(l, false)
+	return e.flush()
+}
+
+// encBufSize bounds the encoder's staging buffer; it is flushed to the
+// sink whenever the next field would not fit. Every fixed-size field and
+// every record's counter block is far smaller.
+const encBufSize = 32 << 10
+
+// maxPooledRecs bounds the record scratch an idle encoder may keep.
+const maxPooledRecs = 1 << 16
+
+// encoder is the pooled write half of the codec: fields are appended to
+// buf and flushed to w in encBufSize chunks, so one pass over the log
+// feeds the compressor (Encode) or the hash (ContentDigest) without an
+// intermediate copy of the stream.
+type encoder struct {
+	w    io.Writer
+	err  error
+	buf  []byte        // len <= cap == encBufSize
+	recs []*FileRecord // the records being written, grouped by module
+}
+
+var encoders = sync.Pool{New: func() any { return &encoder{buf: make([]byte, 0, encBufSize)} }}
+
+// release returns e to the pool holding nothing of the caller's: no
+// writer, no record pointers.
+func (e *encoder) release() {
+	clear(e.recs)
+	e.recs = e.recs[:0]
+	if cap(e.recs) > maxPooledRecs {
+		e.recs = nil
+	}
+	e.w, e.err, e.buf = nil, nil, e.buf[:0]
+	encoders.Put(e)
+}
+
+func (e *encoder) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
+}
+
+// grow makes room for n <= encBufSize more bytes and returns them.
+func (e *encoder) grow(n int) []byte {
+	if len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = e.buf[:len(e.buf)+n]
+	return e.buf[len(e.buf)-n:]
+}
+
+func (e *encoder) u8(v uint8)    { e.grow(1)[0] = v }
+func (e *encoder) u16(v uint16)  { binary.LittleEndian.PutUint16(e.grow(2), v) }
+func (e *encoder) u32(v uint32)  { binary.LittleEndian.PutUint32(e.grow(4), v) }
+func (e *encoder) u64(v uint64)  { binary.LittleEndian.PutUint64(e.grow(8), v) }
+func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
+func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// raw appends s, flushing as often as its length requires.
+func (e *encoder) raw(s string) {
+	for len(s) > 0 {
+		if len(e.buf) == cap(e.buf) {
+			e.flush()
+		}
+		n := copy(e.buf[len(e.buf):cap(e.buf)], s)
+		e.buf = e.buf[:len(e.buf)+n]
+		s = s[n:]
+	}
+}
+
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	e.raw(s)
+}
+
+// log writes l's byte stream. With canonical set it writes the
+// rendering-neutral form ContentDigest hashes instead — byte for byte
+// what the plain stream of Canonical(l) would be, without building it:
+// floats quantized through the text precision, records with no nonzero
+// counter skipped, a DXT-carrying log re-derived from its events.
+func (e *encoder) log(l *Log, canonical bool) {
+	runTime := l.Job.RunTime
+	if canonical {
+		if l.DXT != nil {
+			l = FromDXT(l.DXT) // private derived log
+		}
+		runTime = quantize(l.Job.RunTime, 4)
+	}
 	ver := binaryVersion
 	if l.DXT != nil {
 		ver = binaryVersionDXT
 	}
-	e.raw([]byte(binaryMagic))
+	e.raw(binaryMagic)
 	e.u16(ver)
 	e.str(l.Version)
-	e.encodeJob(&l.Job)
+	e.job(&l.Job, runTime)
 
-	mods := l.ModuleList()
-	e.u8(uint8(len(mods)))
-	for _, m := range mods {
-		md := l.Modules[m]
-		md.SortRecords()
+	// The module and record counts precede the data, so gather first:
+	// recs[bounds[m]:bounds[m+1]] are module m's records.
+	var bounds [numModules + 1]int
+	nmods := 0
+	for m := ModuleID(0); m < numModules; m++ {
+		if md := l.Modules[m]; md != nil {
+			for _, r := range md.Records {
+				if !canonical || r.hasCanonicalContent() {
+					e.recs = append(e.recs, r)
+				}
+			}
+		}
+		bounds[m+1] = len(e.recs)
+		if bounds[m+1] > bounds[m] {
+			nmods++
+		}
+	}
+	e.u8(uint8(nmods))
+	for m := ModuleID(0); m < numModules; m++ {
+		recs := e.recs[bounds[m]:bounds[m+1]]
+		if len(recs) == 0 {
+			continue
+		}
+		sortRecords(recs)
 		e.u8(uint8(m))
-		e.u32(uint32(len(md.Records)))
-		for _, r := range md.Records {
-			e.encodeRecord(m, r)
+		e.u32(uint32(len(recs)))
+		for _, r := range recs {
+			e.record(m, r, canonical)
 		}
 	}
 	if l.DXT != nil {
-		e.encodeDXT(l.DXT)
-	}
-	if e.err != nil {
-		return e.err
-	}
-	return bw.Flush()
-}
-
-// encodeDXT appends the per-operation event stream (version 3 logs only).
-func (e *encoder) encodeDXT(t *dxt.Trace) {
-	e.i64(int64(t.NProcs))
-	e.u32(uint32(len(t.Events)))
-	for _, ev := range t.Events {
-		e.str(ev.Module)
-		e.i64(int64(ev.Rank))
-		e.u8(uint8(ev.Op))
-		e.i64(int64(ev.Seq))
-		e.i64(ev.Offset)
-		e.i64(ev.Length)
-		e.f64(ev.Start)
-		e.f64(ev.End)
-		e.str(ev.File)
+		e.dxt(l.DXT)
 	}
 }
 
-// Decode reads a binary log from r.
-func Decode(r io.Reader) (*Log, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("darshan: not a binary log: %w", err)
-	}
-	defer gz.Close()
-	d := &decoder{r: bufio.NewReader(gz)}
-
-	magic := d.raw(4)
-	if d.err == nil && !bytes.Equal(magic, []byte(binaryMagic)) {
-		return nil, fmt.Errorf("darshan: bad magic %q", magic)
-	}
-	ver := d.u16()
-	if d.err == nil && ver != binaryVersion && ver != binaryVersionDXT {
-		return nil, fmt.Errorf("darshan: unsupported binary version %d", ver)
-	}
-
-	l := NewLog()
-	l.Version = d.str()
-	d.decodeJob(&l.Job)
-
-	nmods := int(d.u8())
-	for i := 0; i < nmods && d.err == nil; i++ {
-		m := ModuleID(d.u8())
-		if m >= numModules {
-			return nil, fmt.Errorf("darshan: bad module id %d", m)
-		}
-		nrec := int(d.u32())
-		md := l.Module(m)
-		for j := 0; j < nrec && d.err == nil; j++ {
-			r, err := d.decodeRecord(m)
-			if err != nil {
-				return nil, err
-			}
-			md.Records = append(md.Records, r)
-		}
-	}
-	if ver == binaryVersionDXT && d.err == nil {
-		t, err := d.decodeDXT()
-		if err != nil {
-			return nil, err
-		}
-		l.DXT = t
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return l, nil
-}
-
-// decodeDXT reads the version-3 event-stream section.
-func (d *decoder) decodeDXT() (*dxt.Trace, error) {
-	t := &dxt.Trace{NProcs: int(d.i64())}
-	n := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n > maxDXTEvents {
-		return nil, fmt.Errorf("darshan: DXT event count %d exceeds limit", n)
-	}
-	t.Events = make([]dxt.Event, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		ev := &t.Events[i]
-		ev.Module = d.str()
-		ev.Rank = int(d.i64())
-		ev.Op = dxt.OpKind(d.u8())
-		ev.Seq = int(d.i64())
-		ev.Offset = d.i64()
-		ev.Length = d.i64()
-		ev.Start = d.f64()
-		ev.End = d.f64()
-		ev.File = d.str()
-	}
-	return t, d.err
-}
-
-// maxDXTEvents guards against corrupt event-count prefixes.
-const maxDXTEvents = 1 << 26
-
-type encoder struct {
-	w   *bufio.Writer
-	err error
-	buf [8]byte
-}
-
-func (e *encoder) raw(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
-func (e *encoder) u8(v uint8) { e.raw([]byte{v}) }
-func (e *encoder) u16(v uint16) {
-	binary.LittleEndian.PutUint16(e.buf[:2], v)
-	e.raw(e.buf[:2])
-}
-func (e *encoder) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	e.raw(e.buf[:4])
-}
-func (e *encoder) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], v)
-	e.raw(e.buf[:8])
-}
-func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.raw([]byte(s))
-}
-
-func (e *encoder) encodeJob(j *Job) {
+func (e *encoder) job(j *Job, runTime float64) {
 	e.i64(int64(j.UID))
 	e.i64(j.JobID)
 	e.i64(j.StartTime)
 	e.i64(j.EndTime)
 	e.i64(int64(j.NProcs))
-	e.f64(j.RunTime)
+	e.f64(runTime)
 	e.str(j.Exe)
 	e.u32(uint32(len(j.Mounts)))
 	for _, m := range j.Mounts {
@@ -233,62 +220,203 @@ func (e *encoder) encodeJob(j *Job) {
 	}
 }
 
-func (e *encoder) encodeRecord(m ModuleID, r *FileRecord) {
+// record writes one record; its counters are stored positionally, so the
+// block is zeroed in place and the (sparse) maps scattered into it.
+func (e *encoder) record(m ModuleID, r *FileRecord, canonical bool) {
 	e.u64(r.RecordID)
 	e.i64(int64(r.Rank))
 	e.str(r.Name)
 	e.str(r.MountPt)
 	e.str(r.FSType)
-	for _, name := range CounterNames(m) {
-		e.i64(r.Counters[name])
+	ints, floats := counterIndex[m], fcounterIndex[m]
+	nints := len(counterTables[m])
+	block := e.grow(8 * (nints + len(fcounterTables[m])))
+	clear(block)
+	for name, v := range r.Counters {
+		if i, ok := ints[name]; ok {
+			binary.LittleEndian.PutUint64(block[8*i:], uint64(v))
+		}
 	}
-	for _, name := range FCounterNames(m) {
-		e.f64(r.FCounters[name])
+	block = block[8*nints:]
+	for name, v := range r.FCounters {
+		if canonical {
+			v = quantize(v, 6)
+			if v == 0 {
+				continue // the text form has no line for it; +0 either way
+			}
+		}
+		if i, ok := floats[name]; ok {
+			binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
+		}
 	}
 }
 
+// dxt appends the per-operation event stream (version 3 logs only).
+func (e *encoder) dxt(t *dxt.Trace) {
+	e.i64(int64(t.NProcs))
+	e.u32(uint32(len(t.Events)))
+	for i := range t.Events {
+		ev := &t.Events[i]
+		e.str(ev.Module)
+		e.i64(int64(ev.Rank))
+		e.u8(uint8(ev.Op))
+		e.i64(int64(ev.Seq))
+		e.i64(ev.Offset)
+		e.i64(ev.Length)
+		e.f64(ev.Start)
+		e.f64(ev.End)
+		e.str(ev.File)
+	}
+}
+
+// Decode reads a binary log from r. The stream is inflated lazily through
+// pooled, fixed-size buffers: memory grows with the bytes actually
+// decoded, never with a count the wire merely claims.
+func Decode(r io.Reader) (*Log, error) {
+	d := decoders.Get().(*decoder)
+	defer d.release()
+	d.in.Reset(r)
+	if err := d.gz.Reset(d.in); err != nil {
+		return nil, fmt.Errorf("darshan: not a binary log: %w", err)
+	}
+	d.r.Reset(&d.gz)
+
+	magic := d.next(4)
+	if d.err == nil && string(magic) != binaryMagic {
+		return nil, fmt.Errorf("darshan: bad magic %q", magic)
+	}
+	ver := d.u16()
+	if d.err == nil && ver != binaryVersion && ver != binaryVersionDXT {
+		return nil, fmt.Errorf("darshan: unsupported binary version %d", ver)
+	}
+
+	l := NewLog()
+	l.Version = d.str(false)
+	d.job(&l.Job)
+
+	nmods := int(d.u8())
+	for i := 0; i < nmods && d.err == nil; i++ {
+		m := ModuleID(d.u8())
+		if m >= numModules {
+			return nil, fmt.Errorf("darshan: bad module id %d", m)
+		}
+		nrec := int(d.u32())
+		md := l.Module(m)
+		var slab []FileRecord
+		for j := 0; j < nrec && d.err == nil; j++ {
+			if len(slab) == 0 {
+				slab = make([]FileRecord, min(nrec-j, decodeSlab))
+			}
+			d.record(m, &slab[0])
+			if d.err != nil {
+				return nil, d.err
+			}
+			md.Records = append(md.Records, &slab[0])
+			slab = slab[1:]
+		}
+	}
+	if ver == binaryVersionDXT && d.err == nil {
+		l.DXT = d.dxt()
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return l, nil
+}
+
+const (
+	// decBufSize is the decoded-side buffer. It must hold the largest
+	// record counter block, which record peeks at in one piece.
+	decBufSize = 32 << 10
+	// decodeSlab is how many count-prefixed elements (records, events,
+	// mounts, metadata entries) are allocated ahead of the bytes that
+	// carry them.
+	decodeSlab = 64
+	// maxPooledNames bounds the intern table an idle decoder may keep.
+	maxPooledNames = 1 << 10
+)
+
+// noInput is what idle pooled readers are parked on.
+type noInput struct{}
+
+func (noInput) Read([]byte) (int, error) { return 0, io.EOF }
+
+// decoder is the pooled read half of the codec: inflate state and both
+// buffers are reused across calls. Nothing it hands out aliases them —
+// strings are copied out of the peeked bytes.
 type decoder struct {
-	r   *bufio.Reader
+	in  *bufio.Reader // compressed side: flate's byte reader over the caller's r
+	gz  gzip.Reader
+	r   *bufio.Reader // decoded side, decBufSize
 	err error
-	buf [8]byte
+	// names interns the strings a log repeats per record or per event
+	// (mount point, fs type, DXT module and file).
+	names map[string]string
 }
 
-func (d *decoder) raw(n int) []byte {
+var decoders = sync.Pool{New: func() any {
+	return &decoder{
+		in:    bufio.NewReader(noInput{}),
+		r:     bufio.NewReaderSize(noInput{}, decBufSize),
+		names: make(map[string]string),
+	}
+}}
+
+// release parks the compressed side on noInput — everything else reads
+// through it — so an idle pool entry pins neither the caller's reader nor
+// a request-sized body behind it.
+func (d *decoder) release() {
+	d.in.Reset(noInput{})
+	d.err = nil
+	if len(d.names) > maxPooledNames {
+		d.names = make(map[string]string)
+	} else {
+		clear(d.names)
+	}
+	decoders.Put(d)
+}
+
+// next consumes n <= decBufSize bytes and returns them, valid until the
+// following read. A short stream fails exactly as io.ReadFull would.
+func (d *decoder) next(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	b := make([]byte, n)
-	_, d.err = io.ReadFull(d.r, b)
+	b, err := d.r.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		d.err = err
+		return nil
+	}
+	d.r.Discard(n)
 	return b
 }
+
 func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
+	if b := d.next(1); b != nil {
+		return b[0]
 	}
-	var b [1]byte
-	_, d.err = io.ReadFull(d.r, b[:])
-	return b[0]
+	return 0
 }
 func (d *decoder) u16() uint16 {
-	if d.err != nil {
-		return 0
+	if b := d.next(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
 	}
-	_, d.err = io.ReadFull(d.r, d.buf[:2])
-	return binary.LittleEndian.Uint16(d.buf[:2])
+	return 0
 }
 func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
+	if b := d.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	_, d.err = io.ReadFull(d.r, d.buf[:4])
-	return binary.LittleEndian.Uint32(d.buf[:4])
+	return 0
 }
 func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
+	if b := d.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	_, d.err = io.ReadFull(d.r, d.buf[:8])
-	return binary.LittleEndian.Uint64(d.buf[:8])
+	return 0
 }
 func (d *decoder) i64() int64   { return int64(d.u64()) }
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
@@ -296,7 +424,10 @@ func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 // maxStrLen guards against corrupt length prefixes.
 const maxStrLen = 1 << 20
 
-func (d *decoder) str() string {
+// str reads a length-prefixed string. With intern set it is one of the
+// few strings a log repeats on every record or event, and equal values
+// share one allocation.
+func (d *decoder) str(intern bool) string {
 	n := d.u32()
 	if d.err != nil {
 		return ""
@@ -305,71 +436,149 @@ func (d *decoder) str() string {
 		d.err = fmt.Errorf("darshan: string length %d exceeds limit", n)
 		return ""
 	}
-	return string(d.raw(int(n)))
+	if n > decBufSize {
+		// Longer than the buffer: grow with the bytes that really arrive.
+		var sb strings.Builder
+		for rest := int(n); rest > 0 && d.err == nil; {
+			chunk := d.next(min(rest, decBufSize))
+			sb.Write(chunk)
+			rest -= len(chunk)
+		}
+		if d.err == io.EOF && sb.Len() > 0 {
+			d.err = io.ErrUnexpectedEOF
+		}
+		if d.err != nil {
+			return ""
+		}
+		return sb.String()
+	}
+	b := d.next(int(n))
+	if !intern {
+		return string(b)
+	}
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.names[s] = s
+	return s
 }
 
-func (d *decoder) decodeJob(j *Job) {
+// count reads a u32 element count, refusing ones over limit. Callers
+// allocate for min(count, decodeSlab) elements and grow by appending, so
+// a lying count costs nothing until bytes back it.
+func (d *decoder) count(what string, limit int) int {
+	n := int(d.u32())
+	if d.err == nil && n > limit {
+		d.err = fmt.Errorf("darshan: %s count %d exceeds limit", what, n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (d *decoder) job(j *Job) {
 	j.UID = int(d.i64())
 	j.JobID = d.i64()
 	j.StartTime = d.i64()
 	j.EndTime = d.i64()
 	j.NProcs = int(d.i64())
 	j.RunTime = d.f64()
-	j.Exe = d.str()
-	nm := int(d.u32())
-	if d.err != nil {
-		return
+	j.Exe = d.str(false)
+	nm := d.count("mount", maxStrLen)
+	j.Mounts = make([]Mount, 0, min(nm, decodeSlab))
+	for i := 0; i < nm && d.err == nil; i++ {
+		j.Mounts = append(j.Mounts, Mount{Point: d.str(true), FSType: d.str(true)})
 	}
-	if nm > maxStrLen {
-		d.err = fmt.Errorf("darshan: mount count %d exceeds limit", nm)
-		return
-	}
-	j.Mounts = make([]Mount, nm)
-	for i := range j.Mounts {
-		j.Mounts[i].Point = d.str()
-		j.Mounts[i].FSType = d.str()
-	}
-	nk := int(d.u32())
-	if d.err != nil {
-		return
-	}
-	if nk > maxStrLen {
-		d.err = fmt.Errorf("darshan: metadata count %d exceeds limit", nk)
-		return
-	}
-	if j.Metadata == nil {
-		j.Metadata = make(map[string]string, nk)
-	}
-	for i := 0; i < nk; i++ {
-		k := d.str()
-		v := d.str()
+	nk := d.count("metadata", maxStrLen)
+	for i := 0; i < nk && d.err == nil; i++ {
+		k := d.str(false)
+		v := d.str(false)
 		if d.err == nil {
 			j.Metadata[k] = v
 		}
 	}
 }
 
-func (d *decoder) decodeRecord(m ModuleID) (*FileRecord, error) {
-	r := &FileRecord{
-		Counters:  make(map[string]int64),
-		FCounters: make(map[string]float64),
-	}
+// record fills r from the stream. The positional counter block is read
+// in one piece, so both maps are sized for exactly the nonzero entries
+// they will hold instead of growing through every power of two.
+func (d *decoder) record(m ModuleID, r *FileRecord) {
 	r.RecordID = d.u64()
 	r.Rank = int(d.i64())
-	r.Name = d.str()
-	r.MountPt = d.str()
-	r.FSType = d.str()
-	for _, name := range CounterNames(m) {
-		if v := d.i64(); v != 0 {
-			r.Counters[name] = v
+	r.Name = d.str(false)
+	r.MountPt = d.str(true)
+	r.FSType = d.str(true)
+	names, fnames := counterTables[m], fcounterTables[m]
+	block := d.next(8 * (len(names) + len(fnames)))
+	if block == nil {
+		return
+	}
+	ints, floats := block[:8*len(names)], block[8*len(names):]
+	nonzero := 0
+	for i := range names {
+		if binary.LittleEndian.Uint64(ints[8*i:]) != 0 {
+			nonzero++
 		}
 	}
-	for _, name := range FCounterNames(m) {
-		if v := d.f64(); v != 0 {
+	r.Counters = make(map[string]int64, nonzero)
+	for i, name := range names {
+		if v := binary.LittleEndian.Uint64(ints[8*i:]); v != 0 {
+			r.Counters[name] = int64(v)
+		}
+	}
+	nonzero = 0
+	for i := range fnames {
+		if math.Float64frombits(binary.LittleEndian.Uint64(floats[8*i:])) != 0 {
+			nonzero++
+		}
+	}
+	r.FCounters = make(map[string]float64, nonzero)
+	for i, name := range fnames {
+		if v := math.Float64frombits(binary.LittleEndian.Uint64(floats[8*i:])); v != 0 {
 			r.FCounters[name] = v
 		}
 	}
-	return r, d.err
+}
+
+// maxDXTEvents guards against corrupt event-count prefixes.
+const maxDXTEvents = 1 << 26
+
+// dxt reads the version-3 event-stream section.
+func (d *decoder) dxt() *dxt.Trace {
+	t := &dxt.Trace{NProcs: int(d.i64())}
+	n := d.count("DXT event", maxDXTEvents)
+	t.Events = make([]dxt.Event, 0, min(n, decodeSlab))
+	for i := 0; i < n && d.err == nil; i++ {
+		ev := dxt.Event{Module: d.str(true)}
+		// rank i64 | op u8 | seq, offset, length i64 | start, end f64
+		b := d.next(49)
+		if b == nil {
+			break
+		}
+		ev.Rank = int(int64(binary.LittleEndian.Uint64(b)))
+		ev.Op = dxt.OpKind(b[8])
+		ev.Seq = int(int64(binary.LittleEndian.Uint64(b[9:])))
+		ev.Offset = int64(binary.LittleEndian.Uint64(b[17:]))
+		ev.Length = int64(binary.LittleEndian.Uint64(b[25:]))
+		ev.Start = math.Float64frombits(binary.LittleEndian.Uint64(b[33:]))
+		ev.End = math.Float64frombits(binary.LittleEndian.Uint64(b[41:]))
+		ev.File = d.str(true)
+		t.Events = append(t.Events, ev)
+	}
+	return t
+}
+
+// sortRecords orders records by (Name, Rank): the one record order of
+// every rendering and of the content digest.
+func sortRecords(recs []*FileRecord) {
+	slices.SortFunc(recs, func(a, b *FileRecord) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Rank, b.Rank)
+	})
 }
 
 func sortedKeys(m map[string]string) []string {
@@ -377,10 +586,6 @@ func sortedKeys(m map[string]string) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }

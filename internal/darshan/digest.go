@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -29,27 +31,92 @@ import (
 //     inside Encode's gzip layer), so it is stable across compressor
 //     versions.
 //
-// The canonicalization works on a private clone: the caller's log is
-// neither mutated nor raced on.
+// The canonical stream goes straight from the caller's log into the hash
+// through the codec's pooled staging buffer (encoder.log): the log is only
+// read — never sorted, cloned or otherwise touched — so concurrent digests
+// of one shared log are safe, and the cost does not grow with a clone per
+// record.
 func ContentDigest(l *Log) (string, error) {
+	e := encoders.Get().(*encoder)
+	defer e.release()
 	h := sha256.New()
-	if err := encodeRaw(h, canonicalClone(l)); err != nil {
+	e.w = h
+	e.log(l, true)
+	if err := e.flush(); err != nil {
 		return "", fmt.Errorf("darshan: content digest: %w", err)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])), nil
 }
+
+// pow10 holds the text precisions quantize rounds to.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
 
 // quantize rounds v through the text rendering: format with the text
 // form's precision, parse back. Both renderings of one value land on the
-// same float64 because both pass through the identical format function.
+// same float64 because both pass through the identical function.
+//
+// The strconv round trip is the definition; below 1e9 it is computed
+// exactly in integers instead. v = m*2^-s with m < 2^53, so v*10^prec is
+// the 128-bit product m*10^prec shifted right by s; rounding that
+// half-to-even gives the integer N whose digits FormatFloat(v,'f',prec)
+// prints (it rounds the exact binary value the same way), N < 2^53 is an
+// exact float64, and one IEEE division N/10^prec is the correctly rounded
+// value of that decimal — which is what ParseFloat returns.
 func quantize(v float64, prec int) float64 {
+	if math.Abs(v) < 1e9 && prec < len(pow10) { // false for NaN
+		u := math.Float64bits(v)
+		m, exp := u&(1<<52-1), int(u>>52)&0x7ff
+		if exp == 0 {
+			exp = 1 // subnormal: no implicit bit, same scale as exp 1
+		} else {
+			m |= 1 << 52
+		}
+		s := uint(1075 - exp) // >= 23 because |v| < 2^30
+		if s > 75 {
+			return math.Copysign(0, v) // m*10^prec < 2^73: under a quarter
+		}
+		hi, lo := bits.Mul64(m, uint64(pow10[prec]))
+		// n is the integer part; rem the fraction's top 64 bits, sticky
+		// whether anything nonzero lies below them.
+		var n, rem uint64
+		var sticky bool
+		if s < 64 {
+			n, rem = hi<<(64-s)|lo>>s, lo<<(64-s)
+		} else {
+			n, rem, sticky = hi>>(s-64), hi<<(128-s)|lo>>(s-64), lo<<(128-s) != 0
+		}
+		const half = 1 << 63
+		if rem > half || rem == half && (sticky || n&1 == 1) {
+			n++
+		}
+		return math.Copysign(float64(n)/pow10[prec], v)
+	}
 	q, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'f', prec, 64), 64)
 	return q
 }
 
-// canonicalClone builds the rendering-neutral form ContentDigest hashes:
-// job and records are copied (never mutated in place), floats are
-// quantized, and records with no nonzero counters are dropped.
+// hasCanonicalContent reports whether the record survives
+// canonicalization: some counter is nonzero at the text precision.
+func (r *FileRecord) hasCanonicalContent() bool {
+	for _, v := range r.Counters {
+		if v != 0 {
+			return true
+		}
+	}
+	for _, v := range r.FCounters {
+		if quantize(v, 6) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// canonicalClone builds the rendering-neutral form as a log of its own
+// (Canonical): job and records are copied (never mutated in place), floats
+// are quantized, and records with no nonzero counters are dropped.
+// ContentDigest hashes the byte stream of exactly this form, which
+// encoder.log writes without building it; the tests hold the two together.
 //
 // A DXT-carrying log canonicalizes through its event stream alone: the
 // whole counter log is re-derived from the canonical (sorted, %.6f-
@@ -103,13 +170,14 @@ func canonicalClone(l *Log) *Log {
 	return clone
 }
 
-// Canonical returns the rendering-neutral form of a log: the same private
-// clone ContentDigest hashes (floats quantized through the text precision,
-// all-zero records dropped). Two renderings of one trace — binary and
-// darshan-parser text — canonicalize to logs with identical contents, so
-// any deterministic function of a Canonical log (feature extraction,
-// heuristic analysis) is rendering-independent by construction. The
-// caller's log is never mutated; the returned clone is the caller's own.
+// Canonical returns the rendering-neutral form of a log: a private clone
+// of the form ContentDigest hashes (floats quantized through the text
+// precision, all-zero records dropped). Two renderings of one trace —
+// binary and darshan-parser text — canonicalize to logs with identical
+// contents, so any deterministic function of a Canonical log (feature
+// extraction, heuristic analysis) is rendering-independent by
+// construction. The caller's log is never mutated; the returned clone is
+// the caller's own.
 func Canonical(l *Log) *Log {
 	return canonicalClone(l)
 }

@@ -38,7 +38,9 @@ func FuzzParseText(f *testing.F) {
 	})
 }
 
-// FuzzDecode: the binary decoder must never panic on arbitrary bytes.
+// FuzzDecode: the binary decoder must never panic on arbitrary bytes, and
+// whatever it accepts digests to the digest's definition (the streamed
+// canonical form equals the hashed encoding of the canonical clone).
 func FuzzDecode(f *testing.F) {
 	l := NewLog()
 	l.Job.NProcs = 2
@@ -48,6 +50,11 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	var dxtBuf bytes.Buffer
+	if err := Encode(&dxtBuf, FromDXT(testDXTTrace())); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dxtBuf.Bytes())
 	f.Add([]byte("DSHN garbage"))
 	f.Add([]byte{})
 
@@ -56,6 +63,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkDigestOracle(t, log)
 		if err := log.Validate(); err != nil {
 			// Corrupt-but-decodable inputs may carry unknown counters;
 			// Validate flagging them is correct behavior, not a crash.

@@ -128,10 +128,10 @@ func NewLog() *Log {
 const Version = "3.41"
 
 // ShallowClone returns a copy of the log whose module map and record
-// slices are private while the *FileRecord values themselves are shared.
-// Encode canonicalizes record order by sorting in place, so any caller
-// that must not mutate (or race with readers of) a shared log — the fleet
-// digest, the persistence journal — encodes a shallow clone instead.
+// slices are private while the *FileRecord values themselves are shared:
+// what a caller needs to reorder or filter records (SortRecords, WriteText)
+// without touching a log other goroutines read. Encode and ContentDigest
+// need no clone — they order records in codec-private scratch.
 func (l *Log) ShallowClone() *Log {
 	clone := &Log{
 		Version: l.Version,
@@ -233,15 +233,7 @@ func (md *ModuleData) Files() []string {
 }
 
 // SortRecords orders records by (Name, Rank) for deterministic output.
-func (md *ModuleData) SortRecords() {
-	sort.Slice(md.Records, func(i, j int) bool {
-		a, b := md.Records[i], md.Records[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Rank < b.Rank
-	})
-}
+func (md *ModuleData) SortRecords() { sortRecords(md.Records) }
 
 // Validate checks that every counter stored in the log is a legal counter
 // name for its module. It returns the first violation found.

@@ -2,8 +2,10 @@ package ingest_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -13,6 +15,26 @@ import (
 	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/scenario"
 )
+
+// oracleDigest is the content digest by its definition, computed without
+// the streaming path: the SHA-256 of what is inside the gzip layer of the
+// canonical clone's encoding.
+func oracleDigest(t testing.TB, l *darshan.Log) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := darshan.Encode(&buf, darshan.Canonical(l)); err != nil {
+		t.Fatal(err)
+	}
+	gz, err := gzip.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if _, err := io.Copy(h, gz); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // FuzzParserChunking: the front door has one answer per input. For
 // arbitrary bytes split at arbitrary chunk boundaries, the whole-input
@@ -62,6 +84,11 @@ func FuzzParserChunking(f *testing.F) {
 		}
 		if wholeErr == nil && wholeLog == nil {
 			t.Fatal("Decode accepted but returned a nil log")
+		}
+		if wholeErr == nil {
+			if want := oracleDigest(t, wholeLog); wholeDigest != want {
+				t.Fatalf("digest %s is not the hash of the canonical clone's encoding %s", wholeDigest, want)
+			}
 		}
 
 		wantKey := wholeDigest

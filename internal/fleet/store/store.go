@@ -264,11 +264,10 @@ func (s *Store) OnJobEvent(ev fleet.Event) {
 		if ev.Job.CacheHit || ev.Job.Status != fleet.StatusQueued || ev.Log == nil {
 			return
 		}
-		// Encode sorts records in place; the pool owns ev.Log and other
-		// submissions may be digesting it concurrently, so serialize a
-		// shallow clone.
+		// The pool owns ev.Log and other submissions may be digesting it
+		// concurrently; Encode only reads it.
 		var buf bytes.Buffer
-		if err := darshan.Encode(&buf, ev.Log.ShallowClone()); err != nil {
+		if err := darshan.Encode(&buf, ev.Log); err != nil {
 			s.opts.Logf("store: encode trace for %s: %v (job will not survive a restart)", ev.Job.ID, err)
 			return
 		}

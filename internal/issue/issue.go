@@ -113,39 +113,55 @@ var Topics = map[Label][]string{
 // case-insensitive and tolerant of the "[Read|Write]" phrasing variants the
 // paper uses. It returns false when no label matches.
 func Parse(s string) (Label, bool) {
-	needle := normalize(s)
-	for _, l := range All {
-		if normalize(string(l)) == needle {
-			return l, true
-		}
-	}
-	for _, l := range All {
-		if alias, ok := aliases[needle]; ok && alias == l {
-			return l, true
-		}
-	}
-	return "", false
+	l, ok := byNormalized[normalize(s)]
+	return l, ok
 }
 
 var aliases = map[string]Label{
-	normalize("Misaligned Read requests"):              MisalignedReads,
-	normalize("Misaligned Write requests"):             MisalignedWrites,
-	normalize("Small Read Requests"):                   SmallReads,
-	normalize("Small Write Requests"):                  SmallWrites,
-	normalize("Multi-Process W/O MPI"):                 MultiProcessNoMPI,
-	normalize("Repetitive Data Access"):                RepetitiveReads,
-	normalize("No Collective Read"):                    NoCollectiveRead,
-	normalize("No Collective Write"):                   NoCollectiveWrite,
-	normalize("Random Write Access"):                   RandomWrites,
-	normalize("Random Read Access"):                    RandomReads,
-	normalize("Low-Level Library on Read operations"):  LowLevelLibRead,
-	normalize("Low-Level Library on Write operations"): LowLevelLibWrite,
+	"Misaligned Read requests":              MisalignedReads,
+	"Misaligned Write requests":             MisalignedWrites,
+	"Small Read Requests":                   SmallReads,
+	"Small Write Requests":                  SmallWrites,
+	"Multi-Process W/O MPI":                 MultiProcessNoMPI,
+	"Repetitive Data Access":                RepetitiveReads,
+	"No Collective Read":                    NoCollectiveRead,
+	"No Collective Write":                   NoCollectiveWrite,
+	"Random Write Access":                   RandomWrites,
+	"Random Read Access":                    RandomReads,
+	"Low-Level Library on Read operations":  LowLevelLibRead,
+	"Low-Level Library on Write operations": LowLevelLibWrite,
 }
+
+// normalizer and the two tables below are built once: Parse and
+// FindMentions sit under every report the fleet scores, and normalizing
+// the whole vocabulary per call was most of their cost.
+var (
+	normalizer = strings.NewReplacer("i/o", "io", "-", " ", "_", " ", "/", " ")
+	// normalizedLabels[i] is normalize(All[i]).
+	normalizedLabels = func() []string {
+		out := make([]string, len(All))
+		for i, l := range All {
+			out[i] = normalize(string(l))
+		}
+		return out
+	}()
+	// byNormalized resolves a normalized mention; a canonical label wins
+	// over an alias that normalizes to the same text.
+	byNormalized = func() map[string]Label {
+		m := make(map[string]Label, len(All)+len(aliases))
+		for alias, l := range aliases {
+			m[normalize(alias)] = l
+		}
+		for i, l := range All {
+			m[normalizedLabels[i]] = l
+		}
+		return m
+	}()
+)
 
 func normalize(s string) string {
 	s = strings.ToLower(strings.TrimSpace(s))
-	repl := strings.NewReplacer("i/o", "io", "-", " ", "_", " ", "/", " ")
-	s = repl.Replace(s)
+	s = normalizer.Replace(s)
 	return strings.Join(strings.Fields(s), " ")
 }
 
@@ -212,8 +228,8 @@ func F1(truth, predicted Set) (precision, recall, f1 float64) {
 func FindMentions(text string) Set {
 	norm := normalize(text)
 	out := make(Set)
-	for _, l := range All {
-		if strings.Contains(norm, normalize(string(l))) {
+	for i, l := range All {
+		if strings.Contains(norm, normalizedLabels[i]) {
 			out[l] = true
 		}
 	}

@@ -1,6 +1,9 @@
 package issue
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestAllHaveDescriptionsAndRecommendations(t *testing.T) {
 	if len(All) != 16 {
@@ -75,5 +78,85 @@ func TestF1(t *testing.T) {
 	}
 	if _, _, f1 := F1(truth, NewSet()); f1 != 0 {
 		t.Errorf("empty prediction F1 = %g, want 0", f1)
+	}
+}
+
+// referenceNormalize is normalize as it was before the replacer was
+// hoisted: the precomputed tables must agree with it on every spelling.
+func referenceNormalize(s string) string {
+	s = strings.ToLower(strings.TrimSpace(s))
+	s = strings.NewReplacer("i/o", "io", "-", " ", "_", " ", "/", " ").Replace(s)
+	return strings.Join(strings.Fields(s), " ")
+}
+
+// TestParseTable: Parse and FindMentions answer from tables built once.
+// Every label, every alias and the paper's "[Read|Write]" phrasings must
+// resolve exactly as the per-call scan over All did.
+func TestParseTable(t *testing.T) {
+	want := map[string]Label{}
+	for alias, l := range aliases {
+		want[alias] = l
+	}
+	for _, l := range All {
+		want[string(l)] = l
+	}
+	for _, dir := range []string{"Read", "Write"} {
+		for phrase, labels := range map[string][2]Label{
+			"Misaligned %s requests":             {MisalignedReads, MisalignedWrites},
+			"Small %s I/O Requests":              {SmallReads, SmallWrites},
+			"Random Access Patterns on %s":       {RandomReads, RandomWrites},
+			"No Collective I/O on %s":            {NoCollectiveRead, NoCollectiveWrite},
+			"Low-Level Library on %s operations": {LowLevelLibRead, LowLevelLibWrite},
+		} {
+			l := labels[0]
+			if dir == "Write" {
+				l = labels[1]
+			}
+			want[strings.Replace(phrase, "%s", dir, 1)] = l
+		}
+	}
+	seen := map[string]Label{}
+	for _, l := range All {
+		n := referenceNormalize(string(l))
+		if prev, dup := seen[n]; dup {
+			t.Fatalf("labels %q and %q normalize to the same text", prev, l)
+		}
+		seen[n] = l
+	}
+	for in, l := range want {
+		for _, spelling := range []string{in, strings.ToUpper(in), "  " + strings.ReplaceAll(in, " ", "_") + "\n", strings.ReplaceAll(in, " ", "  ")} {
+			if got := normalize(spelling); got != referenceNormalize(spelling) {
+				t.Errorf("normalize(%q) = %q, want %q", spelling, got, referenceNormalize(spelling))
+			}
+			if got, ok := Parse(spelling); !ok || got != l {
+				t.Errorf("Parse(%q) = %q, %v; want %q", spelling, got, ok, l)
+			}
+		}
+	}
+	for _, l := range All {
+		text := "The trace shows " + strings.ToLower(string(l)) + " -- and nothing else."
+		got := FindMentions(text)
+		// A label may contain another only as a whole normalized phrase;
+		// the mention of l itself must always be found.
+		if !got[l] {
+			t.Errorf("FindMentions(%q) misses %q", text, l)
+		}
+		for other := range got {
+			if !strings.Contains(referenceNormalize(text), referenceNormalize(string(other))) {
+				t.Errorf("FindMentions(%q) reports %q", text, other)
+			}
+		}
+	}
+	if got := FindMentions("nothing to see"); len(got) != 0 {
+		t.Errorf("FindMentions on clean text = %v", got)
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := Parse("Small Write I/O Requests"); !ok {
+			b.Fatal("no match")
+		}
 	}
 }

@@ -203,8 +203,8 @@ func main() {
 		submitted += m.Submitted
 		exact += m.CacheHits
 		coalesced += m.Coalesced
-		semHits += m.SemHits
-		rejects += m.SemGateRejects
+		semHits += m.SemCacheHits
+		rejects += m.SemCacheGateRejects
 		if m.LatencyP95 > p95 {
 			p95 = m.LatencyP95
 		}

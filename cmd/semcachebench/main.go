@@ -173,8 +173,8 @@ func run(cfg fleet.Config, baseLogs, variantLogs []*darshan.Log) poolReport {
 		LLMCalls:              calls,
 		CostUSD:               cost,
 		CostPerDiagnosisUSD:   cost / float64(submissions),
-		SimilarityHits:        m.SemHits,
-		GateRejects:           m.SemGateRejects,
+		SimilarityHits:        m.SemCacheHits,
+		GateRejects:           m.SemCacheGateRejects,
 		FrontierJobs:          frontier,
 		ServedWithoutFrontier: float64(submissions-frontier) / float64(submissions),
 	}

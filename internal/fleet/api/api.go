@@ -313,146 +313,6 @@ type UploadInfo struct {
 	CreatedAt time.Time `json:"created_at"`
 }
 
-// ModelMetrics is the accumulated usage of one LLM model across the
-// daemon's lifetime.
-type ModelMetrics struct {
-	Calls            int     `json:"calls"`
-	PromptTokens     int     `json:"prompt_tokens"`
-	CompletionTokens int     `json:"completion_tokens"`
-	CostUSD          float64 `json:"cost_usd"`
-}
-
-// Metrics is the pool health snapshot served by GET /metrics (JSON form;
-// with "Accept: text/plain" the same counters are served in Prometheus
-// text exposition format). Field meanings mirror the pool's snapshot:
-// Done includes cache hits and coalesced jobs, HitRate is
-// (CacheHits+Coalesced)/Submitted, and latencies cover recent successful
-// completions (cache hits at ~0).
-type Metrics struct {
-	// Node is the answering daemon's -node-id (empty for an unnamed
-	// single daemon, and on a router's cluster-wide aggregate). Added
-	// in 1.1.
-	Node string `json:"node,omitempty"`
-
-	Workers int `json:"workers"`
-
-	Submitted         int64 `json:"jobs_submitted"`
-	Queued            int64 `json:"jobs_queued"`
-	QueuedInteractive int64 `json:"jobs_queued_interactive"`
-	QueuedBatch       int64 `json:"jobs_queued_batch"`
-	Running           int64 `json:"jobs_running"`
-	Done              int64 `json:"jobs_done"`
-	Failed            int64 `json:"jobs_failed"`
-
-	CacheHits   int64   `json:"cache_hits"`
-	Coalesced   int64   `json:"coalesced"`
-	CacheMisses int64   `json:"cache_misses"`
-	HitRate     float64 `json:"cache_hit_rate"`
-	CacheLen    int     `json:"cache_entries"`
-
-	// OwnedDigests counts the distinct trace digests this node currently
-	// holds: resident cache entries plus in-flight jobs. On a router's
-	// aggregate it sums across reachable nodes, which is the cluster's
-	// sharding footprint. Added in 1.1.
-	OwnedDigests int64 `json:"owned_digests"`
-
-	Retries int64 `json:"retries"`
-
-	// BreakerOpen / BreakerTrips report the pool's transient-failure
-	// circuit breaker: whether new work is currently failing fast instead
-	// of hammering a down LLM backend, and how many times the breaker has
-	// tripped since start. Added in 1.1.
-	BreakerOpen  bool  `json:"breaker_open"`
-	BreakerTrips int64 `json:"breaker_trips"`
-
-	LatencyP50 time.Duration `json:"latency_p50_ns"`
-	LatencyP95 time.Duration `json:"latency_p95_ns"`
-
-	// Models breaks token and cost counters down per LLM model.
-	Models map[string]ModelMetrics `json:"models,omitempty"`
-
-	// Tenants maps tenant identifier to jobs submitted under it (the
-	// TenantOverflow key aggregates the long tail once the per-node
-	// tenant-label cap is reached). Added in 1.1.
-	Tenants map[string]int64 `json:"tenant_jobs,omitempty"`
-
-	// TenantsInflight maps tenant identifier to its jobs currently in
-	// the system — the counter iofleetd -tenant-max-inflight enforces
-	// quota_exceeded against. Added in 1.2.
-	TenantsInflight map[string]int64 `json:"tenant_inflight_jobs,omitempty"`
-
-	// Semantic-reuse effectiveness (iofleetd -semcache; all zero when
-	// disabled): exact-cache misses served from a near-duplicate's
-	// diagnosis, misses with no usable candidate, and candidates the
-	// confidence gate refused. SemCacheEntries is the similarity index's
-	// resident size. Added in 1.3.
-	SemCacheHits        int64 `json:"semcache_hits"`
-	SemCacheMisses      int64 `json:"semcache_misses"`
-	SemCacheGateRejects int64 `json:"semcache_gate_rejects"`
-	SemCacheEntries     int   `json:"semcache_entries"`
-
-	// Tiers breaks fresh diagnoses down per model of the cost-aware
-	// ladder (iofleetd -tier-models; empty when disabled), and
-	// TierEscalations counts low-confidence results that escalated to a
-	// stronger model. Added in 1.3.
-	Tiers           map[string]TierMetrics `json:"tier_models,omitempty"`
-	TierEscalations int64                  `json:"tier_escalations"`
-
-	// Knowledge reports the node's knowledge plane (iofleetd -knowledge;
-	// nil when disabled). Added in 1.4.
-	Knowledge *KnowledgeStatus `json:"knowledge,omitempty"`
-
-	// Handoff reports the node's elastic-cluster activity (iofleetd
-	// -advertise; nil when running with a static member set). Added in 1.5.
-	Handoff *HandoffMetrics `json:"handoff,omitempty"`
-
-	// Sched reports the node's per-tenant fair scheduler: realized DRR
-	// dequeue shares, per-tenant queue depth and queue age, and SLO
-	// admission rejects. On a router's cluster-wide aggregate the counters
-	// are summed across reachable nodes and the age percentiles are the
-	// worst (maximum) observed on any node. Added in 1.6.
-	Sched *SchedMetrics `json:"sched,omitempty"`
-}
-
-// SchedMetrics is the fair scheduler's wire snapshot, embedded in
-// Metrics and aggregated cluster-wide by routers. Added in 1.6.
-type SchedMetrics struct {
-	// FIFO marks a node running the tenant-blind baseline scheduler
-	// (iofleetd -sched-fifo); Admission reports whether SLO admission
-	// control is enforced.
-	FIFO      bool `json:"fifo,omitempty"`
-	Admission bool `json:"admission,omitempty"`
-	// Dequeues / Rejects are lifetime totals across all tenants,
-	// including anonymous submissions that appear under no tenant label.
-	Dequeues int64 `json:"dequeues"`
-	Rejects  int64 `json:"rejects"`
-	// Lanes maps lane name to its current queue depth (all tenants).
-	Lanes map[string]int64 `json:"lane_depth,omitempty"`
-	// Tenants maps tenant identifier to its scheduling row; the
-	// TenantOverflow key aggregates the long tail once the per-node
-	// tenant-label cap is reached, exactly as Metrics.Tenants does.
-	Tenants map[string]SchedTenant `json:"tenants,omitempty"`
-}
-
-// SchedTenant is one tenant's row in SchedMetrics. Added in 1.6.
-type SchedTenant struct {
-	// Class is the tenant's SLO class name ("" when unclassed); Weight is
-	// the effective DRR weight scheduling uses.
-	Class  string `json:"class,omitempty"`
-	Weight int    `json:"weight"`
-	// Depth is the tenant's currently queued jobs across lanes.
-	Depth int64 `json:"depth"`
-	// Dequeues counts jobs handed to workers; the ratio between tenants'
-	// Dequeues over an interval is the realized DRR share. Rejects counts
-	// submissions refused by SLO admission (slo_exceeded).
-	Dequeues int64 `json:"dequeues"`
-	Rejects  int64 `json:"rejects"`
-	// AgeP50 / AgeMax are queue-age percentiles over the tenant's recent
-	// dequeues: how long jobs waited between enqueue and worker pickup.
-	AgeP50 time.Duration `json:"age_p50_ns"`
-	AgeMax time.Duration `json:"age_max_ns"`
-}
-
 // SchedClass is one SLO class definition in the SchedStatus payload:
 // the DRR weight its tenants schedule at and the max queue-age target
 // SLO admission enforces. Added in 1.6.
@@ -481,18 +341,6 @@ type TenantClassRequest struct {
 	Tenant string `json:"tenant"`
 	Class  string `json:"class,omitempty"`
 }
-
-// TierMetrics is one ladder model's share of fresh diagnoses and its
-// lifetime spend. Added in 1.3.
-type TierMetrics struct {
-	Jobs    int64   `json:"jobs"`
-	CostUSD float64 `json:"cost_usd"`
-}
-
-// TenantOverflow is the Tenants key that aggregates submissions from
-// tenants beyond the node's distinct-label cap, keeping metric cardinality
-// bounded under adversarial tenant churn.
-const TenantOverflow = "_other"
 
 // NodeHealth is one member's row in the cluster-health payload.
 type NodeHealth struct {

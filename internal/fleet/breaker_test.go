@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ioagent/internal/darshan"
+	"ioagent/internal/fleet/api"
 	"ioagent/internal/ioagent"
 	"ioagent/internal/iosim"
 	"ioagent/internal/knowledge"
@@ -315,16 +316,16 @@ func TestMetricsTenantCounts(t *testing.T) {
 func TestMetricsTenantLabelCap(t *testing.T) {
 	var m metrics
 	m.queuedByLane = map[Lane]int64{}
-	for i := 0; i < maxTenantLabels+10; i++ {
+	for i := 0; i < api.MaxTenantLabels+10; i++ {
 		m.mu.Lock()
 		m.countTenantLocked(fmt.Sprintf("tenant-%04d", i))
 		m.mu.Unlock()
 	}
 	s := m.snapshot(1, 0)
-	if len(s.Tenants) != maxTenantLabels+1 {
-		t.Fatalf("tracked %d labels, want %d + overflow", len(s.Tenants), maxTenantLabels)
+	if len(s.Tenants) != api.MaxTenantLabels+1 {
+		t.Fatalf("tracked %d labels, want %d + overflow", len(s.Tenants), api.MaxTenantLabels)
 	}
-	if s.Tenants[tenantOverflowKey] != 10 {
-		t.Errorf("overflow bucket = %d, want 10", s.Tenants[tenantOverflowKey])
+	if s.Tenants[api.TenantOverflow] != 10 {
+		t.Errorf("overflow bucket = %d, want 10", s.Tenants[api.TenantOverflow])
 	}
 }

@@ -24,10 +24,10 @@ func TestAggregateMetricsCapsTenantLabels(t *testing.T) {
 		}
 		return m
 	}
-	agg := AggregateMetrics([]api.Metrics{mkNode("acme", 1000), mkNode("umbrella", 2000)})
+	agg := api.MergeMetrics([]api.Metrics{mkNode("acme", 1000), mkNode("umbrella", 2000)})
 
-	if got := len(agg.Tenants); got != maxAggTenantLabels+1 {
-		t.Fatalf("aggregate carries %d tenant labels, want %d (+ overflow)", got, maxAggTenantLabels+1)
+	if got := len(agg.Tenants); got != api.MaxTenantLabels+1 {
+		t.Fatalf("aggregate carries %d tenant labels, want %d (+ overflow)", got, api.MaxTenantLabels+1)
 	}
 	// Totals are conserved: folding moves counts, never drops them.
 	var total int64
@@ -53,7 +53,7 @@ func TestAggregateMetricsCapsTenantLabels(t *testing.T) {
 	}
 	// Determinism: the same snapshots aggregate identically (map order
 	// must not leak into the fold).
-	again := AggregateMetrics([]api.Metrics{mkNode("acme", 1000), mkNode("umbrella", 2000)})
+	again := api.MergeMetrics([]api.Metrics{mkNode("acme", 1000), mkNode("umbrella", 2000)})
 	if len(again.Tenants) != len(agg.Tenants) {
 		t.Fatal("aggregation is not deterministic")
 	}
@@ -86,7 +86,7 @@ func TestAggregateMetricsSumsSched(t *testing.T) {
 	}}
 	c := api.Metrics{} // a node without the sched block (older minor)
 
-	agg := AggregateMetrics([]api.Metrics{a, b, c})
+	agg := api.MergeMetrics([]api.Metrics{a, b, c})
 	s := agg.Sched
 	if s == nil {
 		t.Fatal("aggregate dropped the sched block")
@@ -109,5 +109,36 @@ func TestAggregateMetricsSumsSched(t *testing.T) {
 	}
 	if acme.AgeP50 != 9*time.Millisecond || acme.AgeMax != 40*time.Millisecond {
 		t.Fatalf("acme ages = %v/%v, want worst-node 9ms/40ms", acme.AgeP50, acme.AgeMax)
+	}
+}
+
+// TestAggregateMetricsKeepsHandoff covers the elastic block: the
+// hand-written aggregate never merged it, so a router's /metrics dropped
+// every fleet_handoff_* series its nodes reported. Counters sum; the
+// roster view takes the largest size and the newest epoch any node holds.
+func TestAggregateMetricsKeepsHandoff(t *testing.T) {
+	a := api.Metrics{Handoff: &api.HandoffMetrics{
+		RosterSize: 2, RosterEpoch: 5, RingChanges: 1,
+		EntriesPushed: 13, PushErrors: 1, EntriesReceived: 0,
+		ReplicaPushed: 8, ReplicaReceived: 3,
+	}}
+	b := api.Metrics{Handoff: &api.HandoffMetrics{
+		RosterSize: 3, RosterEpoch: 4, RingChanges: 2,
+		EntriesPushed: 0, PushErrors: 0, EntriesReceived: 13,
+		ReplicaPushed: 3, ReplicaReceived: 8,
+	}}
+	c := api.Metrics{} // a member with a static member set
+
+	agg := api.MergeMetrics([]api.Metrics{a, b, c})
+	if agg.Handoff == nil {
+		t.Fatal("aggregate dropped the handoff block")
+	}
+	want := api.HandoffMetrics{
+		RosterSize: 3, RosterEpoch: 5, RingChanges: 3,
+		EntriesPushed: 13, PushErrors: 1, EntriesReceived: 13,
+		ReplicaPushed: 11, ReplicaReceived: 11,
+	}
+	if *agg.Handoff != want {
+		t.Fatalf("handoff = %+v, want %+v", *agg.Handoff, want)
 	}
 }

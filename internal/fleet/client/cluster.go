@@ -458,10 +458,11 @@ func (cl *Cluster) SubmitAndWait(ctx context.Context, req api.SubmitRequest) (ap
 }
 
 // Metrics aggregates every reachable member's snapshot into one
-// cluster-wide document: counters, cache sizes, and per-model/per-tenant
-// maps sum; the latency percentiles take the worst (highest) node so the
-// aggregate never understates tail latency; BreakerOpen is true if any
-// node's breaker is open. Node is empty on the aggregate.
+// cluster-wide document (api.MergeMetrics): counters, cache sizes, and
+// per-model/per-tenant maps sum; the latency percentiles take the worst
+// (highest) node so the aggregate never understates tail latency;
+// BreakerOpen is true if any node's breaker is open. Node is empty on the
+// aggregate.
 func (cl *Cluster) Metrics(ctx context.Context) (api.Metrics, error) {
 	ms := cl.cur.Load()
 	all, errs := fanOut(ms, func(_ string, c *Client) (api.Metrics, error) {
@@ -482,213 +483,7 @@ func (cl *Cluster) Metrics(ctx context.Context) (api.Metrics, error) {
 		}
 		return api.Metrics{}, api.Errorf(api.CodeNodeDown, "no fleet node reachable (%d tried)", len(ms.members))
 	}
-	return AggregateMetrics(snaps), nil
-}
-
-// AggregateMetrics folds per-node metrics documents into the cluster
-// view. Exported for iofleet-router, which serves the same aggregation
-// over its own /metrics endpoint.
-func AggregateMetrics(snaps []api.Metrics) api.Metrics {
-	var agg api.Metrics
-	var knows []api.KnowledgeStatus
-	for _, m := range snaps {
-		if m.Knowledge != nil {
-			knows = append(knows, *m.Knowledge)
-		}
-		agg.Workers += m.Workers
-		agg.Submitted += m.Submitted
-		agg.Queued += m.Queued
-		agg.QueuedInteractive += m.QueuedInteractive
-		agg.QueuedBatch += m.QueuedBatch
-		agg.Running += m.Running
-		agg.Done += m.Done
-		agg.Failed += m.Failed
-		agg.CacheHits += m.CacheHits
-		agg.Coalesced += m.Coalesced
-		agg.CacheMisses += m.CacheMisses
-		agg.CacheLen += m.CacheLen
-		agg.OwnedDigests += m.OwnedDigests
-		agg.Retries += m.Retries
-		agg.BreakerOpen = agg.BreakerOpen || m.BreakerOpen
-		agg.BreakerTrips += m.BreakerTrips
-		agg.SemCacheHits += m.SemCacheHits
-		agg.SemCacheMisses += m.SemCacheMisses
-		agg.SemCacheGateRejects += m.SemCacheGateRejects
-		agg.SemCacheEntries += m.SemCacheEntries
-		agg.TierEscalations += m.TierEscalations
-		if m.LatencyP50 > agg.LatencyP50 {
-			agg.LatencyP50 = m.LatencyP50
-		}
-		if m.LatencyP95 > agg.LatencyP95 {
-			agg.LatencyP95 = m.LatencyP95
-		}
-		for model, mm := range m.Models {
-			if agg.Models == nil {
-				agg.Models = make(map[string]api.ModelMetrics)
-			}
-			acc := agg.Models[model]
-			acc.Calls += mm.Calls
-			acc.PromptTokens += mm.PromptTokens
-			acc.CompletionTokens += mm.CompletionTokens
-			acc.CostUSD += mm.CostUSD
-			agg.Models[model] = acc
-		}
-		for model, tm := range m.Tiers {
-			if agg.Tiers == nil {
-				agg.Tiers = make(map[string]api.TierMetrics)
-			}
-			acc := agg.Tiers[model]
-			acc.Jobs += tm.Jobs
-			acc.CostUSD += tm.CostUSD
-			agg.Tiers[model] = acc
-		}
-		for tenant, n := range m.Tenants {
-			if agg.Tenants == nil {
-				agg.Tenants = make(map[string]int64)
-			}
-			agg.Tenants[tenant] += n
-		}
-		for tenant, n := range m.TenantsInflight {
-			if agg.TenantsInflight == nil {
-				agg.TenantsInflight = make(map[string]int64)
-			}
-			agg.TenantsInflight[tenant] += n
-		}
-		if m.Sched != nil {
-			if agg.Sched == nil {
-				agg.Sched = &api.SchedMetrics{}
-			}
-			// A single FIFO (or admission-enforcing) node marks the whole
-			// aggregate: mixed modes are an operator condition worth seeing.
-			agg.Sched.FIFO = agg.Sched.FIFO || m.Sched.FIFO
-			agg.Sched.Admission = agg.Sched.Admission || m.Sched.Admission
-			agg.Sched.Dequeues += m.Sched.Dequeues
-			agg.Sched.Rejects += m.Sched.Rejects
-			for lane, depth := range m.Sched.Lanes {
-				if agg.Sched.Lanes == nil {
-					agg.Sched.Lanes = make(map[string]int64)
-				}
-				agg.Sched.Lanes[lane] += depth
-			}
-			for tenant, tm := range m.Sched.Tenants {
-				if agg.Sched.Tenants == nil {
-					agg.Sched.Tenants = make(map[string]api.SchedTenant)
-				}
-				acc := agg.Sched.Tenants[tenant]
-				if acc.Class == "" {
-					acc.Class = tm.Class
-				}
-				if tm.Weight > acc.Weight {
-					acc.Weight = tm.Weight
-				}
-				acc.Depth += tm.Depth
-				acc.Dequeues += tm.Dequeues
-				acc.Rejects += tm.Rejects
-				// Age percentiles take the worst node, like the latency
-				// gauges: the aggregate never understates queueing delay.
-				if tm.AgeP50 > acc.AgeP50 {
-					acc.AgeP50 = tm.AgeP50
-				}
-				if tm.AgeMax > acc.AgeMax {
-					acc.AgeMax = tm.AgeMax
-				}
-				agg.Sched.Tenants[tenant] = acc
-			}
-		}
-	}
-	if agg.Submitted > 0 {
-		agg.HitRate = float64(agg.CacheHits+agg.Coalesced) / float64(agg.Submitted)
-	}
-	if len(knows) > 0 {
-		k := AggregateKnowledge(knows)
-		agg.Knowledge = &k
-	}
-	// Each node caps its own tenant-label cardinality, but the UNION of
-	// per-node maps can exceed any single node's cap when tenant sets are
-	// disjoint — without re-capping, a cluster aggregate would grow labels
-	// without bound as members are added. Re-apply the cap cluster-wide,
-	// folding the smallest counters into the same overflow bucket the
-	// nodes themselves use.
-	capTenantJobs(agg.Tenants)
-	if agg.Sched != nil {
-		capSchedTenants(agg.Sched.Tenants)
-	}
-	return agg
-}
-
-// maxAggTenantLabels mirrors the per-node tenant-label cap (see
-// internal/fleet): the cluster aggregate allows the same cardinality as
-// one node, with the long tail under api.TenantOverflow.
-const maxAggTenantLabels = 256
-
-// capTenantJobs bounds a summed tenant→count map in place: beyond the cap
-// the smallest counters (ties broken lexically, so the fold is
-// deterministic across routers) collapse into api.TenantOverflow.
-func capTenantJobs(tenants map[string]int64) {
-	over := overflowTenants(len(tenants), func(yield func(string, int64)) {
-		for t, n := range tenants {
-			yield(t, n)
-		}
-	})
-	for _, t := range over {
-		tenants[api.TenantOverflow] += tenants[t]
-		delete(tenants, t)
-	}
-}
-
-// capSchedTenants is capTenantJobs for the scheduler rows: folded rows sum
-// their counters into the overflow row (whose class/weight/age fields stay
-// zero — a synthetic bucket carries no single tenant's configuration).
-func capSchedTenants(tenants map[string]api.SchedTenant) {
-	over := overflowTenants(len(tenants), func(yield func(string, int64)) {
-		for t, tm := range tenants {
-			yield(t, tm.Dequeues)
-		}
-	})
-	for _, t := range over {
-		acc := tenants[api.TenantOverflow]
-		tm := tenants[t]
-		acc.Depth += tm.Depth
-		acc.Dequeues += tm.Dequeues
-		acc.Rejects += tm.Rejects
-		tenants[api.TenantOverflow] = acc
-		delete(tenants, t)
-	}
-}
-
-// overflowTenants selects which tenant labels to fold into the overflow
-// bucket: the smallest by count (ties lexically) beyond the cap. The
-// overflow key itself is never folded. n is the map's size; each collects
-// the (tenant, count) pairs.
-func overflowTenants(n int, each func(yield func(string, int64))) []string {
-	if n <= maxAggTenantLabels {
-		return nil
-	}
-	type row struct {
-		tenant string
-		count  int64
-	}
-	rows := make([]row, 0, n)
-	each(func(tenant string, count int64) {
-		if tenant != api.TenantOverflow {
-			rows = append(rows, row{tenant, count})
-		}
-	})
-	keep := maxAggTenantLabels
-	if len(rows) <= keep {
-		return nil
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].count != rows[j].count {
-			return rows[i].count > rows[j].count
-		}
-		return rows[i].tenant < rows[j].tenant
-	})
-	over := make([]string, 0, len(rows)-keep)
-	for _, r := range rows[keep:] {
-		over = append(over, r.tenant)
-	}
-	return over
+	return api.MergeMetrics(snaps), nil
 }
 
 // SubmitStream streams one trace into the fleet without buffering it.

@@ -98,14 +98,16 @@ func (cl *Cluster) KnowledgeStatus(ctx context.Context) (api.KnowledgeStatus, er
 	all, errs := fanOut(ms, func(member string, c *Client) (api.KnowledgeStatus, error) {
 		return c.KnowledgeStatus(ctx)
 	})
-	var snaps []api.KnowledgeStatus
+	// The status is the knowledge block of the metrics document and
+	// merges by the same rules.
+	var snaps []api.Metrics
 	var lastErr error
-	for i, ks := range all {
+	for i := range all {
 		if errs[i] != nil {
 			lastErr = errs[i]
 			continue
 		}
-		snaps = append(snaps, ks)
+		snaps = append(snaps, api.Metrics{Knowledge: &all[i]})
 	}
 	if len(snaps) == 0 {
 		if lastErr != nil {
@@ -113,7 +115,7 @@ func (cl *Cluster) KnowledgeStatus(ctx context.Context) (api.KnowledgeStatus, er
 		}
 		return api.KnowledgeStatus{}, api.Errorf(api.CodeNodeDown, "no fleet node reachable (%d tried)", len(ms.members))
 	}
-	return AggregateKnowledge(snaps), nil
+	return *api.MergeMetrics(snaps).Knowledge, nil
 }
 
 // KnowledgeSearch scatter-gathers a retrieval probe: every reachable
@@ -171,32 +173,6 @@ func broadcastError(op string, errs []error) error {
 	return api.Errorf(code,
 		"%s reached %d/%d members (first failure: %v); rebroadcast to converge",
 		op, len(errs)-failed, len(errs), first)
-}
-
-// AggregateKnowledge folds per-node knowledge statuses into the cluster
-// view. Exported for iofleet-router, which serves the same aggregation.
-func AggregateKnowledge(snaps []api.KnowledgeStatus) api.KnowledgeStatus {
-	var agg api.KnowledgeStatus
-	for i, ks := range snaps {
-		if i == 0 || ks.Epoch < agg.Epoch {
-			agg.Epoch = ks.Epoch
-		}
-		if ks.Docs > agg.Docs {
-			agg.Docs = ks.Docs
-		}
-		agg.OwnedDocs += ks.OwnedDocs
-		agg.StagedOps += ks.StagedOps
-		agg.Queries += ks.Queries
-		agg.ANNQueries += ks.ANNQueries
-		agg.ExactQueries += ks.ExactQueries
-		agg.RerankCalls += ks.RerankCalls
-		agg.RerankErrors += ks.RerankErrors
-		agg.RerankCostUSD += ks.RerankCostUSD
-		if ks.RetrievalP95 > agg.RetrievalP95 {
-			agg.RetrievalP95 = ks.RetrievalP95
-		}
-	}
-	return agg
 }
 
 // MergeKnowledgeSearch folds scatter-gathered search responses into one

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ioagent/internal/darshan"
+	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/knowledge"
 	"ioagent/internal/fleet/sched"
 	"ioagent/internal/fleet/semcache"
@@ -950,8 +951,10 @@ func (p *Pool) SchedStatus() SchedStatus {
 	}
 }
 
-// Metrics returns a point-in-time health snapshot.
-func (p *Pool) Metrics() Snapshot {
+// Metrics returns the pool's point-in-time metrics document: its own
+// counters, the scheduler and knowledge blocks, and per-model usage. The
+// serving layer adds only what the pool cannot know (node id, handoff).
+func (p *Pool) Metrics() api.Metrics {
 	p.mu.Lock()
 	inflight := len(p.inflight)
 	p.mu.Unlock()
@@ -961,21 +964,30 @@ func (p *Pool) Metrics() Snapshot {
 	// answering (in-flight primaries).
 	s.OwnedDigests = int64(s.CacheLen + inflight)
 	s.BreakerOpen, s.BreakerTrips = p.brk.stats()
-	s.SemEntries = p.SemLen()
+	s.SemCacheEntries = p.SemLen()
 	sm := p.schd.Metrics()
 	s.Sched = &sm
 	if p.cfg.Knowledge != nil {
 		km := p.cfg.Knowledge.Metrics()
 		s.Knowledge = &km
 	}
-	if len(s.Tiers) > 0 {
-		// Per-rung job counts come from the metrics struct; per-rung spend
-		// comes from the model-level usage accounting.
-		byModel := p.StatsByModel()
-		for model, ts := range s.Tiers {
-			ts.CostUSD = byModel[model].CostUSD
-			s.Tiers[model] = ts
+	byModel := p.StatsByModel()
+	if len(byModel) > 0 {
+		s.Models = make(map[string]api.ModelMetrics, len(byModel))
+	}
+	for model, st := range byModel {
+		s.Models[model] = api.ModelMetrics{
+			Calls:            st.Calls,
+			PromptTokens:     st.Usage.PromptTokens,
+			CompletionTokens: st.Usage.CompletionTokens,
+			CostUSD:          st.CostUSD,
 		}
+	}
+	// Per-rung job counts come from the metrics struct; per-rung spend
+	// comes from the model-level usage accounting.
+	for model, ts := range s.Tiers {
+		ts.CostUSD = byModel[model].CostUSD
+		s.Tiers[model] = ts
 	}
 	return s
 }

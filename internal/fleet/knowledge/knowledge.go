@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/ring"
 	corpus "ioagent/internal/knowledge"
 	"ioagent/internal/vectordb"
@@ -304,35 +305,13 @@ func (p *Plane) Doc(key string) (vectordb.Document, bool) {
 	return d, ok
 }
 
-// Metrics is a point-in-time snapshot of plane health.
-type Metrics struct {
-	// Epoch is the current promoted corpus version; Docs counts the full
-	// corpus view, OwnedDocs the documents this node actually indexes
-	// (equal unless sharded), StagedOps the staged-but-unswapped mutations.
-	Epoch     uint64 `json:"epoch"`
-	Docs      int    `json:"docs"`
-	OwnedDocs int    `json:"owned_docs"`
-	StagedOps int    `json:"staged_ops"`
-	// Queries counts Retrieve calls; ANNQueries/ExactQueries split the
-	// underlying index searches by path (across all epochs served).
-	Queries      int64  `json:"queries"`
-	ANNQueries   uint64 `json:"ann_queries"`
-	ExactQueries uint64 `json:"exact_queries"`
-	// Rerank accounting: calls attempted, errors that fell back to vector
-	// order, and lifetime judge spend when the Reranker reports cost.
-	RerankCalls   int64   `json:"rerank_calls"`
-	RerankErrors  int64   `json:"rerank_errors"`
-	RerankCostUSD float64 `json:"rerank_cost_usd"`
-	// LatencyP95 is the 95th-percentile Retrieve latency over the most
-	// recent retrievals (vector search plus rerank).
-	LatencyP95 time.Duration `json:"retrieval_p95_ns"`
-}
-
-// Metrics returns a snapshot of plane health.
-func (p *Plane) Metrics() Metrics {
+// Metrics returns a snapshot of plane health. Query counters cover all
+// epochs served; RetrievalP95 spans vector search plus rerank over the
+// most recent retrievals.
+func (p *Plane) Metrics() api.KnowledgeStatus {
 	ep := p.cur.Load()
 	st := ep.index.Stats()
-	m := Metrics{
+	m := api.KnowledgeStatus{
 		Epoch:        ep.version,
 		Docs:         len(ep.docs),
 		OwnedDocs:    ep.index.Docs(),
@@ -348,7 +327,7 @@ func (p *Plane) Metrics() Metrics {
 	if cr, ok := p.cfg.Reranker.(interface{ CostUSD() float64 }); ok {
 		m.RerankCostUSD = cr.CostUSD()
 	}
-	m.LatencyP95 = p.latencyP95()
+	m.RetrievalP95 = p.latencyP95()
 	return m
 }
 

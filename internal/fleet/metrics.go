@@ -1,13 +1,13 @@
 package fleet
 
 import (
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
-	"ioagent/internal/fleet/knowledge"
-	"ioagent/internal/fleet/sched"
+	"ioagent/internal/fleet/api"
 )
 
 // latencySampleCap bounds the reservoir of completed-job latencies kept for
@@ -15,118 +15,7 @@ import (
 // most recent completions.
 const latencySampleCap = 4096
 
-// Snapshot is a point-in-time view of pool health, shaped for direct JSON
-// serving from iofleetd's /metrics endpoint.
-type Snapshot struct {
-	Workers int `json:"workers"`
-
-	// Job lifecycle counters. Done includes cache hits and coalesced
-	// jobs. Submitted = Queued + Running + Done + Failed once the pool is
-	// idle; while a duplicate submission rides on an in-flight primary it
-	// is counted in Submitted and Coalesced but in no lifecycle bucket,
-	// so the identity can transiently undercount by the number of
-	// in-flight coalesced jobs.
-	Submitted int64 `json:"jobs_submitted"`
-	Queued    int64 `json:"jobs_queued"`
-	// QueuedInteractive / QueuedBatch break Queued down per priority
-	// lane (jobs waiting for a worker; running jobs are in neither).
-	QueuedInteractive int64 `json:"jobs_queued_interactive"`
-	QueuedBatch       int64 `json:"jobs_queued_batch"`
-	Running           int64 `json:"jobs_running"`
-	Done              int64 `json:"jobs_done"`
-	Failed            int64 `json:"jobs_failed"`
-
-	// Cache effectiveness. CacheHits are submissions answered instantly
-	// from the result cache; Coalesced are submissions attached to an
-	// identical in-flight job at submit time (they wait, but cost zero
-	// LLM calls, and are counted whether or not that job ultimately
-	// succeeds); CacheMisses ran the full pipeline. HitRate is
-	// (CacheHits + Coalesced) / Submitted.
-	CacheHits   int64   `json:"cache_hits"`
-	Coalesced   int64   `json:"coalesced"`
-	CacheMisses int64   `json:"cache_misses"`
-	HitRate     float64 `json:"cache_hit_rate"`
-	CacheLen    int     `json:"cache_entries"`
-
-	// Semantic reuse effectiveness (all zero unless Config.SemCache).
-	// SemHits are exact-cache misses served from a near-duplicate's
-	// diagnosis; SemGateRejects found a similar candidate but the
-	// confidence gate refused reuse; SemMisses found no usable candidate.
-	// Every exact-cache miss lands in exactly one of the three buckets.
-	SemHits        int64 `json:"semcache_hits"`
-	SemMisses      int64 `json:"semcache_misses"`
-	SemGateRejects int64 `json:"semcache_gate_rejects"`
-	SemEntries     int   `json:"semcache_entries"`
-
-	// Tiers breaks fresh diagnoses down per ladder model (empty unless
-	// Config.TierModels); TierEscalations counts low-confidence results
-	// that escalated to the next rung.
-	Tiers           map[string]TierStats `json:"tier_models,omitempty"`
-	TierEscalations int64                `json:"tier_escalations"`
-
-	// OwnedDigests counts the distinct digests this pool currently holds:
-	// resident cache entries plus in-flight primaries. In a sharded fleet
-	// it is the node's share of the digest space.
-	OwnedDigests int64 `json:"owned_digests"`
-
-	// Knowledge reports the knowledge plane's health (nil unless
-	// Config.Knowledge is set).
-	Knowledge *knowledge.Metrics `json:"knowledge,omitempty"`
-
-	// Retries counts extra diagnosis attempts beyond each job's first.
-	Retries int64 `json:"retries"`
-
-	// BreakerOpen / BreakerTrips report the transient-failure circuit
-	// breaker (see Config.BreakerThreshold): whether attempts are
-	// currently failing fast, and the lifetime trip count. Both are zero
-	// when the breaker is disabled.
-	BreakerOpen  bool  `json:"breaker_open"`
-	BreakerTrips int64 `json:"breaker_trips"`
-
-	// Submit-to-completion latency percentiles over the most recent
-	// completions (cache hits count at ~0; failed jobs are excluded).
-	LatencyP50 time.Duration `json:"latency_p50_ns"`
-	LatencyP95 time.Duration `json:"latency_p95_ns"`
-
-	// Tenants maps tenant identifier to jobs submitted under it.
-	// Anonymous submissions (no tenant) are not listed. At most
-	// maxTenantLabels distinct tenants are tracked; the long tail beyond
-	// that aggregates under the "_other" key so metric cardinality stays
-	// bounded no matter what tenant strings clients invent.
-	Tenants map[string]int64 `json:"tenant_jobs,omitempty"`
-
-	// TenantsInflight maps tenant identifier to its jobs currently in the
-	// system (accepted, not yet terminal) — the counter the per-tenant
-	// quota (Config.TenantMaxInflight) is enforced against. Entries
-	// disappear when they reach zero, so cardinality is bounded by actual
-	// concurrency, not tenant history.
-	TenantsInflight map[string]int64 `json:"tenant_inflight_jobs,omitempty"`
-
-	// Sched is the fair scheduler's view: per-tenant queue depth, queue
-	// age (p50/max over recent dequeues), dequeue counts (whose ratios
-	// are the realized DRR shares), and SLO admission rejects. Always
-	// present — every pool schedules through internal/fleet/sched.
-	Sched *sched.Metrics `json:"sched,omitempty"`
-}
-
-// TierStats is one ladder model's share of the pool's fresh diagnoses.
-// Jobs counts diagnoses the rung produced (including ones later escalated
-// past); CostUSD is the rung's lifetime LLM spend from StatsByModel.
-type TierStats struct {
-	Jobs    int64   `json:"jobs"`
-	CostUSD float64 `json:"cost_usd"`
-}
-
-// maxTenantLabels caps the distinct per-tenant counters one pool tracks;
-// submissions from further tenants count under tenantOverflowKey.
-const maxTenantLabels = 256
-
-// tenantOverflowKey collects submissions beyond the maxTenantLabels cap.
-// The string deliberately matches api.TenantOverflow — the pool mirrors
-// the wire vocabulary (like Lane) instead of linking the contract package.
-const tenantOverflowKey = "_other"
-
-// metrics is the pool's internal mutable counterpart of Snapshot.
+// metrics is the pool's mutable counters behind api.Metrics.
 type metrics struct {
 	mu        sync.Mutex
 	submitted int64
@@ -141,14 +30,14 @@ type metrics struct {
 	misses       int64
 	retries      int64
 
-	// Semantic reuse and tier-ladder counters (see Snapshot).
+	// Semantic reuse and tier-ladder counters (see api.Metrics).
 	semHits         int64
 	semMisses       int64
 	semGateRejects  int64
 	tierEscalations int64
 	tierJobs        map[string]int64
 
-	// tenants counts submissions per tenant, capped at maxTenantLabels
+	// tenants counts submissions per tenant, capped at api.MaxTenantLabels
 	// distinct keys plus the overflow bucket. Lazily allocated: pools
 	// with only anonymous traffic never pay for the map.
 	tenants map[string]int64
@@ -199,8 +88,8 @@ func (m *metrics) countTenantLocked(tenant string) {
 	if m.tenants == nil {
 		m.tenants = make(map[string]int64)
 	}
-	if _, known := m.tenants[tenant]; !known && len(m.tenants) >= maxTenantLabels {
-		tenant = tenantOverflowKey
+	if _, known := m.tenants[tenant]; !known && len(m.tenants) >= api.MaxTenantLabels {
+		tenant = api.TenantOverflow
 	}
 	m.tenants[tenant]++
 }
@@ -250,55 +139,49 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
-func (m *metrics) snapshot(workers, cacheLen int) Snapshot {
+func (m *metrics) snapshot(workers, cacheLen int) api.Metrics {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Snapshot{
-		Workers:           workers,
-		Submitted:         m.submitted,
-		QueuedInteractive: m.queuedByLane[LaneInteractive],
-		QueuedBatch:       m.queuedByLane[LaneBatch],
-		Running:           m.running,
-		Done:              m.done,
-		Failed:            m.failed,
-		CacheHits:         m.hits,
-		Coalesced:         m.coalesced,
-		CacheMisses:       m.misses,
-		Retries:           m.retries,
-		CacheLen:          cacheLen,
-		SemHits:           m.semHits,
-		SemMisses:         m.semMisses,
-		SemGateRejects:    m.semGateRejects,
-		TierEscalations:   m.tierEscalations,
+	s := api.Metrics{
+		Workers:             workers,
+		Submitted:           m.submitted,
+		QueuedInteractive:   m.queuedByLane[LaneInteractive],
+		QueuedBatch:         m.queuedByLane[LaneBatch],
+		Running:             m.running,
+		Done:                m.done,
+		Failed:              m.failed,
+		CacheHits:           m.hits,
+		Coalesced:           m.coalesced,
+		CacheMisses:         m.misses,
+		Retries:             m.retries,
+		CacheLen:            cacheLen,
+		SemCacheHits:        m.semHits,
+		SemCacheMisses:      m.semMisses,
+		SemCacheGateRejects: m.semGateRejects,
+		TierEscalations:     m.tierEscalations,
 	}
 	if len(m.tierJobs) > 0 {
-		s.Tiers = make(map[string]TierStats, len(m.tierJobs))
+		s.Tiers = make(map[string]api.TierMetrics, len(m.tierJobs))
 		for model, jobs := range m.tierJobs {
-			s.Tiers[model] = TierStats{Jobs: jobs}
+			s.Tiers[model] = api.TierMetrics{Jobs: jobs}
 		}
 	}
+	if len(m.tenants) > 0 {
+		s.Tenants = maps.Clone(m.tenants)
+	}
+	if len(m.tenantInflight) > 0 {
+		s.TenantsInflight = maps.Clone(m.tenantInflight)
+	}
+	// Every submit and completion takes m.mu: copy the reservoir under it,
+	// sort the copy after letting go.
+	sorted := slices.Clone(m.latencies)
+	m.mu.Unlock()
+
 	s.Queued = s.QueuedInteractive + s.QueuedBatch
 	if s.Submitted > 0 {
 		s.HitRate = float64(s.CacheHits+s.Coalesced) / float64(s.Submitted)
 	}
-	if len(m.tenants) > 0 {
-		s.Tenants = make(map[string]int64, len(m.tenants))
-		for t, n := range m.tenants {
-			s.Tenants[t] = n
-		}
-	}
-	if len(m.tenantInflight) > 0 {
-		s.TenantsInflight = make(map[string]int64, len(m.tenantInflight))
-		for t, n := range m.tenantInflight {
-			s.TenantsInflight[t] = n
-		}
-	}
-	if n := len(m.latencies); n > 0 {
-		sorted := make([]time.Duration, n)
-		copy(sorted, m.latencies)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		s.LatencyP50 = percentile(sorted, 0.50)
-		s.LatencyP95 = percentile(sorted, 0.95)
-	}
+	slices.Sort(sorted)
+	s.LatencyP50 = percentile(sorted, 0.50)
+	s.LatencyP95 = percentile(sorted, 0.95)
 	return s
 }

@@ -416,7 +416,7 @@ func (rt *Router) Handler() http.Handler {
 		}
 		if server.WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			server.WritePrometheus(w, m)
+			m.WritePrometheus(w)
 			return
 		}
 		server.WriteJSON(w, http.StatusOK, m)

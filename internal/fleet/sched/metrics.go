@@ -2,55 +2,13 @@ package sched
 
 import (
 	"time"
+
+	"ioagent/internal/fleet/api"
 )
-
-// MaxTenantLabels caps the distinct per-tenant stat series one
-// scheduler tracks; tenants beyond it aggregate under OverflowKey so
-// metric cardinality stays bounded no matter what tenant strings
-// clients invent. Matches the pool's tenant-label cap.
-const MaxTenantLabels = 256
-
-// OverflowKey collects per-tenant stats beyond the MaxTenantLabels
-// cap. The string deliberately matches api.TenantOverflow.
-const OverflowKey = "_other"
 
 // ageWindow bounds the per-tenant reservoir of recent dequeue ages the
 // p50/max come from; beyond it the buffer behaves as a ring.
 const ageWindow = 128
-
-// TenantMetrics is one tenant's point-in-time scheduler view.
-type TenantMetrics struct {
-	// Class and Weight are the tenant's current SLO class ("" for
-	// none) and effective DRR weight.
-	Class  string `json:"class,omitempty"`
-	Weight int    `json:"weight"`
-	// Depth is the tenant's queued items right now, across lanes.
-	Depth int64 `json:"depth"`
-	// Dequeues counts items handed to workers; across tenants the
-	// ratios are the realized dequeue shares DRR is judged by.
-	Dequeues int64 `json:"dequeues"`
-	// Rejects counts submissions refused by SLO admission control.
-	Rejects int64 `json:"rejects"`
-	// AgeP50 / AgeMax are queue-age percentiles over the tenant's most
-	// recent dequeues (enqueue→dequeue, not completion).
-	AgeP50 time.Duration `json:"age_p50_ns"`
-	AgeMax time.Duration `json:"age_max_ns"`
-}
-
-// Metrics is a point-in-time scheduler snapshot.
-type Metrics struct {
-	FIFO      bool  `json:"fifo,omitempty"`
-	Admission bool  `json:"admission,omitempty"`
-	Dequeues  int64 `json:"dequeues"`
-	// Rejects is the total SLO admission refusals (including tenants
-	// collapsed into the overflow bucket).
-	Rejects int64 `json:"rejects"`
-	// Lanes maps lane name to queued-item count.
-	Lanes map[string]int64 `json:"lanes,omitempty"`
-	// Tenants maps tenant (or OverflowKey) to its scheduler stats.
-	// Anonymous submissions are not listed.
-	Tenants map[string]TenantMetrics `json:"tenants,omitempty"`
-}
 
 // tenantStats is the mutable per-tenant counter set. Guarded by the
 // scheduler's mu.
@@ -81,8 +39,8 @@ func (st *schedStats) forTenant(tenant string) *tenantStats {
 	}
 	ts, ok := st.tenants[tenant]
 	if !ok {
-		if len(st.tenants) >= MaxTenantLabels {
-			tenant = OverflowKey
+		if len(st.tenants) >= api.MaxTenantLabels {
+			tenant = api.TenantOverflow
 			if ts = st.tenants[tenant]; ts != nil {
 				return ts
 			}
@@ -123,11 +81,12 @@ func (st *schedStats) rejected(tenant string) {
 }
 
 // Metrics returns a point-in-time snapshot of lane depths and
-// per-tenant fairness stats.
-func (s *Scheduler[T]) Metrics() Metrics {
+// per-tenant fairness stats. Tenants maps tenant (or api.TenantOverflow
+// beyond the label cap) to its row; anonymous submissions are not listed.
+func (s *Scheduler[T]) Metrics() api.SchedMetrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := Metrics{
+	m := api.SchedMetrics{
 		FIFO:      s.cfg.FIFO,
 		Admission: s.cfg.Admission,
 		Dequeues:  s.stats.dequeues,
@@ -138,9 +97,9 @@ func (s *Scheduler[T]) Metrics() Metrics {
 		m.Lanes[name] = int64(ln.count)
 	}
 	if len(s.stats.tenants) > 0 {
-		m.Tenants = make(map[string]TenantMetrics, len(s.stats.tenants))
+		m.Tenants = make(map[string]api.SchedTenant, len(s.stats.tenants))
 		for tenant, ts := range s.stats.tenants {
-			tm := TenantMetrics{
+			tm := api.SchedTenant{
 				Class:    s.classes[tenant],
 				Weight:   s.weightOfLocked(tenant),
 				Depth:    ts.depth,

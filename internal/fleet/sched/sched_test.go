@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ioagent/internal/fleet/api"
 )
 
 const (
@@ -362,18 +364,18 @@ func TestSchedSetTenantClass(t *testing.T) {
 	}
 }
 
-// TestSchedTenantLabelCap: tenants beyond MaxTenantLabels aggregate
-// under OverflowKey instead of growing the map without bound.
+// TestSchedTenantLabelCap: tenants beyond api.MaxTenantLabels aggregate
+// under api.TenantOverflow instead of growing the map without bound.
 func TestSchedTenantLabelCap(t *testing.T) {
-	s := newTest(t, Config{AltShare: -1, Depth: 2 * MaxTenantLabels})
-	for i := 0; i < MaxTenantLabels+10; i++ {
+	s := newTest(t, Config{AltShare: -1, Depth: 2 * api.MaxTenantLabels})
+	for i := 0; i < api.MaxTenantLabels+10; i++ {
 		mustEnqueue(t, s, laneI, fmt.Sprintf("tenant-%04d", i), i)
 	}
 	m := s.Metrics()
-	if len(m.Tenants) > MaxTenantLabels+1 {
-		t.Fatalf("tenant label map grew to %d, cap is %d+overflow", len(m.Tenants), MaxTenantLabels)
+	if len(m.Tenants) > api.MaxTenantLabels+1 {
+		t.Fatalf("tenant label map grew to %d, cap is %d+overflow", len(m.Tenants), api.MaxTenantLabels)
 	}
-	if d := m.Tenants[OverflowKey].Depth; d != 10 {
+	if d := m.Tenants[api.TenantOverflow].Depth; d != 10 {
 		t.Fatalf("overflow depth %d, want 10", d)
 	}
 }

@@ -62,7 +62,7 @@ func TestSchedTenantFairnessUnderFlood(t *testing.T) {
 
 	m := p.Metrics()
 	if m.Sched == nil {
-		t.Fatal("Snapshot.Sched is nil")
+		t.Fatal("Metrics.Sched is nil")
 	}
 	if m.Sched.Tenants["light"].Dequeues != 1 {
 		t.Fatalf("light dequeues = %d, want 1", m.Sched.Tenants["light"].Dequeues)

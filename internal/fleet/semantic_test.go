@@ -79,11 +79,11 @@ func TestSemanticReuseServesNearDuplicate(t *testing.T) {
 	}
 
 	m := p.Metrics()
-	if m.SemHits != 1 {
-		t.Errorf("SemHits = %d, want 1", m.SemHits)
+	if m.SemCacheHits != 1 {
+		t.Errorf("SemCacheHits = %d, want 1", m.SemCacheHits)
 	}
-	if m.SemEntries != 1 {
-		t.Errorf("SemEntries = %d, want 1 (reused results are not re-indexed)", m.SemEntries)
+	if m.SemCacheEntries != 1 {
+		t.Errorf("SemCacheEntries = %d, want 1 (reused results are not re-indexed)", m.SemCacheEntries)
 	}
 
 	// A third submission of the same near-duplicate is now an EXACT cache
@@ -136,15 +136,15 @@ func TestSemanticGateRejectFallsThroughToFresh(t *testing.T) {
 		t.Error("fresh diagnosis after gate reject is empty")
 	}
 	m := p.Metrics()
-	if m.SemGateRejects != 1 {
-		t.Errorf("SemGateRejects = %d, want 1", m.SemGateRejects)
+	if m.SemCacheGateRejects != 1 {
+		t.Errorf("SemCacheGateRejects = %d, want 1", m.SemCacheGateRejects)
 	}
-	if m.SemHits != 0 {
-		t.Errorf("SemHits = %d, want 0", m.SemHits)
+	if m.SemCacheHits != 0 {
+		t.Errorf("SemCacheHits = %d, want 0", m.SemCacheHits)
 	}
 	// The fresh result was indexed: both digests now carry vectors.
-	if m.SemEntries != 2 {
-		t.Errorf("SemEntries = %d, want 2", m.SemEntries)
+	if m.SemCacheEntries != 2 {
+		t.Errorf("SemCacheEntries = %d, want 2", m.SemCacheEntries)
 	}
 }
 

@@ -1,18 +1,16 @@
 // Package server implements the iofleetd HTTP surface over the versioned
 // wire contract in internal/fleet/api: route registration, version
-// negotiation, node-identity stamping, the error-envelope
-// discipline, and both metrics renderings (JSON and Prometheus text
-// exposition).
+// negotiation, node-identity stamping, and the error-envelope
+// discipline. (The metrics document and both its renderings live in api.)
 //
 // It exists as a package (rather than living inside cmd/iofleetd) so that
 // every party that needs a real daemon surface can build one in-process:
 // the iofleetd binary itself, the iofleet-router's failover tests, and
 // examples that boot a miniature cluster. The split also keeps the
 // daemon's and the router's HTTP conventions literally the same code —
-// WriteError, WriteJSON, WantsText, WithVersion, and WritePrometheus are
-// shared, so "every non-2xx response is an api.Error envelope stamped
-// with version and node headers" holds across the whole fleet by
-// construction.
+// WriteError, WriteJSON, WantsText, and WithVersion are shared, so "every
+// non-2xx response is an api.Error envelope stamped with version and node
+// headers" holds across the whole fleet by construction.
 package server
 
 import (
@@ -24,7 +22,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -36,7 +33,6 @@ import (
 	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/fleet/knowledge"
 	"ioagent/internal/fleet/store"
-	"ioagent/internal/ioagent"
 	"ioagent/internal/vectordb"
 )
 
@@ -449,7 +445,7 @@ func NewMux(cfg Config) http.Handler {
 			WriteError(w, api.Errorf(api.CodeBadRequest, "upsert refused: %v", err))
 			return
 		}
-		WriteJSON(w, http.StatusOK, toAPIKnowledge(kp.Metrics()))
+		WriteJSON(w, http.StatusOK, kp.Metrics())
 	})
 	handle("POST /v1/knowledge/swap", func(w http.ResponseWriter, r *http.Request) {
 		kp := knowledgePlane(w)
@@ -473,7 +469,7 @@ func NewMux(cfg Config) http.Handler {
 		if kp == nil {
 			return
 		}
-		WriteJSON(w, http.StatusOK, toAPIKnowledge(kp.Metrics()))
+		WriteJSON(w, http.StatusOK, kp.Metrics())
 	})
 	handle("POST /v1/knowledge/search", func(w http.ResponseWriter, r *http.Request) {
 		kp := knowledgePlane(w)
@@ -609,7 +605,7 @@ func NewMux(cfg Config) http.Handler {
 		WriteJSON(w, http.StatusOK, toAPISchedStatus(pool.SchedStatus()))
 	})
 	handle("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		m := toAPIMetrics(pool.Metrics(), pool.StatsByModel())
+		m := pool.Metrics()
 		m.Node = cfg.NodeID
 		if cfg.Elastic != nil {
 			hm := cfg.Elastic.Metrics()
@@ -617,7 +613,7 @@ func NewMux(cfg Config) http.Handler {
 		}
 		if WantsText(r) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			WritePrometheus(w, m)
+			m.WritePrometheus(w)
 			return
 		}
 		WriteJSON(w, http.StatusOK, m)
@@ -842,100 +838,6 @@ func toAPIJob(info fleet.JobInfo) api.JobInfo {
 	return out
 }
 
-// toAPIMetrics maps the pool snapshot plus per-model agent stats onto the
-// wire metrics document.
-func toAPIMetrics(s fleet.Snapshot, byModel map[string]ioagent.ModelStats) api.Metrics {
-	m := api.Metrics{
-		Workers:             s.Workers,
-		Submitted:           s.Submitted,
-		Queued:              s.Queued,
-		QueuedInteractive:   s.QueuedInteractive,
-		QueuedBatch:         s.QueuedBatch,
-		Running:             s.Running,
-		Done:                s.Done,
-		Failed:              s.Failed,
-		CacheHits:           s.CacheHits,
-		Coalesced:           s.Coalesced,
-		CacheMisses:         s.CacheMisses,
-		HitRate:             s.HitRate,
-		CacheLen:            s.CacheLen,
-		OwnedDigests:        s.OwnedDigests,
-		Retries:             s.Retries,
-		BreakerOpen:         s.BreakerOpen,
-		BreakerTrips:        s.BreakerTrips,
-		LatencyP50:          s.LatencyP50,
-		LatencyP95:          s.LatencyP95,
-		SemCacheHits:        s.SemHits,
-		SemCacheMisses:      s.SemMisses,
-		SemCacheGateRejects: s.SemGateRejects,
-		SemCacheEntries:     s.SemEntries,
-		TierEscalations:     s.TierEscalations,
-	}
-	if len(s.Tiers) > 0 {
-		m.Tiers = make(map[string]api.TierMetrics, len(s.Tiers))
-		for model, ts := range s.Tiers {
-			m.Tiers[model] = api.TierMetrics{Jobs: ts.Jobs, CostUSD: ts.CostUSD}
-		}
-	}
-	if len(byModel) > 0 {
-		m.Models = make(map[string]api.ModelMetrics, len(byModel))
-		for model, st := range byModel {
-			m.Models[model] = api.ModelMetrics{
-				Calls:            st.Calls,
-				PromptTokens:     st.Usage.PromptTokens,
-				CompletionTokens: st.Usage.CompletionTokens,
-				CostUSD:          st.CostUSD,
-			}
-		}
-	}
-	if len(s.Tenants) > 0 {
-		m.Tenants = make(map[string]int64, len(s.Tenants))
-		for tenant, n := range s.Tenants {
-			m.Tenants[tenant] = n
-		}
-	}
-	if len(s.TenantsInflight) > 0 {
-		m.TenantsInflight = make(map[string]int64, len(s.TenantsInflight))
-		for tenant, n := range s.TenantsInflight {
-			m.TenantsInflight[tenant] = n
-		}
-	}
-	if s.Knowledge != nil {
-		ks := toAPIKnowledge(*s.Knowledge)
-		m.Knowledge = &ks
-	}
-	if s.Sched != nil {
-		sm := api.SchedMetrics{
-			FIFO:      s.Sched.FIFO,
-			Admission: s.Sched.Admission,
-			Dequeues:  s.Sched.Dequeues,
-			Rejects:   s.Sched.Rejects,
-		}
-		if len(s.Sched.Lanes) > 0 {
-			sm.Lanes = make(map[string]int64, len(s.Sched.Lanes))
-			for lane, depth := range s.Sched.Lanes {
-				sm.Lanes[lane] = depth
-			}
-		}
-		if len(s.Sched.Tenants) > 0 {
-			sm.Tenants = make(map[string]api.SchedTenant, len(s.Sched.Tenants))
-			for tenant, tm := range s.Sched.Tenants {
-				sm.Tenants[tenant] = api.SchedTenant{
-					Class:    tm.Class,
-					Weight:   tm.Weight,
-					Depth:    tm.Depth,
-					Dequeues: tm.Dequeues,
-					Rejects:  tm.Rejects,
-					AgeP50:   tm.AgeP50,
-					AgeMax:   tm.AgeMax,
-				}
-			}
-		}
-		m.Sched = &sm
-	}
-	return m
-}
-
 // toAPISchedStatus maps the pool's scheduler configuration onto the wire
 // payload of GET /v1/sched.
 func toAPISchedStatus(st fleet.SchedStatus) api.SchedStatus {
@@ -953,232 +855,6 @@ func toAPISchedStatus(st fleet.SchedStatus) api.SchedStatus {
 		}
 	}
 	return out
-}
-
-// toAPIKnowledge maps the plane's metrics onto the wire status shape.
-func toAPIKnowledge(km knowledge.Metrics) api.KnowledgeStatus {
-	return api.KnowledgeStatus{
-		Epoch:         km.Epoch,
-		Docs:          km.Docs,
-		OwnedDocs:     km.OwnedDocs,
-		StagedOps:     km.StagedOps,
-		Queries:       km.Queries,
-		ANNQueries:    km.ANNQueries,
-		ExactQueries:  km.ExactQueries,
-		RerankCalls:   km.RerankCalls,
-		RerankErrors:  km.RerankErrors,
-		RerankCostUSD: km.RerankCostUSD,
-		RetrievalP95:  km.LatencyP95,
-	}
-}
-
-// WritePrometheus renders a metrics document in Prometheus text
-// exposition format (version 0.0.4), served from GET /metrics under
-// "Accept: text/plain" content negotiation — by single daemons for their
-// own counters and by the router for the cluster aggregate.
-func WritePrometheus(w io.Writer, m api.Metrics) {
-	metric := func(name, typ, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	b01 := func(v bool) string {
-		if v {
-			return "1"
-		}
-		return "0"
-	}
-
-	metric("fleet_workers", "gauge", "Number of concurrent diagnosis workers.")
-	fmt.Fprintf(w, "fleet_workers %d\n", m.Workers)
-	metric("fleet_jobs_submitted_total", "counter", "Jobs accepted since daemon start.")
-	fmt.Fprintf(w, "fleet_jobs_submitted_total %d\n", m.Submitted)
-	metric("fleet_jobs_queued", "gauge", "Jobs waiting for a worker, by priority lane.")
-	fmt.Fprintf(w, "fleet_jobs_queued{lane=%q} %d\n", api.LaneInteractive, m.QueuedInteractive)
-	fmt.Fprintf(w, "fleet_jobs_queued{lane=%q} %d\n", api.LaneBatch, m.QueuedBatch)
-	metric("fleet_jobs_running", "gauge", "Jobs currently occupying a worker.")
-	fmt.Fprintf(w, "fleet_jobs_running %d\n", m.Running)
-	metric("fleet_jobs_done_total", "counter", "Jobs finished successfully (cache hits included).")
-	fmt.Fprintf(w, "fleet_jobs_done_total %d\n", m.Done)
-	metric("fleet_jobs_failed_total", "counter", "Jobs failed permanently.")
-	fmt.Fprintf(w, "fleet_jobs_failed_total %d\n", m.Failed)
-	metric("fleet_cache_hits_total", "counter", "Submissions answered instantly from the result cache.")
-	fmt.Fprintf(w, "fleet_cache_hits_total %d\n", m.CacheHits)
-	metric("fleet_cache_coalesced_total", "counter", "Submissions coalesced onto an identical in-flight job.")
-	fmt.Fprintf(w, "fleet_cache_coalesced_total %d\n", m.Coalesced)
-	metric("fleet_cache_misses_total", "counter", "Submissions that ran the full pipeline.")
-	fmt.Fprintf(w, "fleet_cache_misses_total %d\n", m.CacheMisses)
-	metric("fleet_cache_entries", "gauge", "Resident result-cache entries.")
-	fmt.Fprintf(w, "fleet_cache_entries %d\n", m.CacheLen)
-	metric("fleet_owned_digests", "gauge", "Distinct digests this node holds (cache entries plus in-flight jobs); the node's share of the sharded digest space.")
-	fmt.Fprintf(w, "fleet_owned_digests %d\n", m.OwnedDigests)
-	metric("fleet_retries_total", "counter", "Extra diagnosis attempts beyond each job's first.")
-	fmt.Fprintf(w, "fleet_retries_total %d\n", m.Retries)
-	metric("fleet_breaker_open", "gauge", "1 while the transient-failure circuit breaker is failing work fast, else 0.")
-	fmt.Fprintf(w, "fleet_breaker_open %s\n", b01(m.BreakerOpen))
-	metric("fleet_breaker_trips_total", "counter", "Times the circuit breaker has tripped open.")
-	fmt.Fprintf(w, "fleet_breaker_trips_total %d\n", m.BreakerTrips)
-	// Two plain gauges rather than one series with a `quantile` label:
-	// that label is reserved for TYPE summary, and these are point-in-time
-	// estimates over a sliding sample, not a true summary.
-	metric("fleet_latency_p50_seconds", "gauge", "Median submit-to-completion latency over recent successful jobs.")
-	fmt.Fprintf(w, "fleet_latency_p50_seconds %s\n", f64(m.LatencyP50.Seconds()))
-	metric("fleet_latency_p95_seconds", "gauge", "95th-percentile submit-to-completion latency over recent successful jobs.")
-	fmt.Fprintf(w, "fleet_latency_p95_seconds %s\n", f64(m.LatencyP95.Seconds()))
-	metric("fleet_semcache_hits_total", "counter", "Exact-cache misses served from a near-duplicate's cached diagnosis.")
-	fmt.Fprintf(w, "fleet_semcache_hits_total %d\n", m.SemCacheHits)
-	metric("fleet_semcache_misses_total", "counter", "Exact-cache misses with no usable similarity candidate.")
-	fmt.Fprintf(w, "fleet_semcache_misses_total %d\n", m.SemCacheMisses)
-	metric("fleet_semcache_gate_rejects_total", "counter", "Similarity candidates refused by the confidence gate.")
-	fmt.Fprintf(w, "fleet_semcache_gate_rejects_total %d\n", m.SemCacheGateRejects)
-	metric("fleet_semcache_entries", "gauge", "Digests currently indexed for similarity lookup.")
-	fmt.Fprintf(w, "fleet_semcache_entries %d\n", m.SemCacheEntries)
-
-	if k := m.Knowledge; k != nil {
-		metric("fleet_knowledge_epoch", "gauge", "Promoted knowledge-corpus version on this node.")
-		fmt.Fprintf(w, "fleet_knowledge_epoch %d\n", k.Epoch)
-		metric("fleet_knowledge_docs", "gauge", "Documents in the full corpus view.")
-		fmt.Fprintf(w, "fleet_knowledge_docs %d\n", k.Docs)
-		metric("fleet_knowledge_owned_docs", "gauge", "Documents this node indexes locally (its ring shard plus replicas).")
-		fmt.Fprintf(w, "fleet_knowledge_owned_docs %d\n", k.OwnedDocs)
-		metric("fleet_knowledge_staged_ops", "gauge", "Staged corpus mutations awaiting an epoch swap.")
-		fmt.Fprintf(w, "fleet_knowledge_staged_ops %d\n", k.StagedOps)
-		metric("fleet_knowledge_queries_total", "counter", "Retrievals served by the knowledge plane.")
-		fmt.Fprintf(w, "fleet_knowledge_queries_total %d\n", k.Queries)
-		metric("fleet_knowledge_index_queries_total", "counter", "Underlying index searches by path (HNSW graph walk vs exact scan).")
-		fmt.Fprintf(w, "fleet_knowledge_index_queries_total{path=\"ann\"} %d\n", k.ANNQueries)
-		fmt.Fprintf(w, "fleet_knowledge_index_queries_total{path=\"exact\"} %d\n", k.ExactQueries)
-		metric("fleet_knowledge_rerank_calls_total", "counter", "Rerank invocations between retrieval and reflection.")
-		fmt.Fprintf(w, "fleet_knowledge_rerank_calls_total %d\n", k.RerankCalls)
-		metric("fleet_knowledge_rerank_errors_total", "counter", "Rerank failures that fell back to vector order.")
-		fmt.Fprintf(w, "fleet_knowledge_rerank_errors_total %d\n", k.RerankErrors)
-		metric("fleet_knowledge_rerank_cost_usd_total", "counter", "Simulated rerank-judge spend in US dollars.")
-		fmt.Fprintf(w, "fleet_knowledge_rerank_cost_usd_total %s\n", f64(k.RerankCostUSD))
-		metric("fleet_knowledge_retrieval_p95_seconds", "gauge", "95th-percentile retrieval latency over recent knowledge queries.")
-		fmt.Fprintf(w, "fleet_knowledge_retrieval_p95_seconds %s\n", f64(k.RetrievalP95.Seconds()))
-	}
-
-	if h := m.Handoff; h != nil {
-		metric("fleet_handoff_roster_size", "gauge", "Fleet members in this node's roster view (itself included).")
-		fmt.Fprintf(w, "fleet_handoff_roster_size %d\n", h.RosterSize)
-		metric("fleet_handoff_roster_epoch", "counter", "Membership-view version; increments on every observed change.")
-		fmt.Fprintf(w, "fleet_handoff_roster_epoch %d\n", h.RosterEpoch)
-		metric("fleet_handoff_ring_changes_total", "counter", "Membership transitions (joins and health expiries) this node rebalanced for.")
-		fmt.Fprintf(w, "fleet_handoff_ring_changes_total %d\n", h.RingChanges)
-		metric("fleet_handoff_entries_pushed_total", "counter", "Cache entries pushed to new owners after ring changes.")
-		fmt.Fprintf(w, "fleet_handoff_entries_pushed_total %d\n", h.EntriesPushed)
-		metric("fleet_handoff_push_errors_total", "counter", "Cache pushes (handoff or replication) that failed.")
-		fmt.Fprintf(w, "fleet_handoff_push_errors_total %d\n", h.PushErrors)
-		metric("fleet_handoff_entries_received_total", "counter", "Cache entries accepted from rebalancing peers.")
-		fmt.Fprintf(w, "fleet_handoff_entries_received_total %d\n", h.EntriesReceived)
-		metric("fleet_handoff_replica_pushed_total", "counter", "Cache entries replicated out to ring successors on insert.")
-		fmt.Fprintf(w, "fleet_handoff_replica_pushed_total %d\n", h.ReplicaPushed)
-		metric("fleet_handoff_replica_received_total", "counter", "Replica copies accepted from digest owners.")
-		fmt.Fprintf(w, "fleet_handoff_replica_received_total %d\n", h.ReplicaReceived)
-	}
-
-	if s := m.Sched; s != nil {
-		metric("fleet_sched_fifo", "gauge", "1 while the node runs the tenant-blind FIFO baseline instead of weighted DRR, else 0.")
-		fmt.Fprintf(w, "fleet_sched_fifo %s\n", b01(s.FIFO))
-		metric("fleet_sched_admission", "gauge", "1 while SLO admission control is enforced, else 0.")
-		fmt.Fprintf(w, "fleet_sched_admission %s\n", b01(s.Admission))
-		metric("fleet_sched_dequeues_total", "counter", "Jobs handed to workers by the fair scheduler (all tenants).")
-		fmt.Fprintf(w, "fleet_sched_dequeues_total %d\n", s.Dequeues)
-		metric("fleet_sched_rejects_total", "counter", "Submissions refused by SLO admission control (slo_exceeded).")
-		fmt.Fprintf(w, "fleet_sched_rejects_total %d\n", s.Rejects)
-		lanes := make([]string, 0, len(s.Lanes))
-		for lane := range s.Lanes {
-			lanes = append(lanes, lane)
-		}
-		sort.Strings(lanes)
-		metric("fleet_sched_lane_depth", "gauge", "Jobs queued in the fair scheduler, by priority lane.")
-		for _, lane := range lanes {
-			fmt.Fprintf(w, "fleet_sched_lane_depth{lane=%q} %d\n", lane, s.Lanes[lane])
-		}
-		schedTenants := make([]string, 0, len(s.Tenants))
-		for tenant := range s.Tenants {
-			schedTenants = append(schedTenants, tenant)
-		}
-		sort.Strings(schedTenants)
-		metric("fleet_sched_tenant_depth", "gauge", "Jobs queued per tenant (label cardinality capped server-side; the long tail aggregates under \"_other\").")
-		for _, tenant := range schedTenants {
-			fmt.Fprintf(w, "fleet_sched_tenant_depth{tenant=%q} %d\n", tenant, s.Tenants[tenant].Depth)
-		}
-		metric("fleet_sched_tenant_dequeues_total", "counter", "Jobs handed to workers per tenant; inter-tenant ratios are the realized DRR shares.")
-		for _, tenant := range schedTenants {
-			fmt.Fprintf(w, "fleet_sched_tenant_dequeues_total{tenant=%q} %d\n", tenant, s.Tenants[tenant].Dequeues)
-		}
-		metric("fleet_sched_tenant_rejects_total", "counter", "Submissions refused by SLO admission per tenant.")
-		for _, tenant := range schedTenants {
-			fmt.Fprintf(w, "fleet_sched_tenant_rejects_total{tenant=%q} %d\n", tenant, s.Tenants[tenant].Rejects)
-		}
-		metric("fleet_sched_tenant_weight", "gauge", "Effective DRR weight per tenant.")
-		for _, tenant := range schedTenants {
-			fmt.Fprintf(w, "fleet_sched_tenant_weight{tenant=%q} %d\n", tenant, s.Tenants[tenant].Weight)
-		}
-		metric("fleet_sched_tenant_queue_age_p50_seconds", "gauge", "Median queue age over the tenant's recent dequeues.")
-		for _, tenant := range schedTenants {
-			fmt.Fprintf(w, "fleet_sched_tenant_queue_age_p50_seconds{tenant=%q} %s\n", tenant, f64(s.Tenants[tenant].AgeP50.Seconds()))
-		}
-		metric("fleet_sched_tenant_queue_age_max_seconds", "gauge", "Maximum queue age over the tenant's recent dequeues.")
-		for _, tenant := range schedTenants {
-			fmt.Fprintf(w, "fleet_sched_tenant_queue_age_max_seconds{tenant=%q} %s\n", tenant, f64(s.Tenants[tenant].AgeMax.Seconds()))
-		}
-	}
-
-	tierModels := make([]string, 0, len(m.Tiers))
-	for model := range m.Tiers {
-		tierModels = append(tierModels, model)
-	}
-	sort.Strings(tierModels)
-	metric("fleet_tier_jobs_total", "counter", "Fresh diagnoses produced per ladder model (escalated-past rungs included).")
-	for _, model := range tierModels {
-		fmt.Fprintf(w, "fleet_tier_jobs_total{model=%q} %d\n", model, m.Tiers[model].Jobs)
-	}
-	metric("fleet_tier_cost_usd_total", "counter", "Simulated API spend per ladder model in US dollars.")
-	for _, model := range tierModels {
-		fmt.Fprintf(w, "fleet_tier_cost_usd_total{model=%q} %s\n", model, f64(m.Tiers[model].CostUSD))
-	}
-	metric("fleet_tier_escalations_total", "counter", "Low-confidence diagnoses escalated to the next ladder rung.")
-	fmt.Fprintf(w, "fleet_tier_escalations_total %d\n", m.TierEscalations)
-
-	models := make([]string, 0, len(m.Models))
-	for model := range m.Models {
-		models = append(models, model)
-	}
-	sort.Strings(models)
-	metric("fleet_model_calls_total", "counter", "LLM calls per model.")
-	for _, model := range models {
-		fmt.Fprintf(w, "fleet_model_calls_total{model=%q} %d\n", model, m.Models[model].Calls)
-	}
-	metric("fleet_model_tokens_total", "counter", "Tokens consumed per model and kind.")
-	for _, model := range models {
-		fmt.Fprintf(w, "fleet_model_tokens_total{model=%q,kind=\"prompt\"} %d\n", model, m.Models[model].PromptTokens)
-		fmt.Fprintf(w, "fleet_model_tokens_total{model=%q,kind=\"completion\"} %d\n", model, m.Models[model].CompletionTokens)
-	}
-	metric("fleet_model_cost_usd_total", "counter", "Simulated API spend per model in US dollars.")
-	for _, model := range models {
-		fmt.Fprintf(w, "fleet_model_cost_usd_total{model=%q} %s\n", model, f64(m.Models[model].CostUSD))
-	}
-
-	tenants := make([]string, 0, len(m.Tenants))
-	for tenant := range m.Tenants {
-		tenants = append(tenants, tenant)
-	}
-	sort.Strings(tenants)
-	metric("fleet_tenant_jobs_total", "counter", "Jobs submitted per tenant (label cardinality capped server-side; the long tail aggregates under \"_other\").")
-	for _, tenant := range tenants {
-		fmt.Fprintf(w, "fleet_tenant_jobs_total{tenant=%q} %d\n", tenant, m.Tenants[tenant])
-	}
-
-	inflight := make([]string, 0, len(m.TenantsInflight))
-	for tenant := range m.TenantsInflight {
-		inflight = append(inflight, tenant)
-	}
-	sort.Strings(inflight)
-	metric("fleet_tenant_inflight_jobs", "gauge", "Jobs currently in the system per tenant (the -tenant-max-inflight quota counter).")
-	for _, tenant := range inflight {
-		fmt.Fprintf(w, "fleet_tenant_inflight_jobs{tenant=%q} %d\n", tenant, m.TenantsInflight[tenant])
-	}
 }
 
 // WriteJSON serves v as an indented JSON document on the given status.

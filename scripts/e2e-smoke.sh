@@ -391,6 +391,8 @@ while [ "$_i" -lt 100 ]; do
     sleep 0.1
 done
 [ "$(replica_total "$ex1" "$ex2" "$ex3")" -gt "$before" ] || { echo "fresh diagnosis never replicated to a successor"; exit 1; }
+curl -sf -H 'Accept: text/plain' "http://$erouter/metrics" | grep -q '^fleet_handoff_replica_received_total' \
+    || { echo "router aggregate dropped the fleet_handoff_* series its nodes report"; exit 1; }
 case "$owner" in
 ex1) kill -KILL "$ex1_pid" 2>/dev/null || true ;;
 ex2) kill -KILL "$ex2_pid" 2>/dev/null || true ;;

@@ -145,14 +145,12 @@ func (e *encoder) str(s string) {
 // rendering-neutral form ContentDigest hashes instead — byte for byte
 // what the plain stream of Canonical(l) would be, without building it:
 // floats quantized through the text precision, records with no nonzero
-// counter skipped, a DXT-carrying log re-derived from its events.
+// counter skipped. (A DXT-carrying log's canonical form is the one derived
+// from its events; ContentDigest sees to that before it calls.)
 func (e *encoder) log(l *Log, canonical bool) {
 	runTime := l.Job.RunTime
 	if canonical {
-		if l.DXT != nil {
-			l = FromDXT(l.DXT) // private derived log
-		}
-		runTime = quantize(l.Job.RunTime, 4)
+		runTime = dxt.Quantize(l.Job.RunTime, 4)
 	}
 	ver := binaryVersion
 	if l.DXT != nil {
@@ -240,7 +238,7 @@ func (e *encoder) record(m ModuleID, r *FileRecord, canonical bool) {
 	block = block[8*nints:]
 	for name, v := range r.FCounters {
 		if canonical {
-			v = quantize(v, 6)
+			v = dxt.Quantize(v, 6)
 			if v == 0 {
 				continue // the text form has no line for it; +0 either way
 			}

@@ -4,9 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
-	"math/bits"
-	"strconv"
+
+	"ioagent/internal/dxt"
 )
 
 // ContentDigest returns the canonical content address of a log: the hex
@@ -36,7 +35,31 @@ import (
 // read — never sorted, cloned or otherwise touched — so concurrent digests
 // of one shared log are safe, and the cost does not grow with a clone per
 // record.
+//
+// A DXT-carrying log is addressed by its event stream alone: whatever
+// counters it carries came from outside (a binary decode, a caller-built
+// Log) and are not trusted to be the derivation, so the counter log is
+// derived again from l.DXT here. A hop that derives the log itself uses
+// FromDXTDigest and pays for one derivation, not two.
 func ContentDigest(l *Log) (string, error) {
+	if l.DXT != nil {
+		l = FromDXT(l.DXT) // private derived log
+	}
+	return digestCanonical(l)
+}
+
+// FromDXTDigest is FromDXT together with the content digest of what it
+// derived: one derivation serves both, because the digest is taken before
+// the log escapes to anyone who could change it.
+func FromDXTDigest(t *dxt.Trace) (*Log, string, error) {
+	l := FromDXT(t)
+	digest, err := digestCanonical(l)
+	return l, digest, err
+}
+
+// digestCanonical hashes l's canonical stream; a DXT-carrying l must be
+// FromDXT's own result.
+func digestCanonical(l *Log) (string, error) {
 	e := encoders.Get().(*encoder)
 	defer e.release()
 	h := sha256.New()
@@ -49,53 +72,6 @@ func ContentDigest(l *Log) (string, error) {
 	return hex.EncodeToString(h.Sum(sum[:0])), nil
 }
 
-// pow10 holds the text precisions quantize rounds to.
-var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
-
-// quantize rounds v through the text rendering: format with the text
-// form's precision, parse back. Both renderings of one value land on the
-// same float64 because both pass through the identical function.
-//
-// The strconv round trip is the definition; below 1e9 it is computed
-// exactly in integers instead. v = m*2^-s with m < 2^53, so v*10^prec is
-// the 128-bit product m*10^prec shifted right by s; rounding that
-// half-to-even gives the integer N whose digits FormatFloat(v,'f',prec)
-// prints (it rounds the exact binary value the same way), N < 2^53 is an
-// exact float64, and one IEEE division N/10^prec is the correctly rounded
-// value of that decimal — which is what ParseFloat returns.
-func quantize(v float64, prec int) float64 {
-	if math.Abs(v) < 1e9 && prec < len(pow10) { // false for NaN
-		u := math.Float64bits(v)
-		m, exp := u&(1<<52-1), int(u>>52)&0x7ff
-		if exp == 0 {
-			exp = 1 // subnormal: no implicit bit, same scale as exp 1
-		} else {
-			m |= 1 << 52
-		}
-		s := uint(1075 - exp) // >= 23 because |v| < 2^30
-		if s > 75 {
-			return math.Copysign(0, v) // m*10^prec < 2^73: under a quarter
-		}
-		hi, lo := bits.Mul64(m, uint64(pow10[prec]))
-		// n is the integer part; rem the fraction's top 64 bits, sticky
-		// whether anything nonzero lies below them.
-		var n, rem uint64
-		var sticky bool
-		if s < 64 {
-			n, rem = hi<<(64-s)|lo>>s, lo<<(64-s)
-		} else {
-			n, rem, sticky = hi>>(s-64), hi<<(128-s)|lo>>(s-64), lo<<(128-s) != 0
-		}
-		const half = 1 << 63
-		if rem > half || rem == half && (sticky || n&1 == 1) {
-			n++
-		}
-		return math.Copysign(float64(n)/pow10[prec], v)
-	}
-	q, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'f', prec, 64), 64)
-	return q
-}
-
 // hasCanonicalContent reports whether the record survives
 // canonicalization: some counter is nonzero at the text precision.
 func (r *FileRecord) hasCanonicalContent() bool {
@@ -105,7 +81,7 @@ func (r *FileRecord) hasCanonicalContent() bool {
 		}
 	}
 	for _, v := range r.FCounters {
-		if quantize(v, 6) != 0 {
+		if dxt.Quantize(v, 6) != 0 {
 			return true
 		}
 	}
@@ -136,7 +112,7 @@ func canonicalClone(l *Log) *Log {
 		Modules: make(map[ModuleID]*ModuleData, len(l.Modules)),
 		DXT:     l.DXT,
 	}
-	clone.Job.RunTime = quantize(l.Job.RunTime, 4)
+	clone.Job.RunTime = dxt.Quantize(l.Job.RunTime, 4)
 	for m, md := range l.Modules {
 		out := &ModuleData{Module: md.Module}
 		for _, r := range md.Records {
@@ -154,7 +130,7 @@ func canonicalClone(l *Log) *Log {
 				}
 			}
 			for name, v := range r.FCounters {
-				if q := quantize(v, 6); q != 0 {
+				if q := dxt.Quantize(v, 6); q != 0 {
 					cr.FCounters[name] = q
 					keep = true
 				}

@@ -6,7 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzParseText: the text parser must never panic and must round-trip
+// FuzzParseText: the text parser must never panic, must accept exactly
+// what the oracle (the parser it replaced: strings.Fields per line, a
+// linear record scan) accepts and build the same log, and must round-trip
 // whatever it accepts.
 func FuzzParseText(f *testing.F) {
 	l := NewLog()
@@ -21,11 +23,22 @@ func FuzzParseText(f *testing.F) {
 	f.Add("# darshan log version: 3.41\n")
 	f.Add("POSIX\t0\t1\tPOSIX_OPENS\t1\t/f\t/\text4\n")
 	f.Add("garbage\nlines\n\n# run time: xx\n")
+	f.Add("POSIX 0 12345 POSIX_OPENS 1 /a / ext4\nPOSIX 0 12345 POSIX_READS 2 /a / ext4\n") // a foreign record id
+	f.Add("MPIIO 0 1 MPIIO_SYNCS 1 /f / ext4\nMPI-IO 0 1 MPIIO_HINTS 2 /f / ext4\nPOSIX 00 01 POSIX_OPENS 3 /f / ext4\n")
+	f.Add("POSIX\u00a00\u20281\tPOSIX_OPENS\u30001\t/f\u0085/\text4\n") // Unicode white space splits fields too
+	f.Add("POSIX 0 1 POSIX_F_READ_TIME NaN /f\xff / ext4\nPOSIX 0 1 POSIX_OPENS 1 /f / ext4 extra\n")
 
 	f.Fuzz(func(t *testing.T, text string) {
 		log, err := ParseText(strings.NewReader(text))
+		want, wantErr := oracleParseText(text)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("accept/reject diverged: ParseText err=%v, oracle err=%v", err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if diff := diffLogs(log, want); diff != "" {
+			t.Fatalf("parse differs from the oracle: %s", diff)
 		}
 		// Anything accepted must render and re-parse.
 		out, err := TextString(log)

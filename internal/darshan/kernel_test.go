@@ -69,7 +69,7 @@ func quantizeReference(v float64, prec int) float64 {
 func checkQuantize(t testing.TB, v float64) {
 	t.Helper()
 	for _, prec := range []int{4, 6} {
-		got, want := quantize(v, prec), quantizeReference(v, prec)
+		got, want := dxt.Quantize(v, prec), quantizeReference(v, prec)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("quantize(%v [%#x], %d) = %v [%#x], strconv round trip gives %v [%#x]",
 				v, math.Float64bits(v), prec, got, math.Float64bits(got), want, math.Float64bits(want))

@@ -104,11 +104,35 @@ func ParseText(r io.Reader) (*Log, error) {
 type LineParser struct {
 	log    *Log
 	lineno int
+
+	// A counter line names its record in its first three fields (module,
+	// rank, record id). Consecutive lines of one record repeat them, so
+	// a line whose three match the previous line's goes straight to last;
+	// any other is looked up in index, which holds every record by what
+	// its lines say.
+	last    *FileRecord
+	lastMod ModuleID
+	lastKey [3]string
+	index   map[recordKey]*FileRecord
+	// sizes holds how many integer and float counters the record last
+	// left had, per module: a renderer prints every record of a module
+	// with the same set, so the next record's maps start at that size
+	// instead of growing through every power of two.
+	sizes [numModules][2]int
+}
+
+// recordKey is a record's identity as the text states it. The record id
+// is taken as printed: upstream darshan-parser prints its own hash of the
+// file name there, not this package's HashRecordID.
+type recordKey struct {
+	mod  ModuleID
+	id   uint64
+	rank int
 }
 
 // NewLineParser returns a parser accumulating into an empty Log.
 func NewLineParser() *LineParser {
-	return &LineParser{log: NewLog()}
+	return &LineParser{log: NewLog(), index: make(map[recordKey]*FileRecord)}
 }
 
 // ParseLine consumes one complete input line (without its trailing
@@ -125,7 +149,7 @@ func (lp *LineParser) ParseLine(raw string) error {
 		}
 		return nil
 	}
-	if err := parseCounterLine(lp.log, line); err != nil {
+	if err := lp.parseCounterLine(line); err != nil {
 		return fmt.Errorf("darshan: line %d: %w", lp.lineno, err)
 	}
 	return nil
@@ -184,35 +208,18 @@ func parseHeaderLine(l *Log, line string) error {
 	return err
 }
 
-func parseCounterLine(l *Log, line string) error {
+func (lp *LineParser) parseCounterLine(line string) error {
 	fields := strings.Fields(line)
 	if len(fields) != 8 {
 		return fmt.Errorf("expected 8 fields, got %d in %q", len(fields), line)
 	}
-	m, err := ParseModuleID(fields[0])
-	if err != nil {
-		return err
+	if key := [3]string(fields[:3]); lp.last == nil || key != lp.lastKey {
+		if err := lp.seekRecord(fields); err != nil {
+			return err
+		}
+		lp.lastKey = key
 	}
-	rank, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return fmt.Errorf("bad rank %q", fields[1])
-	}
-	recID, err := strconv.ParseUint(fields[2], 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad record id %q", fields[2])
-	}
-	counter, valStr := fields[3], fields[4]
-	name, mountPt, fsType := fields[5], fields[6], fields[7]
-
-	md := l.Module(m)
-	r := md.Find(name, rank)
-	if r == nil {
-		r = NewFileRecord(name, rank)
-		r.RecordID = recID
-		r.MountPt = mountPt
-		r.FSType = fsType
-		md.Records = append(md.Records, r)
-	}
+	m, r, counter, valStr := lp.lastMod, lp.last, fields[3], fields[4]
 
 	switch {
 	case IsCounter(m, counter):
@@ -230,5 +237,40 @@ func parseCounterLine(l *Log, line string) error {
 	default:
 		return fmt.Errorf("unknown counter %q for module %s", counter, m)
 	}
+	return nil
+}
+
+// seekRecord makes the record a counter line names the current one,
+// creating it on first sight.
+func (lp *LineParser) seekRecord(fields []string) error {
+	m, err := ParseModuleID(fields[0])
+	if err != nil {
+		return err
+	}
+	rank, err := strconv.Atoi(fields[1])
+	if err != nil {
+		return fmt.Errorf("bad rank %q", fields[1])
+	}
+	recID, err := strconv.ParseUint(fields[2], 10, 64)
+	if err != nil {
+		return fmt.Errorf("bad record id %q", fields[2])
+	}
+	if lp.last != nil {
+		lp.sizes[lp.lastMod] = [2]int{len(lp.last.Counters), len(lp.last.FCounters)}
+	}
+	key := recordKey{m, recID, rank}
+	r := lp.index[key]
+	if r == nil {
+		r = &FileRecord{
+			RecordID: recID, Rank: rank, // the id as printed, not a hash of the name
+			Name: fields[5], MountPt: fields[6], FSType: fields[7],
+			Counters:  make(map[string]int64, lp.sizes[m][0]),
+			FCounters: make(map[string]float64, lp.sizes[m][1]),
+		}
+		md := lp.log.Module(m)
+		md.Records = append(md.Records, r)
+		lp.index[key] = r
+	}
+	lp.last, lp.lastMod = r, m
 	return nil
 }

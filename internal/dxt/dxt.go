@@ -54,16 +54,18 @@ type Trace struct {
 
 // Sort orders events by (start time, rank, seq) — the canonical order.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		a, b := t.Events[i], t.Events[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		return a.Seq < b.Seq
-	})
+	sort.SliceStable(t.Events, func(i, j int) bool { return eventLess(&t.Events[i], &t.Events[j]) })
+}
+
+// eventLess is the canonical order.
+func eventLess(a, b *Event) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.Rank != b.Rank {
+		return a.Rank < b.Rank
+	}
+	return a.Seq < b.Seq
 }
 
 // WriteText renders the trace in darshan-dxt-parser style:

@@ -23,7 +23,10 @@ func fuzzSeedTrace() *Trace {
 // boundaries, the incremental TextParser (fed reassembled lines, the way
 // the fleet's ingest parser drives it) must agree with the whole-body
 // ParseText — same accept/reject decision, same canonical trace — and
-// neither path may panic on malformed input.
+// neither path may panic on malformed input. Both must also agree with
+// the oracle (the strings.Fields parser and the strconv-quantized,
+// always-sorted canonical form they replaced): same accept/reject, the
+// same trace, the same canonical trace.
 func FuzzParseTextChunking(f *testing.F) {
 	f.Add(TextString(fuzzSeedTrace()), uint16(1))
 	f.Add(TextString(fuzzSeedTrace()), uint16(97))
@@ -32,12 +35,27 @@ func FuzzParseTextChunking(f *testing.F) {
 	f.Add("X_POSIX\t0\twrite\t0\t0\t10\t0.1\t0.2\t/f\nshort line\n", uint16(5))
 	f.Add("X_POSIX 0 frobnicate 0 0 10 0.1 0.2 /f\n", uint16(5))
 	f.Add("X_POSIX\t0\twrite\t0\t0\t1e99\tNaN\tInf\t/f\n", uint16(9))
+	f.Add("X_POSIX\u00a00\u2003read\v1\f2\r3\u30000.5\u00851.5 /f\u00e9\n", uint16(2)) // Unicode white space splits fields too
+	f.Add("X_POSIX 0 read 1 2 3 0.5 1.5 /f\xa0x\n X_POSIX 0 read 1 2 3 0.5 1.5 /f extra\n", uint16(2))
+	f.Add("X_POSIX 1 read 0 0 1 0.0000005 0.0000015 /f\nX_POSIX 0 read 0 0 1 -0 1e9 /f\nX_POSIX 0 write 0 0 1 5e-324 999999999.9999995 /f\n", uint16(4))
 
 	f.Fuzz(func(t *testing.T, body string, seed uint16) {
 		if len(body) > 1<<20 {
 			return
 		}
 		whole, wholeErr := ParseText(strings.NewReader(body))
+		oracle, oracleErr := oracleParseText(body)
+		if (wholeErr == nil) != (oracleErr == nil) {
+			t.Fatalf("accept/reject diverged: ParseText err=%v, oracle err=%v (body %q)", wholeErr, oracleErr, body)
+		}
+		if wholeErr == nil {
+			if diff := diffTraces(whole, oracle); diff != "" {
+				t.Fatalf("parse differs from the oracle: %s (body %q)", diff, body)
+			}
+			if diff := diffTraces(whole.Canonical(), oracleCanonical(oracle)); diff != "" {
+				t.Fatalf("canonical form differs from the oracle: %s (body %q)", diff, body)
+			}
+		}
 
 		// Incremental: split the body at random byte boundaries, carry
 		// partial lines across chunks exactly as ingest does.

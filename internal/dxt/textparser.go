@@ -2,6 +2,7 @@ package dxt
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -20,11 +21,26 @@ const TextMagic = "# DXT trace"
 type TextParser struct {
 	trace  *Trace
 	lineno int
+	// names interns the two strings every event repeats (module, file):
+	// a trace holds one copy of each, not a reference into every line
+	// it was parsed from.
+	names map[string]string
 }
 
 // NewTextParser returns a parser accumulating into an empty Trace.
 func NewTextParser() *TextParser {
-	return &TextParser{trace: &Trace{}}
+	return &TextParser{trace: &Trace{}, names: make(map[string]string)}
+}
+
+// intern returns the parser's own copy of s, shared by every event that
+// repeats it.
+func (tp *TextParser) intern(s string) string {
+	if v, ok := tp.names[s]; ok {
+		return v
+	}
+	s = strings.Clone(s)
+	tp.names[s] = s
+	return s
 }
 
 // ParseLine consumes one complete input line (without its trailing
@@ -45,12 +61,11 @@ func (tp *TextParser) ParseLine(raw string) error {
 		}
 		return nil
 	}
-	f := strings.Fields(line)
-	if len(f) != 9 {
-		return fmt.Errorf("dxt: line %d: expected 9 fields, got %d", tp.lineno, len(f))
+	var f [9]string
+	if n := fields(line, f[:]); n != len(f) {
+		return fmt.Errorf("dxt: line %d: expected 9 fields, got %d", tp.lineno, n)
 	}
 	var e Event
-	e.Module = f[0]
 	var err error
 	if e.Rank, err = strconv.Atoi(f[1]); err != nil {
 		return fmt.Errorf("dxt: line %d: bad rank", tp.lineno)
@@ -78,7 +93,7 @@ func (tp *TextParser) ParseLine(raw string) error {
 	if e.End, err = strconv.ParseFloat(f[7], 64); err != nil {
 		return fmt.Errorf("dxt: line %d: bad end", tp.lineno)
 	}
-	e.File = f[8]
+	e.Module, e.File = tp.intern(f[0]), tp.intern(f[8])
 	tp.trace.Events = append(tp.trace.Events, e)
 	return nil
 }
@@ -92,31 +107,48 @@ func (tp *TextParser) Lines() int { return tp.lineno }
 // but must stop feeding before handing it off.
 func (tp *TextParser) Trace() *Trace { return tp.trace }
 
-// Canonical returns the rendering-neutral form of a trace: a private
-// clone whose events are in canonical (start, rank, seq) order with the
-// timestamps quantized through the text precision (%.6f — WriteText's
-// format). A trace that round-trips through WriteText/ParseText and one
-// that never left memory canonicalize to identical contents, which is the
-// property darshan.ContentDigest builds on for DXT-carrying logs. The
-// receiver is never mutated.
+// Canonical returns the rendering-neutral form of a trace: its events in
+// canonical (start, rank, seq) order with the timestamps quantized through
+// the text precision (%.6f — WriteText's format). A trace that round-trips
+// through WriteText/ParseText and one that never left memory canonicalize
+// to identical contents, which is the property darshan.ContentDigest
+// builds on for DXT-carrying logs. The receiver is never mutated. A trace
+// that is already canonical — one pass checks it — is returned as it is;
+// any other gets a private clone. Either way the result is to be read,
+// not written.
 func (t *Trace) Canonical() *Trace {
+	if t.isCanonical() {
+		return t
+	}
 	c := &Trace{
 		NProcs: t.NProcs,
 		Events: append([]Event(nil), t.Events...),
 	}
 	for i := range c.Events {
-		c.Events[i].Start = quantizeTS(c.Events[i].Start)
-		c.Events[i].End = quantizeTS(c.Events[i].End)
+		c.Events[i].Start = Quantize(c.Events[i].Start, 6)
+		c.Events[i].End = Quantize(c.Events[i].End, 6)
 	}
 	c.Sort()
 	return c
 }
 
-// quantizeTS rounds a timestamp through the %.6f text precision, so both
-// renderings of one value land on the same float64.
-func quantizeTS(v float64) float64 {
-	q, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'f', 6, 64), 64)
-	return q
+// isCanonical reports whether Canonical would return an equal trace:
+// every timestamp is its own quantization, bit for bit, and no event
+// sorts before its predecessor (a stable sort moves nothing then). A NaN
+// start has no place in the order, so such a trace never passes.
+func (t *Trace) isCanonical() bool {
+	for i := range t.Events {
+		e := &t.Events[i]
+		if math.Float64bits(Quantize(e.Start, 6)) != math.Float64bits(e.Start) ||
+			math.Float64bits(Quantize(e.End, 6)) != math.Float64bits(e.End) ||
+			e.Start != e.Start {
+			return false
+		}
+		if i > 0 && eventLess(e, &t.Events[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TextString renders the trace as a string (WriteText convenience).

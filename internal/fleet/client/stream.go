@@ -120,6 +120,7 @@ func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, di
 type digestTee struct {
 	r       io.Reader
 	parser  *ingest.Parser
+	sniffed bool // the parser has named the rendering; asked once
 	dead    bool // parser abandoned; stream continues unhashed
 	trailer http.Header
 }
@@ -129,8 +130,9 @@ func (t *digestTee) Read(p []byte) (int, error) {
 	if n > 0 && !t.dead {
 		if _, werr := t.parser.Write(p[:n]); werr != nil {
 			t.dead = true
-		} else if st := t.parser.Stats(); st.Decided && st.Binary {
-			t.dead = true
+		} else if !t.sniffed {
+			st := t.parser.Stats()
+			t.sniffed, t.dead = st.Decided, st.Decided && st.Binary
 		}
 	}
 	if err == io.EOF && !t.dead {

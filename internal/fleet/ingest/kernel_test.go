@@ -152,3 +152,82 @@ func BenchmarkContentDigestSuite(b *testing.B) {
 		}
 	}
 }
+
+// suiteParserText renders the 40 TraceBench logs as darshan-parser text.
+func suiteParserText(t testing.TB) []wire {
+	t.Helper()
+	var out []wire
+	for _, tr := range tracebench.Suite() {
+		text, err := darshan.TextString(tr.Log())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, wire{tr.Name + "/text", []byte(text)})
+	}
+	return out
+}
+
+// suiteDXT is the scenario matrix's DXT text renderings.
+func suiteDXT(t testing.TB) []wire {
+	t.Helper()
+	var out []wire
+	for _, sc := range scenario.Matrix() {
+		if sc.Modality == "dxt" {
+			body, _ := sc.Build()
+			out = append(out, wire{"scenario/" + sc.Name, body})
+		}
+	}
+	return out
+}
+
+// What one ingest.Decode pass over each text suite allocated before the
+// text and DXT kernel was rebuilt. A DXT trace was derived twice per pass,
+// each derivation copying every event into two maps of slices, and every
+// event line cost a strings.Fields slice: the fence is half of that.
+// Parser text still pays a string and a strings.Fields slice per line
+// (ARCHITECTURE layer 1, "Still allocated per line"), so its fence only
+// holds that the record index added no allocations: the counter maps it
+// now sizes up front pay for it.
+const (
+	parentParseTextAllocs = 189129
+	parentDXTAllocs       = 106881
+)
+
+func TestTextSuitesAllocFence(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		suite         []wire
+		parent, fence float64
+	}{
+		{"parser text", suiteParserText(t), parentParseTextAllocs, 1},
+		{"DXT text", suiteDXT(t), parentDXTAllocs, 0.5},
+	} {
+		got := testing.AllocsPerRun(5, func() { decodeSuite(t, tc.suite) })
+		t.Logf("ingest.Decode over the %s suite: %.0f allocs/pass (parent %.0f)", tc.name, got, tc.parent)
+		if limit := tc.fence * tc.parent; got > limit {
+			t.Errorf("ingest.Decode over the %s suite allocates %.0f per pass, fence is %.0f (%.0f%% of the parent's %.0f)",
+				tc.name, got, limit, 100*tc.fence, tc.parent)
+		}
+	}
+}
+
+func benchmarkSuite(b *testing.B, suite []wire) {
+	var n int64
+	for _, w := range suite {
+		n += int64(len(w.body))
+	}
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decodeSuite(b, suite)
+	}
+}
+
+// BenchmarkParseTextSuite: one op is the front door (line parse, digest)
+// over all 40 TraceBench logs as darshan-parser text.
+func BenchmarkParseTextSuite(b *testing.B) { benchmarkSuite(b, suiteParserText(b)) }
+
+// BenchmarkDXTSuite: one op is the front door (line parse, derivation,
+// digest) over the scenario matrix's DXT text renderings.
+func BenchmarkDXTSuite(b *testing.B) { benchmarkSuite(b, suiteDXT(b)) }

@@ -213,6 +213,7 @@ func (p *Parser) Finish() (*darshan.Log, string, error) {
 		return nil, "", p.err
 	}
 	var log *darshan.Log
+	var digest string // set by the rendering that digests as it decodes
 	switch {
 	case !p.decided:
 		// Fewer than two bytes total: trivially not a trace, but run the
@@ -241,10 +242,16 @@ func (p *Parser) Finish() (*darshan.Log, string, error) {
 			}
 			p.carry = nil
 		}
-		// The counter log is derived from the event stream; an event
-		// stream naming no known module derives no modules and falls
-		// into the uniform "no module data" rejection below.
-		log = darshan.FromDXT(p.dlp.Trace())
+		// The counter log is derived from the event stream and digested
+		// in the same step: this hop made the log, so it need not derive
+		// it a second time to trust it. An event stream naming no known
+		// module derives no modules and falls into the uniform "no
+		// module data" rejection below.
+		var err error
+		if log, digest, err = darshan.FromDXTDigest(p.dlp.Trace()); err != nil {
+			p.err = err
+			return nil, "", err
+		}
 	default:
 		if len(p.carry) > 0 {
 			if err := p.lp.ParseLine(string(p.carry)); err != nil {
@@ -259,10 +266,12 @@ func (p *Parser) Finish() (*darshan.Log, string, error) {
 		p.err = fmt.Errorf("ingest: trace contains no module data")
 		return nil, "", p.err
 	}
-	digest, err := darshan.ContentDigest(log)
-	if err != nil {
-		p.err = err
-		return nil, "", err
+	if digest == "" {
+		var err error
+		if digest, err = darshan.ContentDigest(log); err != nil {
+			p.err = err
+			return nil, "", err
+		}
 	}
 	return log, digest, nil
 }

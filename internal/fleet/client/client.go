@@ -174,20 +174,30 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // network errors, 5xx, api.CodeDraining — are retried with backoff; the
 // resubmit is safe because the daemon deduplicates by trace digest.
 func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
-	lane := req.Lane.WithDefault()
-	if !lane.Valid() {
-		return api.JobInfo{}, api.Errorf(api.CodeBadRequest, "unknown lane %q", req.Lane)
-	}
-	if len(req.Tenant) > api.MaxTenantLen {
-		return api.JobInfo{}, api.Errorf(api.CodeBadRequest, "tenant exceeds %d bytes", api.MaxTenantLen)
+	lane, err := validSubmit(req)
+	if err != nil {
+		return api.JobInfo{}, err
 	}
 	var info api.JobInfo
 	path := "/v1/jobs?lane=" + url.QueryEscape(string(lane))
 	if req.Tenant != "" {
 		path += "&tenant=" + url.QueryEscape(req.Tenant)
 	}
-	err := c.do(ctx, http.MethodPost, path, req.Trace, &info)
+	err = c.do(ctx, http.MethodPost, path, req.Trace, &info)
 	return info, err
+}
+
+// validSubmit applies the client-side submission checks — a known lane,
+// a bounded tenant — and returns the defaulted lane.
+func validSubmit(req api.SubmitRequest) (api.Lane, error) {
+	lane := req.Lane.WithDefault()
+	if !lane.Valid() {
+		return "", api.Errorf(api.CodeBadRequest, "unknown lane %q", req.Lane)
+	}
+	if len(req.Tenant) > api.MaxTenantLen {
+		return "", api.Errorf(api.CodeBadRequest, "tenant exceeds %d bytes", api.MaxTenantLen)
+	}
+	return lane, nil
 }
 
 // Job fetches one job's current snapshot.

@@ -28,6 +28,10 @@ import (
 // asserts without shipping the body first. Bytes it refuses fall back to
 // a hash of the wire bytes: they still route consistently (to the node
 // that will refuse them with bad_trace).
+//
+// RouteKey is the pure definition. A Cluster answers the same key for the
+// same bytes through its ingest.Memo, which spares a byte-identical
+// resubmission the decode.
 func RouteKey(trace []byte) string {
 	if _, cd, err := ingest.Decode(trace); err == nil {
 		return cd
@@ -66,6 +70,11 @@ type Cluster struct {
 	opts []Option // applied to every member client, retained for joins
 
 	cur atomic.Pointer[membership]
+
+	// memo is this hop's wire-bytes→digest memo (see ingest.Memo): the
+	// router and cluster-mode SDK callers route a resubmitted body by one
+	// hash instead of a decode.
+	memo *ingest.Memo
 
 	mu sync.Mutex // guards the maps below and serializes UpdateMembers
 	// nodeToMember maps learned daemon -node-id values to member URLs
@@ -115,6 +124,7 @@ func NewCluster(members []string, opts ...Option) (*Cluster, error) {
 	}
 	cl := &Cluster{
 		opts:         opts,
+		memo:         ingest.NewMemo(),
 		nodeToMember: make(map[string]string),
 		unresolved:   make(map[string]bool),
 	}
@@ -200,8 +210,23 @@ func (cl *Cluster) Close() {
 // Route returns the members that would be tried for these trace bytes, in
 // order: the ring owner first, then its failover successors.
 func (cl *Cluster) Route(trace []byte) []string {
-	return cl.RouteDigest(RouteKey(trace))
+	return cl.RouteDigest(cl.routeKey(trace))
 }
+
+// routeKey is RouteKey through the cluster's memo: the same key for the
+// same bytes, with the decode skipped when these exact bytes were keyed
+// before and the refused-bytes fallback reusing the hash the memo took.
+func (cl *Cluster) routeKey(trace []byte) string {
+	_, cd, wire, err := cl.memo.Decode(trace)
+	if err != nil {
+		return hex.EncodeToString(wire[:])
+	}
+	return cd
+}
+
+// MemoStats reports the route-key memo's counters (Go-side only, for
+// tests and debugging; they have no wire form).
+func (cl *Cluster) MemoStats() ingest.MemoStats { return cl.memo.Stats() }
 
 // RouteDigest returns the failover order for a canonical content digest —
 // what a router uses when a streaming submission asserts api.DigestHeader
@@ -232,8 +257,13 @@ func failover(err error) bool {
 // ID carries the accepting node's prefix, which later routes Job and
 // Diagnosis calls back to it.
 func (cl *Cluster) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
+	// Validate before keying: a submission every member would refuse must
+	// not cost the front door a decode first.
+	if _, err := validSubmit(req); err != nil {
+		return api.JobInfo{}, err
+	}
 	ms := cl.cur.Load()
-	for _, member := range cl.orderByBackoff(ms.ring.Successors(RouteKey(req.Trace), len(ms.members))) {
+	for _, member := range cl.orderByBackoff(ms.ring.Successors(cl.routeKey(req.Trace), len(ms.members))) {
 		info, err := ms.clients[member].Submit(ctx, req)
 		cl.observeForward(member, err)
 		if err == nil {

@@ -421,3 +421,57 @@ func TestClusterForwardedByHeader(t *testing.T) {
 		t.Errorf("forwarded header = %q, want router-7", got)
 	}
 }
+
+// TestClusterSubmitValidatesBeforeKeying: a submission every member would
+// refuse — unknown lane, over-long tenant — is refused before the route
+// key is computed, so a multi-megabyte body costs the front door nothing
+// (neither a decode nor a hash: the memo is never consulted).
+func TestClusterSubmitValidatesBeforeKeying(t *testing.T) {
+	cl, err := NewCluster([]string{"http://127.0.0.1:1"}) // never dialed
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	body := bytes.Repeat([]byte("POSIX\t-1\t1\tPOSIX_OPENS\t1\t/f\t/\text4\n"), 4<<20/36)
+	for name, req := range map[string]api.SubmitRequest{
+		"bad lane":         {Lane: "express", Trace: body},
+		"over-long tenant": {Tenant: strings.Repeat("t", api.MaxTenantLen+1), Trace: body},
+	} {
+		_, err := cl.Submit(context.Background(), req)
+		if api.ErrorCode(err) != api.CodeBadRequest {
+			t.Errorf("%s: err %v, want bad_request", name, err)
+		}
+	}
+	if st := cl.MemoStats(); st.Hits+st.Misses != 0 {
+		t.Errorf("front door ran for refused submissions: %+v", st)
+	}
+}
+
+// TestClusterRouteKeyMemoMatchesRouteKey: through the cluster's memo the
+// key is RouteKey's, cold and warm, for accepted bytes (the content
+// digest) and for refused ones (the wire-bytes hash) — and only accepted
+// bytes are remembered.
+func TestClusterRouteKeyMemoMatchesRouteKey(t *testing.T) {
+	cl, err := NewCluster([]string{"http://127.0.0.1:1", "http://127.0.0.1:2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	good := clusterTrace(t, 1)
+	bad := good[:len(good)/2]
+	for call := 1; call <= 3; call++ {
+		for name, body := range map[string][]byte{"accepted": good, "refused": bad} {
+			if got, want := cl.routeKey(body), RouteKey(body); got != want {
+				t.Errorf("call %d, %s bytes: routeKey %s, RouteKey %s", call, name, got, want)
+			}
+		}
+	}
+	if st := cl.MemoStats(); st.Hits != 2 || st.Misses != 4 || st.Len != 1 {
+		t.Errorf("memo %+v, want 2 hits (accepted bytes, calls 2-3), 4 misses, 1 entry", st)
+	}
+	// The route half of ROADMAP item 3's fence: keying bytes the memo
+	// knows is a hash and a lookup, whatever they would decode to.
+	if allocs := testing.AllocsPerRun(20, func() { cl.routeKey(good) }); allocs > 0 {
+		t.Errorf("routing memoised bytes allocates %.0f objects, want 0", allocs)
+	}
+}

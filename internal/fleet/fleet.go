@@ -63,8 +63,10 @@ const (
 type Event struct {
 	Kind EventKind
 	Job  JobInfo
-	// Log is the submitted trace; non-nil only for EventSubmitted. The
-	// pool still owns it — observers must not mutate it.
+	// Log is the submitted trace; non-nil only for the EventSubmitted of a
+	// job bound for a worker (a cache hit and a coalesced duplicate hold no
+	// log — theirs may never have been decoded). The pool still owns it —
+	// observers must not mutate it.
 	Log *darshan.Log
 }
 
@@ -408,7 +410,7 @@ type Job struct {
 	done   chan struct{}
 
 	mu        sync.Mutex
-	log       *darshan.Log // released once the job completes
+	log       *darshan.Log // the primary's trace, released once it completes; hits and followers hold none
 	status    Status
 	cacheHit  bool
 	simHit    bool
@@ -646,6 +648,13 @@ func (p *Pool) emit(kind EventKind, j *Job, log *darshan.Log) {
 type Preparsed struct {
 	Log           *darshan.Log
 	ContentDigest string
+	// Decode, consulted only when Log is nil, decodes the trace on demand:
+	// a serving layer that knows the digest of bytes it has not decoded
+	// (ingest.Memo) hands the pool the means instead of the log. It is
+	// called at most once, on the submitting goroutine, and only when the
+	// job has to run — an exact cache hit and a coalesced duplicate never
+	// decode. The log it returns must be the one ContentDigest addresses.
+	Decode func() (*darshan.Log, error)
 }
 
 // Submit enqueues a trace for diagnosis on the interactive lane; see
@@ -662,7 +671,7 @@ func (p *Pool) Submit(log *darshan.Log) (*Job, error) {
 // a digest equal to an in-flight job coalesces onto it; and only
 // otherwise does the job occupy a worker.
 func (p *Pool) SubmitWith(log *darshan.Log, opts SubmitOpts) (*Job, error) {
-	return p.submit(context.Background(), log, "", opts)
+	return p.SubmitContext(context.Background(), log, opts)
 }
 
 // SubmitContext is SubmitWith with a context bounding the backpressure
@@ -673,40 +682,31 @@ func (p *Pool) SubmitWith(log *darshan.Log, opts SubmitOpts) (*Job, error) {
 // Work already accepted is unaffected; only the not-yet-queued submission
 // is abandoned.
 func (p *Pool) SubmitContext(ctx context.Context, log *darshan.Log, opts SubmitOpts) (*Job, error) {
-	return p.submit(ctx, log, "", opts)
+	cd, err := darshan.ContentDigest(log)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: digest: %w", err)
+	}
+	return p.submit(ctx, Preparsed{Log: log, ContentDigest: cd}, opts)
 }
 
 // SubmitPreparsed enqueues a trace the streaming ingest layer already
 // decoded and content-addressed: the diagnosis digest is derived from
 // pp.ContentDigest without re-encoding the log, so a multi-megabyte
-// streamed trace pays its canonicalization exactly once. The context
-// bounds the backpressure wait as in SubmitContext.
+// streamed trace pays its canonicalization exactly once. With pp.Log nil
+// and pp.Decode set the trace is not even decoded unless the job has to
+// run. The context bounds the backpressure wait as in SubmitContext.
 func (p *Pool) SubmitPreparsed(ctx context.Context, pp Preparsed, opts SubmitOpts) (*Job, error) {
-	if pp.Log == nil || pp.ContentDigest == "" {
-		return nil, fmt.Errorf("fleet: preparsed submission needs a log and its content digest")
+	if (pp.Log == nil && pp.Decode == nil) || pp.ContentDigest == "" {
+		return nil, fmt.Errorf("fleet: preparsed submission needs a log (or the means to decode it) and its content digest")
 	}
-	return p.submit(ctx, pp.Log, pp.ContentDigest, opts)
+	return p.submit(ctx, pp, opts)
 }
 
-func (p *Pool) submit(ctx context.Context, log *darshan.Log, contentDigest string, opts SubmitOpts) (*Job, error) {
-	lane := opts.Lane.withDefault()
-	if !lane.Valid() {
-		return nil, fmt.Errorf("fleet: unknown lane %q", opts.Lane)
-	}
-	var digest string
-	if contentDigest != "" {
-		digest = digestWith(p.cfg.Agent, contentDigest)
-	} else {
-		var err error
-		if digest, err = Digest(p.cfg.Agent, log); err != nil {
-			return nil, err
-		}
-	}
-
-	p.mu.Lock()
+// admitLocked applies the refusals that precede a job's existence.
+// Caller holds p.mu.
+func (p *Pool) admitLocked(lane Lane, opts SubmitOpts) error {
 	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	// Tenant quota, checked before the job exists: a tenant at its
 	// in-flight cap is refused outright rather than admitted and failed.
@@ -715,8 +715,7 @@ func (p *Pool) submit(ctx context.Context, log *darshan.Log, contentDigest strin
 		over := p.m.tenantInflight[opts.Tenant] >= int64(p.cfg.TenantMaxInflight)
 		p.m.mu.Unlock()
 		if over {
-			p.mu.Unlock()
-			return nil, ErrTenantQuota
+			return ErrTenantQuota
 		}
 	}
 	// SLO admission, also before the job exists (and before the cache is
@@ -726,9 +725,52 @@ func (p *Pool) submit(ctx context.Context, log *darshan.Log, contentDigest strin
 	// back into the Pool, so querying it under p.mu is safe.
 	if opts.Tenant != "" && p.cfg.SLOAdmission {
 		if err := p.schd.Admit(string(lane), opts.Tenant); err != nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s", ErrSLOExceeded, err)
+			return fmt.Errorf("%w: %s", ErrSLOExceeded, err)
 		}
+	}
+	return nil
+}
+
+func (p *Pool) submit(ctx context.Context, pp Preparsed, opts SubmitOpts) (*Job, error) {
+	lane := opts.Lane.withDefault()
+	if !lane.Valid() {
+		return nil, fmt.Errorf("fleet: unknown lane %q", opts.Lane)
+	}
+	digest := digestWith(p.cfg.Agent, pp.ContentDigest)
+
+	// A job that reaches the queue owns a decoded log; a cache hit and a
+	// coalesced follower need none. So the cache and the in-flight table
+	// are consulted before the job exists, and only a submission that
+	// would become the digest's primary without a log in hand steps out
+	// of p.mu, decodes on this goroutine, and looks again — by then the
+	// digest may be cached or claimed, which is fine either way. One
+	// rule covers the never-resident digest and the entry that expired a
+	// moment ago alike: no path enqueues a nil log.
+	log := pp.Log
+	var res *ioagent.Result
+	var hit bool
+	var entry *inflightEntry
+	p.mu.Lock()
+	for {
+		if err := p.admitLocked(lane, opts); err != nil {
+			p.mu.Unlock()
+			return nil, err
+		}
+		if res, hit = p.cache.Get(digest); hit {
+			break
+		}
+		if entry = p.inflight[digest]; entry != nil || log != nil {
+			break
+		}
+		p.mu.Unlock()
+		var err error
+		if log, err = pp.Decode(); err != nil {
+			return nil, fmt.Errorf("fleet: decode preparsed trace: %w", err)
+		}
+		if log == nil {
+			return nil, fmt.Errorf("fleet: decode preparsed trace: no log")
+		}
+		p.mu.Lock()
 	}
 	p.nextID++
 	idPrefix := ""
@@ -741,7 +783,6 @@ func (p *Pool) submit(ctx context.Context, log *darshan.Log, contentDigest strin
 		lane:      lane,
 		tenant:    opts.Tenant,
 		done:      make(chan struct{}),
-		log:       log,
 		status:    StatusQueued,
 		submitted: p.cfg.now(),
 	}
@@ -755,7 +796,7 @@ func (p *Pool) submit(ctx context.Context, log *darshan.Log, contentDigest strin
 	p.m.mu.Unlock()
 
 	// Fast path 1: already diagnosed and cached.
-	if res, ok := p.cache.Get(digest); ok {
+	if hit {
 		j.cacheHit = true
 		p.m.mu.Lock()
 		p.m.hits++
@@ -766,13 +807,13 @@ func (p *Pool) submit(ctx context.Context, log *darshan.Log, contentDigest strin
 		p.m.recordLatency(0)
 		j.complete(res, nil, now)
 		p.jobWG.Done()
-		p.emit(EventSubmitted, j, log)
+		p.emit(EventSubmitted, j, nil)
 		return j, nil
 	}
 
 	// Fast path 2: identical trace already in flight — ride along,
 	// mirroring the primary's progress so pollers see an honest state.
-	if entry, ok := p.inflight[digest]; ok {
+	if entry != nil {
 		entry.primary.mu.Lock()
 		primaryStatus, primaryStarted := entry.primary.status, entry.primary.started
 		entry.primary.mu.Unlock()
@@ -791,12 +832,14 @@ func (p *Pool) submit(ctx context.Context, log *darshan.Log, contentDigest strin
 		// follower's submitted event precedes its terminal event. The
 		// hook must not call back into the Pool (see Config.OnJobEvent),
 		// so no re-entrancy deadlock is possible.
-		p.emit(EventSubmitted, j, log)
+		p.emit(EventSubmitted, j, nil)
 		p.mu.Unlock()
 		return j, nil
 	}
 
-	// Slow path: this job owns the digest and runs the pipeline.
+	// Slow path: this job owns the digest — and the log — and runs the
+	// pipeline.
+	j.log = log
 	p.inflight[digest] = &inflightEntry{primary: j}
 	p.m.mu.Lock()
 	p.m.misses++

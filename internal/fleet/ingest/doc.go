@@ -30,6 +30,12 @@
 //     the session open; recovery re-feeds the spool through a fresh
 //     Parser and the client resumes where it left off).
 //
+// A hop that holds a whole buffered body may also ask through a Memo,
+// which remembers the digest of bytes this process has already decoded:
+// Memo.Decode answers exactly what Decode answers, and a byte-identical
+// resubmission costs one SHA-256 instead of a decode. The streaming
+// shapes above never consult it.
+//
 // Both paths end in the same place: a decoded *darshan.Log plus its
 // canonical content digest (darshan.ContentDigest), which is identical
 // for every rendering of one trace and is what the

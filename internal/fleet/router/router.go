@@ -280,7 +280,8 @@ func (rt *Router) Handler() http.Handler {
 				"missing or malformed %s header", api.UploadOffsetHeader))
 			return
 		}
-		chunk, apiErr := readBody(w, r, rt.cfg.MaxBody)
+		// No size hint: see server.ReadBody on upload chunks.
+		chunk, apiErr := server.ReadBody(w, r, rt.cfg.MaxBody, 0, "trace body", "router")
 		if apiErr != nil {
 			server.WriteError(w, apiErr)
 			return
@@ -512,23 +513,14 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 	server.WriteJSON(w, http.StatusAccepted, info)
 }
 
-// readBody slurps a bounded request body (buffered submissions, upload
-// chunks), mapping an overrun onto the same trace_too_large envelope a
+// readBody slurps a bounded, length-declared request body (buffered
+// submissions, knowledge documents) through the daemons' own
+// server.ReadBody, so an overrun is the same trace_too_large envelope a
 // daemon serves. Validation stays with the owning daemon (bad_trace);
 // the router only runs the front door where placement requires it
-// (RouteKey, spoolAndRoute).
+// (Cluster.Submit's route key, spoolAndRoute).
 func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, *api.Error) {
-	buf, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, api.Errorf(api.CodeTraceTooLarge,
-				"trace body exceeds the %d-byte limit (router -max-body)", maxBody)
-		}
-		log.Printf("iofleet-router: read submit body from %s: %v", r.RemoteAddr, err)
-		return nil, api.Errorf(api.CodeBadRequest, "read body: request aborted")
-	}
-	return buf, nil
+	return server.ReadBody(w, r, maxBody, r.ContentLength, "trace body", "router")
 }
 
 // writeErr maps a cluster-call failure onto the wire: api errors pass

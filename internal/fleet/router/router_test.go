@@ -404,3 +404,29 @@ func TestRouterLoopDetected(t *testing.T) {
 		t.Errorf("router-behind-router submit = %v, want loop_detected", err)
 	}
 }
+
+// TestRouterValidatesBeforeKeying: a buffered submission on an unknown
+// lane is refused with bad_request before the router computes a route
+// key — a multi-megabyte body costs it a bounded read and nothing else.
+func TestRouterValidatesBeforeKeying(t *testing.T) {
+	nodes := startNodes(t, "n1", "n2")
+	rt, _, base := startRouter(t, nodes)
+	body := bytes.Repeat([]byte("POSIX\t-1\t1\tPOSIX_OPENS\t1\t/f\t/\text4\n"), 4<<20/36)
+	resp, err := http.Post(base+"/v1/jobs?lane=express", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e api.Error
+	decodeJSON(t, resp, &e)
+	if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeBadRequest {
+		t.Errorf("bad lane = %s / %q, want 400 bad_request", resp.Status, e.Code)
+	}
+	if st := rt.cluster.MemoStats(); st.Hits+st.Misses != 0 {
+		t.Errorf("the router ran the front door for a submission it refused: %+v", st)
+	}
+	for _, n := range nodes {
+		if m := n.pool.Metrics(); m.Submitted != 0 {
+			t.Errorf("node %s saw the refused submission", n.id)
+		}
+	}
+}

@@ -321,10 +321,23 @@ func TestRouterStreamTrailerPlaces(t *testing.T) {
 
 // TestOneTraceOneOwner: every rendering of one trace, through every
 // door, yields one digest and lands on one owner — router, SDK and ring
-// agree because they all ask the same front door.
+// agree because they all ask the same front door. Each hop's memo only
+// changes what that answer costs: a router whose memo the bytes have
+// warmed, a router that never saw them and a cold SDK cluster name the
+// same owner.
 func TestOneTraceOneOwner(t *testing.T) {
 	nodes := startNodes(t, "n1", "n2", "n3")
 	rt, c, base := startRouterCfg(t, nodes, t.TempDir(), 0)
+	coldRouter, _, _ := startRouter(t, nodes)
+	urls := make([]string, len(nodes))
+	for i, n := range nodes {
+		urls[i] = n.srv.URL
+	}
+	coldSDK, err := client.NewCluster(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coldSDK.Close)
 	ctx := context.Background()
 
 	counterLog := routerTraceLog(t, 11)
@@ -403,6 +416,24 @@ func TestOneTraceOneOwner(t *testing.T) {
 				t.Errorf("%s via %s: job digest %s, want %s like every other door", tc.name, d.door, info.Digest, jobDigest)
 			}
 		}
+
+		// rt keyed these bytes in Route above, so its buffered door routed
+		// by a memo hit; the other two have never seen them.
+		hitsBefore := rt.cluster.MemoStats().Hits
+		if got := nodeByURL(nodes, rt.Route(tc.body)[0]).id; got != owner {
+			t.Errorf("%s: warm router owner %s, want %s", tc.name, got, owner)
+		}
+		if rt.cluster.MemoStats().Hits != hitsBefore+1 {
+			t.Errorf("%s: the warm router's memo did not answer for bytes it had keyed", tc.name)
+		}
+		for who, route := range map[string]func([]byte) []string{"cold router": coldRouter.Route, "cold SDK cluster": coldSDK.Route} {
+			if got := nodeByURL(nodes, route(tc.body)[0]).id; got != owner {
+				t.Errorf("%s: %s owner %s, want %s", tc.name, who, got, owner)
+			}
+		}
+	}
+	if st := coldSDK.MemoStats(); st.Hits != 0 || st.Misses != 3 {
+		t.Errorf("cold SDK cluster memo %+v, want three first sights", st)
 	}
 }
 

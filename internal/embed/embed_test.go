@@ -2,6 +2,8 @@ package embed
 
 import (
 	"math"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -89,5 +91,89 @@ func TestCosineBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// chunk300 is a knowledge-chunk-sized text (300 bytes), the size Embed
+// sees on the retrieval and self-reflection paths.
+const chunk300 = "Small write requests amplify per-operation latency on parallel file systems. " +
+	"Applications should aggregate small writes into larger buffers before flushing, " +
+	"or use collective MPI-IO so that aggregator ranks merge requests into stripe-aligned transfers; " +
+	"the write bandwidth recovers once requests exceed 1 MB."
+
+func TestEmbedZeroAllocsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under -race")
+	}
+	Embed(chunk300) // warm the pool
+	if got := testing.AllocsPerRun(200, func() { Embed(chunk300) }); got != 0 {
+		t.Fatalf("Embed allocates %.0f times per call on a warm pool, want 0", got)
+	}
+}
+
+// TestEmbedConcurrent: pooled scratch must never alias a returned Vector
+// or be shared between two calls in flight. Run under -race in CI.
+func TestEmbedConcurrent(t *testing.T) {
+	texts := append([]string{chunk300, strings.Repeat(chunk300, 300)}, oracleSeeds...)
+	want := make([]Vector, len(texts))
+	for i, text := range texts {
+		want[i] = oracleEmbed(text)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var held []Vector
+			for round := 0; round < 50; round++ {
+				i := (g + round) % len(texts)
+				held = append(held, Embed(texts[i]))
+				// Vectors returned earlier must survive later calls.
+				for j, v := range held {
+					if v != want[(g+j)%len(texts)] {
+						t.Errorf("goroutine %d: vector %d changed after a later Embed", g, j)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCountTableVerifiesBytes: two different terms that present the same
+// 64-bit hash stay two terms, and the same bytes at another offset are the
+// same term.
+func TestCountTableVerifiesBytes(t *testing.T) {
+	var s scratch
+	buf := []byte("alpha_beta_alpha")
+	s.reset(len(buf))
+	s.add(buf, 0, 5, 7, false)
+	s.add(buf, 6, 10, 7, false)  // same hash, other bytes
+	s.add(buf, 11, 16, 7, false) // same hash, same bytes as the first
+	if len(s.terms) != 2 || s.terms[0].count != 2 || s.terms[1].count != 1 {
+		t.Fatalf("terms = %+v, want alpha x2 then beta x1", s.terms)
+	}
+}
+
+var sinkVector Vector
+
+func BenchmarkEmbed(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(chunk300)))
+	for i := 0; i < b.N; i++ {
+		sinkVector = Embed(chunk300)
+	}
+}
+
+// TestMaxStopword: the tokenizer consults the stopword map only for tokens
+// of at most maxStopword bytes, so the constant must cover the list.
+func TestMaxStopword(t *testing.T) {
+	longest := 0
+	for w := range stopwords {
+		longest = max(longest, len(w))
+	}
+	if longest != maxStopword {
+		t.Fatalf("longest stopword has %d bytes, maxStopword is %d", longest, maxStopword)
 	}
 }

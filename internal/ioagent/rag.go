@@ -130,13 +130,3 @@ func (a *Agent) diagnoseFragment(frag *Fragment, nl string, sources []retrieved)
 	a.addCost(resp)
 	return resp.Content, nil
 }
-
-// BuildIndexFromDocs indexes arbitrary documents with the paper's chunking
-// parameters; exposed so callers can supply their own corpora.
-func BuildIndexFromDocs(docs []vectordb.Document) *vectordb.Index {
-	ix := vectordb.New(vectordb.Options{ChunkSize: 512, Overlap: 20})
-	for _, d := range docs {
-		ix.Add(d)
-	}
-	return ix
-}

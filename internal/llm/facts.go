@@ -68,10 +68,50 @@ type Candidate struct {
 var (
 	counterLineRe = regexp.MustCompile(`^(POSIX|MPI-IO|STDIO|LUSTRE)\s+(-?\d+)\s+(\d+)\s+([A-Z][A-Z0-9_]+)\s+(-?[0-9.]+)\s+(\S+)\s+(\S+)\s+(\S+)$`)
 	jsonKVRe      = regexp.MustCompile(`"([a-zA-Z0-9_]+)"\s*:\s*(-?[0-9][0-9.eE+-]*|"[^"]*")`)
-	sourceRe      = regexp.MustCompile(`^\[SOURCE ([a-zA-Z0-9_-]+)\]\s*(.*)$`)
 	candidateRe   = regexp.MustCompile(`^=== CANDIDATE (.+) ===$`)
 	summaryRe     = regexp.MustCompile(`^--- SUMMARY (\d+) ---$`)
 )
+
+// matchPrefixed is re.FindStringSubmatch(line) for a pattern anchored at
+// the literal prefix: a line without it cannot match.
+func matchPrefixed(re *regexp.Regexp, prefix, line string) []string {
+	if !strings.HasPrefix(line, prefix) {
+		return nil
+	}
+	return re.FindStringSubmatch(line)
+}
+
+// matchSource reads a "[SOURCE key] body" line, by hand: as a pattern,
+// `^\[SOURCE ([a-zA-Z0-9_-]+)\]\s*(.*)$`, its `(.*)$` tail made the
+// backtracker walk every retrieved chunk, a few KB per self-reflection
+// prompt, to learn that a line ends where it ends.
+func matchSource(line string) (key, body string, ok bool) {
+	rest, ok := strings.CutPrefix(line, "[SOURCE ")
+	if !ok {
+		return "", "", false
+	}
+	n := 0
+	for n < len(rest) && isSourceKeyByte(rest[n]) {
+		n++
+	}
+	if n == 0 || n == len(rest) || rest[n] != ']' {
+		return "", "", false
+	}
+	return rest[:n], strings.TrimLeft(rest[n+1:], " \t\n\f\r"), true // \s is [\t\n\f\r ]
+}
+
+func isSourceKeyByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-'
+}
+
+// matchCounterLine is counterLineRe.FindStringSubmatch(line), skipped
+// unless the line starts like one of the four module names.
+func matchCounterLine(line string) []string {
+	if line == "" || strings.IndexByte("PMSL", line[0]) < 0 {
+		return nil
+	}
+	return counterLineRe.FindStringSubmatch(line)
+}
 
 // ExtractFacts parses the prompt text into a FactSet.
 func ExtractFacts(text string) *FactSet {
@@ -115,15 +155,17 @@ func ExtractFacts(text string) *FactSet {
 		pos := float64(i) / float64(n)
 		trimmed := strings.TrimSpace(line)
 
-		// Section structure first.
-		if m := candidateRe.FindStringSubmatch(trimmed); m != nil {
+		// Section structure first. Each anchored pattern is tried only on
+		// lines that start with its literal prefix, so the other lines
+		// never enter the regexp matcher.
+		if m := matchPrefixed(candidateRe, "=== CANDIDATE ", trimmed); m != nil {
 			flushCandidate()
 			flushSummary()
 			inTruth = false
 			curCandidate = &Candidate{Name: m[1]}
 			continue
 		}
-		if m := summaryRe.FindStringSubmatch(trimmed); m != nil {
+		if m := matchPrefixed(summaryRe, "--- SUMMARY ", trimmed); m != nil {
 			flushCandidate()
 			flushSummary()
 			curSummary = &strings.Builder{}
@@ -139,7 +181,8 @@ func ExtractFacts(text string) *FactSet {
 			continue
 		}
 		if curSummary != nil {
-			curSummary.WriteString(line + "\n")
+			curSummary.WriteString(line)
+			curSummary.WriteByte('\n')
 			continue
 		}
 
@@ -168,11 +211,12 @@ func ExtractFacts(text string) *FactSet {
 			// handled by the chat handler using the raw prompt; record it.
 		}
 		if inFragment && !strings.HasPrefix(trimmed, "FRAGMENT:") {
-			fragment.WriteString(line + "\n")
+			fragment.WriteString(line)
+			fragment.WriteByte('\n')
 		}
 
-		if m := sourceRe.FindStringSubmatch(trimmed); m != nil {
-			f.Sources = append(f.Sources, Source{Key: m[1], Text: m[2], Pos: pos})
+		if key, body, ok := matchSource(trimmed); ok {
+			f.Sources = append(f.Sources, Source{Key: key, Text: body, Pos: pos})
 			continue
 		}
 
@@ -198,8 +242,8 @@ func ExtractFacts(text string) *FactSet {
 			continue
 		}
 
-		// Raw counter lines.
-		if m := counterLineRe.FindStringSubmatch(trimmed); m != nil {
+		// Raw counter lines: POSIX, MPI-IO, STDIO or LUSTRE leads.
+		if m := matchCounterLine(trimmed); m != nil {
 			counter := m[4]
 			val, err := strconv.ParseFloat(m[5], 64)
 			if err != nil {
@@ -218,7 +262,11 @@ func ExtractFacts(text string) *FactSet {
 			continue
 		}
 
-		// JSON key/value pairs.
+		// JSON key/value pairs; a key needs a quote, so a line without one
+		// has none.
+		if strings.IndexByte(line, '"') < 0 {
+			continue
+		}
 		for _, m := range jsonKVRe.FindAllStringSubmatch(line, -1) {
 			key, raw := m[1], m[2]
 			if strings.HasPrefix(raw, `"`) {

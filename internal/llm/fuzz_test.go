@@ -21,14 +21,22 @@ func FuzzParseReport(f *testing.F) {
 	})
 }
 
-// FuzzExtractFacts: fact extraction must never panic on arbitrary prompts.
+// FuzzExtractFacts: fact extraction must never panic on arbitrary prompts,
+// and must read exactly what the unguarded oracle reads.
 func FuzzExtractFacts(f *testing.F) {
 	f.Add(sampleTrace)
 	f.Add("TASK: rank\n=== CANDIDATE x ===\nbody\n")
 	f.Add(`{"a": 1, "b": "s"}`)
 	f.Add("# nprocs: notanumber\nPOSIX\tx\ty\tz\n")
+	// Lines that pass a prefix guard and then fail the pattern, and the
+	// pattern's own edge cases.
+	f.Add("=== CANDIDATE  ===\n=== CANDIDATE x\n  === CANDIDATE y ===  \nbody\n=== END CANDIDATES ===\n")
+	f.Add("TASK: merge\n--- SUMMARY x ---\n--- SUMMARY 12 ---\nISSUE: Small Write I/O Requests\n--- END SUMMARIES ---\n")
+	f.Add("FRAGMENT:\ntext\nEND FRAGMENT\n[SOURCE a-b_1]   body \"k\": 2\n[SOURCE ] none\n[SOURCE x y] none\n")
+	f.Add("POSIX\t-1\t7\tPOSIX_WRITES\t16\t/f\t/\tlustre\nMPI-IO 0 7 MPIIO_INDEP_WRITES 4 /f / lustre\nPOSIX is a word\nSTDIO\nLUSTRE -1 7 LUSTRE_OSTS 8 /f / lustre\n")
 
 	f.Fuzz(func(t *testing.T, text string) {
+		checkFactsAgainstOracle(t, text)
 		facts := ExtractFacts(text)
 		v := NewView(facts)
 		runRules(v) // must not panic either

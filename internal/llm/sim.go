@@ -35,9 +35,9 @@ func (s *SimLLM) Complete(req Request) (Response, error) {
 	}
 	prompt := JoinPrompt(req.Messages)
 	promptTokens := CountTokens(prompt)
-	windowed, truncated := TruncateMiddle(prompt, spec.ContextWindow)
+	windowed, truncated := truncateMiddle(prompt, promptTokens, spec.ContextWindow)
 
-	rng := rand.New(rand.NewSource(s.seed(spec.Name, prompt)))
+	rng := rand.New(&lazySource{sim: s, model: spec.Name, prompt: prompt})
 	facts := ExtractFacts(windowed)
 	s.applyAttention(facts, spec, promptTokens, rng)
 
@@ -82,6 +82,28 @@ func (s *SimLLM) seed(model, prompt string) int64 {
 	h.Write([]byte(prompt))
 	return int64(h.Sum64()) ^ s.ExtraSeed
 }
+
+// lazySource is the per-call random source, seeded from (model, prompt) on
+// the first draw. Most calls never draw (describe has no stochastic step,
+// filter draws only near its threshold, attention spares short prompts),
+// and seeding math/rand's generator costs more than such a call's own
+// work. The draws are those of rand.NewSource(seed), bit for bit.
+type lazySource struct {
+	sim           *SimLLM
+	model, prompt string
+	src           rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.sim.seed(l.model, l.prompt)).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.source().Seed(seed) }
 
 var taskRe = regexp.MustCompile(`(?m)^TASK:\s*([a-z]+)\s*$`)
 

@@ -267,10 +267,3 @@ func clamp01(x float64) float64 {
 	}
 	return x
 }
-
-// QualityScores exposes the judge's three per-criterion quality functions
-// for one diagnosis text — useful for calibration, ablation benches, and
-// debugging rank outcomes.
-func QualityScores(text string, truth issue.Set) (accuracy, utility, interpretability float64) {
-	return accuracyScore(text, truth), utilityScore(text), interpretabilityScore(text)
-}

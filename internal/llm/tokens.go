@@ -33,7 +33,13 @@ const truncMarker = "[... context truncated ...]"
 // on whole lines. It returns the surviving text and whether truncation
 // occurred.
 func TruncateMiddle(text string, max int) (string, bool) {
-	if CountTokens(text) <= max {
+	return truncateMiddle(text, CountTokens(text), max)
+}
+
+// truncateMiddle is TruncateMiddle for a caller that has already counted
+// text's tokens.
+func truncateMiddle(text string, tokens, max int) (string, bool) {
+	if tokens <= max {
 		return text, false
 	}
 	lines := strings.Split(text, "\n")

@@ -39,20 +39,18 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/httptest"
+	"net"
 	"os"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"ioagent/internal/darshan"
 	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/client"
+	"ioagent/internal/fleet/node"
 	"ioagent/internal/fleet/ring"
 	"ioagent/internal/fleet/roster"
-	"ioagent/internal/fleet/server"
 	"ioagent/internal/ioagent"
 	"ioagent/internal/knowledge"
 	"ioagent/internal/llm"
@@ -76,59 +74,33 @@ type report struct {
 	Handoff           map[string]api.HandoffMetrics `json:"handoff_metrics"`
 }
 
-// node is one in-process elastic daemon: pool + roster manager + mux,
-// wired exactly like iofleetd does it (late-bound manager slot for the
-// replication hook, handler swapped in once the manager exists).
-type node struct {
-	pool *fleet.Pool
-	mgr  *roster.Manager
-	srv  *httptest.Server
-	stop context.CancelFunc
+// startNode boots one in-process daemon through node.New; a non-nil rc
+// makes it an elastic member advertising its own listener.
+func startNode(id string, workers int, apiLatency time.Duration, rc *roster.Config) *node.Node {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	n, err := node.New(node.Config{
+		LLM:    llm.WithLatency(llm.NewSim(), apiLatency),
+		Fleet:  fleet.Config{Workers: workers, NodeID: id, Agent: ioagent.Options{Index: knowledge.BuildIndex()}},
+		Roster: rc,
+	}, ln)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return n
 }
 
-func startNode(id string, workers, replicate int, apiLatency time.Duration, peers ...string) *node {
-	var handler atomic.Value
-	handler.Store(http.NotFoundHandler())
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	}))
-
-	var mgrSlot atomic.Pointer[roster.Manager]
-	pool := fleet.New(llm.WithLatency(llm.NewSim(), apiLatency), fleet.Config{
-		Workers: workers,
-		NodeID:  id,
-		Agent:   ioagent.Options{Index: knowledge.BuildIndex()},
-		OnCacheInsert: func(digest string) {
-			if m := mgrSlot.Load(); m != nil {
-				m.CacheInserted(digest)
-			}
-		},
-	})
-
-	mgr := roster.New(roster.Config{
-		SelfURL:    srv.URL,
-		NodeID:     id,
+// elastic is the roster configuration of both fleet members: fast gossip,
+// every diagnosis warm on owner and successor.
+func elastic(peers ...string) *roster.Config {
+	return &roster.Config{
 		Peers:      peers,
 		Interval:   50 * time.Millisecond,
-		Replicate:  replicate,
-		Pool:       pool,
+		Replicate:  2,
 		ClientOpts: []client.Option{client.WithRetry(1, time.Millisecond)},
-	})
-	mgrSlot.Store(mgr)
-	handler.Store(server.NewMux(server.Config{Pool: pool, NodeID: id, Elastic: mgr}))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go mgr.Run(ctx)
-	return &node{pool: pool, mgr: mgr, srv: srv, stop: cancel}
-}
-
-// kill severs the node the way a crash would: gossip stops, open
-// connections break mid-flight, the listener refuses. No drain, no
-// goodbye announce — the rest of the fleet finds out the hard way.
-func (n *node) kill() {
-	n.stop()
-	n.srv.CloseClientConnections()
-	n.srv.Close()
+	}
 }
 
 func waitFor(what string, cond func() bool) {
@@ -195,8 +167,8 @@ func main() {
 	scenarios := darshanScenarios()
 
 	// Phase 0 — seed: one elastic daemon diagnoses everything cold.
-	n1 := startNode("n1", *workers, 2, *apiLatency)
-	c1 := client.New(n1.srv.URL)
+	n1 := startNode("n1", *workers, *apiLatency, elastic())
+	c1 := client.New(n1.URL())
 	seedTraces := make([][]byte, *seedN)
 	digests := make([]string, *seedN)
 	for i := range seedTraces {
@@ -214,14 +186,14 @@ func main() {
 
 	// Phase 1 — live join: n2 enters the roster knowing only n1; the ring
 	// diff hands the moved digests over.
-	n2 := startNode("n2", *workers, 2, *apiLatency, n1.srv.URL)
-	moved := ring.Changed(0, []string{n1.srv.URL}, []string{n1.srv.URL, n2.srv.URL}, digests)
+	n2 := startNode("n2", *workers, *apiLatency, elastic(n1.URL()))
+	moved := ring.Changed(0, []string{n1.URL()}, []string{n1.URL(), n2.URL()}, digests)
 	if len(moved) == 0 {
 		log.Fatal("handoffbench: no digests moved on the join; ring diff is broken")
 	}
 	waitFor("join handoff to complete", func() bool {
-		return n1.mgr.Metrics().EntriesPushed >= int64(len(moved)) &&
-			n2.mgr.Metrics().EntriesReceived >= int64(len(moved))
+		return n1.Roster.Metrics().EntriesPushed >= int64(len(moved)) &&
+			n2.Roster.Metrics().EntriesReceived >= int64(len(moved))
 	})
 
 	movedSet := make(map[string]bool, len(moved))
@@ -235,7 +207,7 @@ func main() {
 		}
 	}
 
-	cluster, err := client.NewCluster([]string{n1.srv.URL, n2.srv.URL},
+	cluster, err := client.NewCluster([]string{n1.URL(), n2.URL()},
 		client.WithRetry(1, 5*time.Millisecond))
 	if err != nil {
 		log.Fatal(err)
@@ -249,19 +221,13 @@ func main() {
 
 	// Phase 2 — recompute baseline: the same moved traces against a fresh
 	// static daemon, i.e. a join without the handoff machinery.
-	basePool := fleet.New(llm.WithLatency(llm.NewSim(), *apiLatency), fleet.Config{
-		Workers: *workers,
-		NodeID:  "base",
-		Agent:   ioagent.Options{Index: knowledge.BuildIndex()},
-	})
-	baseSrv := httptest.NewServer(server.NewMux(server.Config{Pool: basePool, NodeID: "base"}))
-	cb := client.New(baseSrv.URL)
+	base := startNode("base", *workers, *apiLatency, nil)
+	cb := client.New(base.URL())
 	rep.RecomputeBaseline = submitAll(movedTraces, func(trace []byte) (api.Diagnosis, error) {
 		return cb.SubmitAndWait(context.Background(), api.SubmitRequest{Trace: trace})
 	})
 	cb.Close()
-	baseSrv.Close()
-	basePool.Close()
+	base.Close()
 
 	// Phase 3 — kill the owner: fresh diagnoses replicate to the
 	// successor (replicate=2 means owner + one copy on a two-node ring);
@@ -278,10 +244,10 @@ func main() {
 	}
 	waitFor("replicas to land on both nodes", func() bool {
 		for _, d := range freshDigests {
-			if _, ok := n1.pool.CacheEntryFor(d); !ok {
+			if _, ok := n1.Pool.CacheEntryFor(d); !ok {
 				return false
 			}
-			if _, ok := n2.pool.CacheEntryFor(d); !ok {
+			if _, ok := n2.Pool.CacheEntryFor(d); !ok {
 				return false
 			}
 		}
@@ -291,16 +257,19 @@ func main() {
 	// The dead node's share: fresh digests the ring routes to n1 first.
 	var orphaned [][]byte
 	for i, d := range freshDigests {
-		if route := cluster.RouteDigest(d); len(route) > 0 && route[0] == n1.srv.URL {
+		if route := cluster.RouteDigest(d); len(route) > 0 && route[0] == n1.URL() {
 			orphaned = append(orphaned, freshTraces[i])
 		}
 	}
-	rep.Handoff["n1"] = n1.mgr.Metrics() // snapshot before the kill
-	n1.kill()
+	rep.Handoff["n1"] = n1.Roster.Metrics() // snapshot before the kill
+	// Sever it the way a crash would: gossip stops, open connections
+	// break mid-flight, the listener refuses. No drain, no goodbye
+	// announce — the rest of the fleet finds out the hard way.
+	n1.Abort()
 	rep.Kill = submitAll(orphaned, func(trace []byte) (api.Diagnosis, error) {
 		return cluster.SubmitAndWait(context.Background(), api.SubmitRequest{Trace: trace})
 	})
-	rep.Handoff["n2"] = n2.mgr.Metrics()
+	rep.Handoff["n2"] = n2.Roster.Metrics()
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -312,12 +281,7 @@ func main() {
 	}
 	os.Stdout.Write(data)
 
-	n2.stop()
-	n2.srv.Close()
-	n2.mgr.Close()
-	n1.mgr.Close()
-	n1.pool.Close()
-	n2.pool.Close()
+	n2.Close()
 
 	if *enforce {
 		if rep.Join.WarmHitRate < 0.8 {

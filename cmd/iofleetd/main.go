@@ -132,28 +132,22 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"ioagent/internal/fleet"
-	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/fleet/knowledge"
+	"ioagent/internal/fleet/node"
 	"ioagent/internal/fleet/roster"
 	"ioagent/internal/fleet/sched"
-	"ioagent/internal/fleet/server"
-	"ioagent/internal/fleet/store"
-	"ioagent/internal/ioagent"
 	"ioagent/internal/llm"
 )
 
@@ -161,385 +155,147 @@ import (
 // surprises in job-ID prefix parsing.
 var nodeIDPattern = regexp.MustCompile(`^[A-Za-z0-9._-]*$`)
 
+// splitList parses a comma-separated flag value, dropping blanks.
+func splitList(s string) []string {
+	var out []string
+	for _, v := range strings.Split(s, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func main() {
+	// Each flag lands in the node.Config field it configures; only the
+	// list- and pair-valued ones need a parse step after flag.Parse.
+	var cfg node.Config
+	fc, uc, kc, rc := &cfg.Fleet, &cfg.Uploads, &knowledge.Config{}, &roster.Config{}
 	addr := flag.String("addr", ":8080", "listen address")
-	nodeID := flag.String("node-id", "", "this daemon's fleet identity: prefixes job IDs and stamps X-Fleet-Node (required per node in a multi-node fleet; empty for a single daemon)")
-	workers := flag.Int("workers", 4, "concurrent diagnosis workers")
-	queueDepth := flag.Int("queue", 0, "max queued jobs per lane before submits block (0 = 8*workers)")
-	cacheSize := flag.Int("cache-size", 1024, "result cache entries (negative disables)")
-	cacheTTL := flag.Duration("cache-ttl", time.Hour, "result cache entry lifetime")
-	retries := flag.Int("retries", 3, "max diagnosis attempts per job")
-	model := flag.String("model", llm.GPT4o, "diagnosis model")
-	cheap := flag.String("cheap-model", llm.GPT4oMini, "self-reflection filter model")
+	flag.StringVar(&fc.NodeID, "node-id", "", "this daemon's fleet identity: prefixes job IDs and stamps X-Fleet-Node (required per node in a multi-node fleet; empty for a single daemon)")
+	flag.IntVar(&fc.Workers, "workers", 4, "concurrent diagnosis workers")
+	flag.IntVar(&fc.QueueDepth, "queue", 0, "max queued jobs per lane before submits block (0 = 8*workers)")
+	flag.IntVar(&fc.CacheSize, "cache-size", 1024, "result cache entries (negative disables)")
+	flag.DurationVar(&fc.CacheTTL, "cache-ttl", time.Hour, "result cache entry lifetime")
+	flag.IntVar(&fc.MaxAttempts, "retries", 3, "max diagnosis attempts per job")
+	flag.StringVar(&fc.Agent.Model, "model", llm.GPT4o, "diagnosis model")
+	flag.StringVar(&fc.Agent.CheapModel, "cheap-model", llm.GPT4oMini, "self-reflection filter model")
 	apiLatency := flag.Duration("api-latency", 0, "simulated model API round-trip latency")
-	maxBody := flag.Int64("max-body", 64<<20, "max trace upload size in bytes (exceeding it returns trace_too_large)")
-	batchShare := flag.Int("batch-share", 0, "1 in N worker slots goes to the batch lane under interactive load (0 = default 4, negative = strict interactive priority)")
-	breaker := flag.Int("breaker", 8, "circuit breaker: consecutive transient LLM failures before new work fails fast (0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker waits before a half-open probe")
-	tenantMaxInflight := flag.Int("tenant-max-inflight", 0, "max unfinished jobs per tenant; beyond it submissions refuse with quota_exceeded (0 disables)")
+	flag.Int64Var(&cfg.MaxBody, "max-body", 64<<20, "max trace upload size in bytes (exceeding it returns trace_too_large)")
+	flag.IntVar(&fc.BatchShare, "batch-share", 0, "1 in N worker slots goes to the batch lane under interactive load (0 = default 4, negative = strict interactive priority)")
+	flag.IntVar(&fc.BreakerThreshold, "breaker", 8, "circuit breaker: consecutive transient LLM failures before new work fails fast (0 disables)")
+	flag.DurationVar(&fc.BreakerCooldown, "breaker-cooldown", 5*time.Second, "how long an open breaker waits before a half-open probe")
+	flag.IntVar(&fc.TenantMaxInflight, "tenant-max-inflight", 0, "max unfinished jobs per tenant; beyond it submissions refuse with quota_exceeded (0 disables)")
 	tenantWeights := flag.String("tenant-weights", "", "comma-separated tenant=weight pairs pinning explicit DRR dequeue weights (e.g. acme=8,guest=1)")
 	sloClasses := flag.String("slo-classes", "", "comma-separated tenant=class pairs assigning SLO classes: gold (8x, 2s target), silver (4x, 10s), bronze (1x, 60s)")
-	sloAdmission := flag.Bool("slo-admission", false, "refuse submissions whose projected queue age exceeds the tenant's SLO class target (retryable slo_exceeded)")
-	schedFIFO := flag.Bool("sched-fifo", false, "tenant-blind baseline: drain each lane in arrival order, ignoring weights, classes, and admission")
-	uploadTTL := flag.Duration("upload-ttl", time.Hour, "idle upload sessions expire after this long")
-	maxUploads := flag.Int("max-uploads", 64, "max concurrently open upload sessions")
-	semCache := flag.Bool("semcache", false, "serve near-duplicate traces from a similarity-matched cached diagnosis (gated by confidence)")
-	simThreshold := flag.Float64("sim-threshold", 0.85, "minimum feature-vector cosine similarity for a reuse candidate (with -semcache)")
-	gateModel := flag.String("gate-model", llm.GPT4oMini, "judge model for the reuse confidence gate and tier self-checks")
+	flag.BoolVar(&fc.SLOAdmission, "slo-admission", false, "refuse submissions whose projected queue age exceeds the tenant's SLO class target (retryable slo_exceeded)")
+	flag.BoolVar(&fc.SchedFIFO, "sched-fifo", false, "tenant-blind baseline: drain each lane in arrival order, ignoring weights, classes, and admission")
+	flag.DurationVar(&uc.TTL, "upload-ttl", time.Hour, "idle upload sessions expire after this long")
+	flag.IntVar(&uc.MaxSessions, "max-uploads", 64, "max concurrently open upload sessions")
+	flag.BoolVar(&fc.SemCache, "semcache", false, "serve near-duplicate traces from a similarity-matched cached diagnosis (gated by confidence)")
+	flag.Float64Var(&fc.SimThreshold, "sim-threshold", 0.85, "minimum feature-vector cosine similarity for a reuse candidate (with -semcache)")
+	flag.StringVar(&fc.GateModel, "gate-model", llm.GPT4oMini, "judge model for the reuse confidence gate and tier self-checks")
 	tierModels := flag.String("tier-models", "", "comma-separated model ladder, cheapest first; fresh diagnoses escalate on low self-check confidence (empty disables)")
-	tierThreshold := flag.Float64("tier-threshold", 0, "self-check score below which a diagnosis escalates to the next rung (0 = default 0.6)")
-	tierBudget := flag.Float64("tier-budget", 0, "total simulated LLM spend in USD after which escalation stops (0 = unlimited)")
-	stateDir := flag.String("state-dir", "", "directory for the job journal, cache snapshot, and upload spool (empty = in-memory only)")
-	snapInterval := flag.Duration("snapshot-interval", 30*time.Second, "cache snapshot + journal compaction cadence (with -state-dir)")
-	fsync := flag.String("fsync", "always", "journal durability: always (fsync per record), batch (fsync at checkpoints), off")
+	flag.Float64Var(&fc.TierThreshold, "tier-threshold", 0, "self-check score below which a diagnosis escalates to the next rung (0 = default 0.6)")
+	flag.Float64Var(&fc.TierBudgetUSD, "tier-budget", 0, "total simulated LLM spend in USD after which escalation stops (0 = unlimited)")
+	flag.StringVar(&cfg.StateDir, "state-dir", "", "directory for the job journal, cache snapshot, and upload spool (empty = in-memory only)")
+	flag.DurationVar(&cfg.SnapshotInterval, "snapshot-interval", 30*time.Second, "cache snapshot + journal compaction cadence (with -state-dir)")
+	flag.StringVar(&cfg.Fsync, "fsync", "always", "journal durability: always (fsync per record), batch (fsync at checkpoints), off")
 	knowledgeOn := flag.Bool("knowledge", false, "serve the fleet knowledge plane: the RAG corpus becomes a live, epoch-versioned subsystem with /v1/knowledge endpoints")
 	knowledgeMembers := flag.String("knowledge-members", "", "comma-separated fleet node IDs to ring-shard the corpus over (requires -node-id; empty = this node indexes everything)")
-	knowledgeReplicas := flag.Int("knowledge-replicas", 2, "ring copies per document when sharded: the owner plus N-1 successors index it")
-	knowledgeState := flag.String("knowledge-state", "", "directory for the knowledge WAL and corpus snapshot (default: -state-dir; empty without it = in-memory only)")
-	ann := flag.Bool("ann", false, "use the HNSW approximate-nearest-neighbor index for knowledge retrieval (exact scan stays the fallback)")
+	flag.IntVar(&kc.Replicas, "knowledge-replicas", 2, "ring copies per document when sharded: the owner plus N-1 successors index it")
+	flag.StringVar(&cfg.KnowledgeStateDir, "knowledge-state", "", "directory for the knowledge WAL and corpus snapshot (default: -state-dir; empty without it = in-memory only)")
+	flag.BoolVar(&kc.ANN, "ann", false, "use the HNSW approximate-nearest-neighbor index for knowledge retrieval (exact scan stays the fallback)")
 	rerankModel := flag.String("rerank-model", "", "cheap model that reranks retrieved chunks before reflection (empty disables)")
 	advertise := flag.String("advertise", "", "this daemon's base URL in the elastic roster, e.g. http://10.0.0.1:8080; \"auto\" advertises the resolved -addr (empty = static fleet member)")
 	peers := flag.String("peers", "", "comma-separated seed peer base URLs to announce to (with -advertise); the full roster arrives by gossip")
-	rosterInterval := flag.Duration("roster-interval", 2*time.Second, "gossip cadence; members silent for 4 intervals expire from the roster")
-	replicate := flag.Int("replicate", 0, "keep each cached diagnosis warm on N ring members (owner + N-1 successors); 0 or 1 disables replication")
+	flag.DurationVar(&rc.Interval, "roster-interval", 2*time.Second, "gossip cadence; members silent for 4 intervals expire from the roster")
+	flag.IntVar(&rc.Replicate, "replicate", 0, "keep each cached diagnosis warm on N ring members (owner + N-1 successors); 0 or 1 disables replication")
 	flag.Parse()
 
-	if !nodeIDPattern.MatchString(*nodeID) {
-		log.Fatalf("iofleetd: -node-id %q: only letters, digits, '.', '_', '-' are allowed", *nodeID)
+	if !nodeIDPattern.MatchString(fc.NodeID) {
+		log.Fatalf("iofleetd: -node-id %q: only letters, digits, '.', '_', '-' are allowed", fc.NodeID)
 	}
-	cfg := fleet.Config{
-		NodeID:            *nodeID,
-		Workers:           *workers,
-		QueueDepth:        *queueDepth,
-		CacheSize:         *cacheSize,
-		CacheTTL:          *cacheTTL,
-		MaxAttempts:       *retries,
-		BatchShare:        *batchShare,
-		BreakerThreshold:  *breaker,
-		BreakerCooldown:   *breakerCooldown,
-		TenantMaxInflight: *tenantMaxInflight,
-		Agent:             ioagent.Options{Model: *model, CheapModel: *cheap},
-		SemCache:          *semCache,
-		SimThreshold:      *simThreshold,
-		GateModel:         *gateModel,
-		TierThreshold:     *tierThreshold,
-		TierBudgetUSD:     *tierBudget,
-		SLOAdmission:      *sloAdmission,
-		SchedFIFO:         *schedFIFO,
+	cfg.LLM = llm.WithLatency(llm.NewSim(), *apiLatency)
+	fc.TierModels = splitList(*tierModels)
+	// Permanent job failures surface on the wire only as the stable
+	// diagnosis_failed code; the real error chain lands here, server-side.
+	fc.OnJobEvent = func(ev fleet.Event) {
+		if ev.Kind == fleet.EventFailed {
+			log.Printf("iofleetd: job %s (%s lane) failed: %s", ev.Job.ID, ev.Job.Lane, ev.Job.Error)
+		}
 	}
 	if *tenantWeights != "" {
-		cfg.TenantWeights = make(map[string]int)
+		fc.TenantWeights = make(map[string]int)
 		for _, pair := range strings.Split(*tenantWeights, ",") {
 			tenant, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
 			w, err := strconv.Atoi(val)
 			if !ok || tenant == "" || err != nil || w < 1 {
 				log.Fatalf("iofleetd: -tenant-weights entry %q: want tenant=N with N >= 1", pair)
 			}
-			cfg.TenantWeights[tenant] = w
+			fc.TenantWeights[tenant] = w
 		}
 	}
 	if *sloClasses != "" {
 		// Validate against the built-in ladder here: the pool treats an
 		// unknown class at construction as a programming error.
 		known := sched.BuiltinClasses()
-		cfg.TenantClasses = make(map[string]string)
+		fc.TenantClasses = make(map[string]string)
 		for _, pair := range strings.Split(*sloClasses, ",") {
 			tenant, class, ok := strings.Cut(strings.TrimSpace(pair), "=")
 			if _, have := known[class]; !ok || tenant == "" || !have {
 				log.Fatalf("iofleetd: -slo-classes entry %q: want tenant=gold|silver|bronze", pair)
 			}
-			cfg.TenantClasses[tenant] = class
+			fc.TenantClasses[tenant] = class
 		}
 	}
-	if *tierModels != "" {
-		for _, m := range strings.Split(*tierModels, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				cfg.TierModels = append(cfg.TierModels, m)
-			}
-		}
-	}
-	// Permanent job failures surface on the wire only as the stable
-	// diagnosis_failed code; the real error chain lands here, server-side.
-	cfg.OnJobEvent = func(ev fleet.Event) {
-		if ev.Kind == fleet.EventFailed {
-			log.Printf("iofleetd: job %s (%s lane) failed: %s", ev.Job.ID, ev.Job.Lane, ev.Job.Error)
-		}
-	}
-
-	var st *store.Store
-	if *stateDir != "" {
-		mode := store.FsyncMode(*fsync)
-		switch mode {
-		case store.FsyncAlways, store.FsyncBatch, store.FsyncOff:
-		default:
-			log.Fatalf("iofleetd: -fsync must be always, batch, or off (got %q)", *fsync)
-		}
-		var err error
-		st, err = store.Open(*stateDir, store.Options{Fsync: mode})
-		if err != nil {
-			log.Fatal(err)
-		}
-		logFailed := cfg.OnJobEvent
-		cfg.OnJobEvent = func(ev fleet.Event) {
-			logFailed(ev)
-			st.OnJobEvent(ev)
-		}
-		cfg.OnCacheInsert = st.CacheChanged
-		cfg.OnCacheEvict = st.CacheChanged
-	}
-
-	if *advertise == "" && (*peers != "" || *replicate > 1) {
-		log.Fatal("iofleetd: -peers and -replicate require -advertise (the URL this daemon joins the roster as)")
-	}
-	// The roster manager needs the pool and the pool's OnCacheInsert hook
-	// needs the manager (successor replication), so the manager late-binds
-	// through an atomic slot: inserts that land before it exists simply
-	// don't replicate.
-	var mgrSlot atomic.Pointer[roster.Manager]
-	if *advertise != "" {
-		prevInsert := cfg.OnCacheInsert
-		cfg.OnCacheInsert = func(digest string) {
-			if prevInsert != nil {
-				prevInsert(digest)
-			}
-			if m := mgrSlot.Load(); m != nil {
-				m.CacheInserted(digest)
-			}
-		}
-	}
-
-	llmClient := llm.WithLatency(llm.NewSim(), *apiLatency)
-
-	// The knowledge plane: the RAG corpus as a served subsystem. Its WAL
-	// and snapshot live in their own sidecar files (default: -state-dir),
-	// so corpus epochs survive SIGKILL independently of the job journal.
-	// Replay happens before the pool exists — ReplayUpsert/ReplaySwap
-	// never emit events, so wiring OnEvent up front cannot re-journal the
-	// recovery.
-	var ks *store.KnowledgeStore
 	if *knowledgeOn {
-		kcfg := knowledge.Config{
-			NodeID:   *nodeID,
-			Replicas: *knowledgeReplicas,
-			ANN:      *ann,
-		}
-		for _, m := range strings.Split(*knowledgeMembers, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				kcfg.Members = append(kcfg.Members, m)
-			}
-		}
-		if len(kcfg.Members) > 0 && *nodeID == "" {
+		kc.Members = splitList(*knowledgeMembers)
+		if len(kc.Members) > 0 && fc.NodeID == "" {
 			log.Fatal("iofleetd: -knowledge-members requires -node-id (the shard this daemon owns)")
 		}
 		if *rerankModel != "" {
-			kcfg.Reranker = &knowledge.LLMReranker{Client: llmClient, Model: *rerankModel}
+			kc.Reranker = &knowledge.LLMReranker{Client: cfg.LLM, Model: *rerankModel}
 		}
-		kdir := *knowledgeState
-		if kdir == "" {
-			kdir = *stateDir
+		cfg.Knowledge = kc
+	}
+	if *advertise == "" && (*peers != "" || rc.Replicate > 1) {
+		log.Fatal("iofleetd: -peers and -replicate require -advertise (the URL this daemon joins the roster as)")
+	}
+	if *advertise != "" {
+		rc.Peers = splitList(*peers)
+		if *advertise != "auto" {
+			// "auto" leaves SelfURL to the node: the resolved listen
+			// address, a dialable base URL given an explicit host.
+			rc.SelfURL = *advertise
 		}
-		if kdir != "" {
-			var kerr error
-			ks, kerr = store.OpenKnowledge(kdir, store.Options{Fsync: store.FsyncMode(*fsync)})
-			if kerr != nil {
-				log.Fatalf("iofleetd: %v", kerr)
-			}
-			kcfg.OnEvent = ks.OnEvent
-		}
-		plane := knowledge.New(kcfg)
-		if ks != nil {
-			ks.Replay(plane)
-			if ks.HasRecovered() {
-				log.Printf("iofleetd: knowledge plane recovered from %s: epoch %d, %d documents", kdir, plane.Epoch(), plane.Metrics().Docs)
-			}
-		}
-		cfg.Knowledge = plane
+		cfg.Roster = rc
 	}
 
-	pool := fleet.New(llmClient, cfg)
-
-	// The streaming ingest manager: with -state-dir its sessions spool to
-	// disk and its opens ride the journal, so half-finished uploads
-	// survive a restart.
-	ingestCfg := ingest.Config{
-		NodeID: *nodeID, MaxBytes: *maxBody,
-		MaxSessions: *maxUploads, TTL: *uploadTTL,
-	}
-	if st != nil {
-		ingestCfg.SpoolDir = st.UploadDir()
-		ingestCfg.OnEvent = st.OnUploadEvent
-	}
-	uploads, err := ingest.NewManager(ingestCfg)
-	if err != nil {
-		log.Fatalf("iofleetd: %v", err)
-	}
-
-	if st != nil {
-		restored, resubmitted, err := st.Replay(pool)
-		if err != nil {
-			log.Fatalf("iofleetd: replay: %v", err)
-		}
-		revived, err := st.ReplayUploads(uploads)
-		if err != nil {
-			log.Fatalf("iofleetd: replay uploads: %v", err)
-		}
-		log.Printf("iofleetd: recovered state from %s: %d cached diagnoses restored, %d unfinished jobs resubmitted, %d upload sessions revived",
-			st.Dir(), restored, resubmitted, revived)
-	}
-
-	// Listen explicitly (rather than ListenAndServe) so ":0" resolves to a
-	// real port in the startup log — the e2e recovery test depends on it —
-	// and so `-advertise auto` can name the resolved address.
+	// Listen explicitly so ":0" resolves to a real port in the startup log
+	// (the e2e recovery test depends on it) and in -advertise auto.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Elastic membership: gossip with seed peers, hand cache shards to new
-	// owners on ring changes, replicate inserts to ring successors. The
-	// manager starts after recovery so a restarted daemon rejoins with its
-	// restored cache already in place — the first ring change hands the
-	// right entries over.
-	var mgr *roster.Manager
-	var stopRoster context.CancelFunc
-	if *advertise != "" {
-		selfURL := *advertise
-		if selfURL == "auto" {
-			// The resolved listen address; with an explicit host
-			// (-addr 127.0.0.1:0) this is a dialable base URL.
-			selfURL = "http://" + ln.Addr().String()
-		}
-		rcfg := roster.Config{
-			SelfURL:   selfURL,
-			NodeID:    *nodeID,
-			Interval:  *rosterInterval,
-			Replicate: *replicate,
-			Pool:      pool,
-		}
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				rcfg.Peers = append(rcfg.Peers, p)
-			}
-		}
-		rcfg.OnChange = func(added, removed []string) {
-			log.Printf("iofleetd: roster change: +%v -%v", added, removed)
-			if st != nil {
-				// Audit trail: the journal answers "when did the ring
-				// change under this daemon" after an incident.
-				for _, u := range added {
-					st.MemberJoined(u)
-				}
-				for _, u := range removed {
-					st.MemberLeft(u)
-				}
-			}
-		}
-		mgr = roster.New(rcfg)
-		mgrSlot.Store(mgr)
-		var rctx context.Context
-		rctx, stopRoster = context.WithCancel(context.Background())
-		go mgr.Run(rctx)
-		log.Printf("iofleetd: elastic member %s (peers %v, replicate %d)", rcfg.SelfURL, rcfg.Peers, *replicate)
+	n, err := node.New(cfg, ln)
+	if err != nil {
+		log.Fatalf("iofleetd: %v", err)
 	}
-
-	// draining flips when SIGTERM/SIGINT arrives: new submissions are
-	// refused (and the refusal journaled) instead of being accepted into a
-	// pool that is about to stop.
-	var draining atomic.Bool
-	srvCfg := server.Config{
-		Pool: pool, Store: st, Uploads: uploads, Draining: &draining,
-		MaxBody: *maxBody, NodeID: *nodeID,
-	}
-	if st != nil {
-		// Runtime class changes (POST /v1/sched/tenants) ride the journal,
-		// so a restarted daemon replays them before resubmitting backlog.
-		srvCfg.OnTenantClass = st.TenantClass
-	}
-	if mgr != nil {
-		srvCfg.Elastic = mgr // a typed-nil manager must not enable the roster endpoints
-	}
-	mux := server.NewMux(srvCfg)
-	srv := &http.Server{Handler: mux}
-
-	// Periodic checkpoints: snapshot the cache when it changed, compact
-	// the journal. Stopped on drain; the final checkpoint below covers the
-	// tail.
-	stopCheckpoints := make(chan struct{})
-	if st != nil || ks != nil {
-		go func() {
-			tick := time.NewTicker(*snapInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					uploads.Sweep() // expire idle upload sessions
-					if st != nil {
-						if err := st.Checkpoint(pool); err != nil {
-							log.Printf("iofleetd: checkpoint: %v", err)
-						}
-					}
-					// Collapse the knowledge WAL only when it grew; an idle
-					// corpus costs zero write traffic.
-					if ks != nil && ks.Appended() > 0 {
-						if err := ks.Checkpoint(pool.Knowledge()); err != nil {
-							log.Printf("iofleetd: knowledge checkpoint: %v", err)
-						}
-					}
-				case <-stopCheckpoints:
-					return
-				}
-			}
-		}()
-	}
-
-	drained := make(chan struct{})
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		draining.Store(true)
-		log.Print("iofleetd: draining pool and shutting down")
-		if err := srv.Shutdown(context.Background()); err != nil {
-			log.Printf("iofleetd: shutdown: %v", err)
-		}
-		close(drained)
-	}()
 	nodeNote := ""
-	if *nodeID != "" {
-		nodeNote = " as node " + *nodeID
+	if fc.NodeID != "" {
+		nodeNote = " as node " + fc.NodeID
 	}
-	log.Printf("iofleetd: listening on %s%s (%d workers, model %s)", ln.Addr(), nodeNote, *workers, *model)
-	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		log.Fatal(err)
-	}
-	<-drained // let in-flight responses finish before tearing the pool down
-	if mgr != nil {
-		// Gossip and replication stop before the pool: both read from it.
-		stopRoster()
-		mgr.Close()
-	}
-	pool.Close()
-	if st != nil || ks != nil {
-		close(stopCheckpoints)
-	}
-	if ks != nil {
-		if err := ks.Checkpoint(pool.Knowledge()); err != nil {
-			log.Printf("iofleetd: final knowledge checkpoint: %v", err)
+	log.Printf("iofleetd: listening on %s%s (%d workers, model %s)", ln.Addr(), nodeNote, fc.Workers, fc.Agent.Model)
+	go func() {
+		if err := n.Wait(); err != nil {
+			log.Fatal(err)
 		}
-		if err := ks.Close(); err != nil {
-			log.Printf("iofleetd: close knowledge store: %v", err)
-		}
-	}
-	if st != nil {
-		// The pool has drained: every journaled job is covered, so this
-		// snapshots the final cache and compacts the journal to (at most)
-		// jobs that failed permanently mid-drain — normally to empty.
-		if err := st.FinalCheckpoint(pool); err != nil {
-			log.Printf("iofleetd: final checkpoint: %v", err)
-		}
-		if err := st.Close(); err != nil {
-			log.Printf("iofleetd: close store: %v", err)
-		}
-		log.Printf("iofleetd: state persisted to %s", st.Dir())
-	}
+	}()
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	log.Print("iofleetd: draining pool and shutting down")
+	n.Close()
 }

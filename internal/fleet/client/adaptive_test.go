@@ -13,8 +13,7 @@ import (
 )
 
 // TestAdaptiveBackoffWidensWithErrorRate: with a fully failing recent
-// window the retry delay is 4x the fixed-doubling schedule; with
-// adaptive backoff disabled it is exactly the fixed schedule.
+// window the retry delay is 4x the fixed-doubling schedule.
 func TestAdaptiveBackoffWidensWithErrorRate(t *testing.T) {
 	alwaysDraining := func(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.Errorf(api.CodeDraining, "draining"))
@@ -26,15 +25,8 @@ func TestAdaptiveBackoffWidensWithErrorRate(t *testing.T) {
 	sleptA := instantSleep(adaptive)
 	adaptive.Metrics(context.Background()) // fails; we want the schedule
 
-	fixed := New(srv.URL, WithRetry(3, base), WithAdaptiveBackoff(false))
-	sleptF := instantSleep(fixed)
-	fixed.Metrics(context.Background())
-
-	if len(*sleptA) != 2 || len(*sleptF) != 2 {
-		t.Fatalf("schedules %v / %v, want 2 sleeps each", *sleptA, *sleptF)
-	}
-	if (*sleptF)[0] != base || (*sleptF)[1] != 2*base {
-		t.Errorf("fixed schedule = %v, want [%v %v]", *sleptF, base, 2*base)
+	if len(*sleptA) != 2 {
+		t.Fatalf("schedule %v, want 2 sleeps", *sleptA)
 	}
 	// Every attempt failed, so the observed rate is 1.0 and the widening
 	// factor is 1+3*1 = 4.

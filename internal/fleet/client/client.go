@@ -68,14 +68,6 @@ func WithPollInterval(d time.Duration) Option {
 // ricocheting submissions forever. Plain SDK users never need it.
 func WithForwardedBy(id string) Option { return func(c *Client) { c.forwardedBy = id } }
 
-// WithAdaptiveBackoff toggles error-rate-adaptive backoff (default on):
-// the base exponential delay is widened by the transient-failure rate
-// observed over the client's recent attempts, so a client talking to a
-// struggling server backs off harder than one that hit a single blip —
-// instead of every client doubling in lockstep. Servers' Retry-After
-// hints are honored as a floor either way.
-func WithAdaptiveBackoff(enabled bool) Option { return func(c *Client) { c.adaptiveOff = !enabled } }
-
 // WithBreaker arms a client-side circuit breaker mirroring the pool's:
 // after threshold consecutive retryable failures, calls fail fast with
 // ErrBreakerOpen — no dial, no retry budget — until cooldown elapses and
@@ -121,7 +113,6 @@ type Client struct {
 	maxDelay    time.Duration
 	poll        time.Duration
 	forwardedBy string
-	adaptiveOff bool
 	brk         *clientBreaker // nil unless WithBreaker armed it
 	window      outcomeWindow  // recent-attempt outcomes for adaptive backoff
 	// ringReplicas is only read by Cluster, which builds its ring from
@@ -304,17 +295,16 @@ func (c *Client) observe(err error) {
 }
 
 // nextDelay shapes the base exponential delay for this retry: widened by
-// the observed transient-error rate (unless adaptive backoff is off),
-// then floored by any server-sent Retry-After hint.
+// the transient-failure rate observed over the client's recent attempts —
+// a client talking to a struggling server backs off harder than one that
+// hit a single blip, instead of every client doubling in lockstep — then
+// floored by any server-sent Retry-After hint.
 func (c *Client) nextDelay(base time.Duration, err error) time.Duration {
-	d := base
-	if !c.adaptiveOff {
-		// rate 0 leaves the exponential schedule untouched; a fully
-		// failing window quadruples it (on top of the doubling).
-		d = time.Duration(float64(d) * (1 + 3*c.window.rate()))
-		if d > c.maxDelay {
-			d = c.maxDelay
-		}
+	// rate 0 leaves the exponential schedule untouched; a fully failing
+	// window quadruples it (on top of the doubling).
+	d := time.Duration(float64(base) * (1 + 3*c.window.rate()))
+	if d > c.maxDelay {
+		d = c.maxDelay
 	}
 	if ra := retryAfterIn(err); ra > d {
 		d = ra // the server's own hint outranks the cap: it knows

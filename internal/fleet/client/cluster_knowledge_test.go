@@ -1,18 +1,16 @@
-package client
+package client_test
 
 import (
 	"context"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
-	fleetknowledge "ioagent/internal/fleet/knowledge"
-	"ioagent/internal/fleet/server"
-	"ioagent/internal/ioagent"
-	"ioagent/internal/knowledge"
-	"ioagent/internal/llm"
+	"ioagent/internal/fleet/client"
+	"ioagent/internal/fleet/fleettest"
+	"ioagent/internal/fleet/knowledge"
+	"ioagent/internal/fleet/node"
 	"ioagent/internal/vectordb"
 )
 
@@ -28,23 +26,14 @@ func knowledgeSeed() []vectordb.Document {
 // startKnowledgeNodes boots daemons whose pools carry ring-sharded
 // knowledge planes: Replicas 1 so each document is indexed by exactly one
 // node and the cluster search genuinely merges shards.
-func startKnowledgeNodes(t *testing.T, ids ...string) []*clusterNode {
+func startKnowledgeNodes(t *testing.T, ids ...string) []*node.Node {
 	t.Helper()
-	index := knowledge.BuildIndex()
-	nodes := make([]*clusterNode, len(ids))
+	nodes := make([]*node.Node, len(ids))
 	for i, id := range ids {
-		plane := fleetknowledge.New(fleetknowledge.Config{
-			NodeID: id, Members: ids, Replicas: 1, Seed: knowledgeSeed(),
+		nodes[i] = fleettest.Start(t, node.Config{
+			Fleet:     fleet.Config{Workers: 1, NodeID: id},
+			Knowledge: &knowledge.Config{Members: ids, Replicas: 1, Seed: knowledgeSeed()},
 		})
-		pool := fleet.New(llm.NewSim(), fleet.Config{
-			Workers: 1, NodeID: id,
-			Agent:     ioagent.Options{Index: index},
-			Knowledge: plane,
-		})
-		srv := httptest.NewServer(server.NewMux(server.Config{Pool: pool, NodeID: id}))
-		nodes[i] = &clusterNode{id: id, pool: pool, srv: srv}
-		t.Cleanup(pool.Close)
-		t.Cleanup(srv.Close)
 	}
 	return nodes
 }
@@ -70,12 +59,12 @@ func TestClusterKnowledgeShardedSearchAndSwap(t *testing.T) {
 	}
 	perNode := 0
 	for _, n := range nodes {
-		m := n.pool.Knowledge().Metrics()
+		m := n.Pool.Knowledge().Metrics()
 		if m.Docs != 4 {
-			t.Fatalf("node %s full view = %d docs, want 4", n.id, m.Docs)
+			t.Fatalf("node %s full view = %d docs, want 4", n.ID, m.Docs)
 		}
 		if m.OwnedDocs == 4 {
-			t.Fatalf("node %s owns the whole corpus; sharding is not in effect", n.id)
+			t.Fatalf("node %s owns the whole corpus; sharding is not in effect", n.ID)
 		}
 		perNode += m.OwnedDocs
 	}
@@ -136,7 +125,7 @@ func TestClusterKnowledgeShardedSearchAndSwap(t *testing.T) {
 	}
 
 	// A swap that reaches one node only must surface as skew.
-	c1 := New(nodes[0].srv.URL, WithRetry(1, time.Millisecond))
+	c1 := client.New(nodes[0].URL(), client.WithRetry(1, time.Millisecond))
 	t.Cleanup(c1.Close)
 	if _, err := c1.KnowledgeUpsert(ctx, api.KnowledgeUpsertRequest{Remove: []string{"kb-burst"}}); err != nil {
 		t.Fatal(err)

@@ -1,100 +1,43 @@
 package roster_test
 
-// Integration tests for the elastic-cluster layer: each "node" is a real
-// pool behind a real server mux, with a Manager gossiping over live HTTP
-// — the same wiring iofleetd assembles. Intervals are milliseconds so
-// convergence is fast; assertions poll with a deadline instead of
-// assuming lockstep rounds.
+// Integration tests for the elastic-cluster layer: each node is booted by
+// node.New, with its Manager gossiping over live HTTP. Intervals are
+// milliseconds so convergence is fast; assertions poll with a deadline
+// instead of assuming lockstep rounds.
 
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/client"
+	"ioagent/internal/fleet/fleettest"
+	"ioagent/internal/fleet/node"
 	"ioagent/internal/fleet/ring"
 	"ioagent/internal/fleet/roster"
-	"ioagent/internal/fleet/server"
-	"ioagent/internal/ioagent"
-	"ioagent/internal/knowledge"
-	"ioagent/internal/llm"
 )
 
 const testInterval = 20 * time.Millisecond
 
-// node is one in-process elastic daemon.
-type node struct {
-	pool *fleet.Pool
-	mgr  *roster.Manager
-	srv  *httptest.Server
-	stop context.CancelFunc
-}
-
-func (n *node) URL() string { return n.srv.URL }
-
-// startNode boots a pool + manager + server whose advertised URL is its
-// live httptest address. The handler is swapped in after the server
-// starts because the manager needs the URL and the mux needs the manager.
-func startNode(t *testing.T, replicate int, peers ...string) *node {
+// startNode boots an elastic node (internal/fleet/node, the wiring
+// iofleetd runs) that advertises its own listener and gossips with peers.
+func startNode(t *testing.T, replicate int, peers ...string) *node.Node {
 	t.Helper()
-	var handler atomic.Value // http.Handler
-	handler.Store(http.NotFoundHandler())
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-
-	var mgrSlot atomic.Pointer[roster.Manager]
-	pool := fleet.New(llm.NewSim(), fleet.Config{
-		Workers:  2,
-		SemCache: true,
-		Agent:    ioagent.Options{Index: knowledge.BuildIndex()},
-		OnCacheInsert: func(digest string) {
-			if m := mgrSlot.Load(); m != nil {
-				m.CacheInserted(digest)
-			}
+	return fleettest.Start(t, node.Config{
+		Fleet: fleet.Config{SemCache: true},
+		Roster: &roster.Config{
+			Peers:     peers,
+			Interval:  testInterval,
+			TTL:       8 * testInterval,
+			Replicate: replicate,
+			// One fast attempt: gossip tolerates failures, and tests kill
+			// nodes on purpose.
+			ClientOpts: []client.Option{client.WithRetry(1, time.Millisecond)},
 		},
 	})
-	t.Cleanup(pool.Close)
-
-	mgr := roster.New(roster.Config{
-		SelfURL:   srv.URL,
-		Peers:     peers,
-		Interval:  testInterval,
-		TTL:       8 * testInterval,
-		Replicate: replicate,
-		Pool:      pool,
-		// One fast attempt: gossip tolerates failures, and tests kill
-		// nodes on purpose.
-		ClientOpts: []client.Option{client.WithRetry(1, time.Millisecond)},
-	})
-	t.Cleanup(mgr.Close)
-	mgrSlot.Store(mgr)
-	handler.Store(server.NewMux(server.Config{Pool: pool, Elastic: mgr}))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go mgr.Run(ctx)
-	return &node{pool: pool, mgr: mgr, srv: srv, stop: cancel}
-}
-
-// waitFor polls cond until it holds or the deadline expires.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func rosterSize(m *roster.Manager) int { return len(m.Snapshot().Members) }
@@ -105,8 +48,8 @@ func TestRosterGossipConvergence(t *testing.T) {
 	n2 := startNode(t, 0, n1.URL())
 	n3 := startNode(t, 0, n1.URL())
 
-	for _, n := range []*node{n1, n2, n3} {
-		waitFor(t, "3-member roster on every node", func() bool { return rosterSize(n.mgr) == 3 })
+	for _, n := range []*node.Node{n1, n2, n3} {
+		fleettest.WaitFor(t, "3-member roster on every node", func() bool { return rosterSize(n.Roster) == 3 })
 	}
 
 	// The wire view agrees: GET /v1/roster through the SDK.
@@ -134,14 +77,8 @@ func TestRosterGossipConvergence(t *testing.T) {
 }
 
 func TestRosterStaticDaemonDisabled(t *testing.T) {
-	pool := fleet.New(llm.NewSim(), fleet.Config{
-		Workers: 1,
-		Agent:   ioagent.Options{Index: knowledge.BuildIndex()},
-	})
-	defer pool.Close()
-	srv := httptest.NewServer(server.NewMux(server.Config{Pool: pool}))
-	defer srv.Close()
-	c := client.New(srv.URL)
+	n := fleettest.Start(t, node.Config{})
+	c := client.New(n.URL())
 	defer c.Close()
 
 	if _, err := c.Roster(context.Background()); api.ErrorCode(err) != api.CodeRosterDisabled {
@@ -161,7 +98,7 @@ func TestRosterStaticDaemonDisabled(t *testing.T) {
 	if err != nil || len(digests) != 1 || digests[0] != "dig-static" {
 		t.Fatalf("CacheDigests = %v, %v; want [dig-static]", digests, err)
 	}
-	if e, ok := pool.CacheEntryFor("dig-static"); !ok || !e.Added.Equal(added) {
+	if e, ok := n.Pool.CacheEntryFor("dig-static"); !ok || !e.Added.Equal(added) {
 		t.Fatalf("ingested entry = %+v, %v; want original TTL clock %v", e, ok, added)
 	}
 }
@@ -169,16 +106,16 @@ func TestRosterStaticDaemonDisabled(t *testing.T) {
 // seed inserts n synthetic diagnoses (with similarity vectors) into a
 // node's pool, returning the digests. Texts embed the digest so
 // cross-node assertions can verify entry identity.
-func seed(t *testing.T, n *node, count int, added time.Time) []string {
+func seed(t *testing.T, n *node.Node, count int, added time.Time) []string {
 	t.Helper()
 	digests := make([]string, count)
 	for i := range digests {
 		d := fmt.Sprintf("digest-%04d", i)
 		digests[i] = d
-		if !n.pool.CacheIngest(d, "diagnosis for "+d, added) {
+		if !n.Pool.CacheIngest(d, "diagnosis for "+d, added) {
 			t.Fatalf("seed insert %s failed", d)
 		}
-		if !n.pool.SemAdd(d, "darshan feature text "+d) {
+		if !n.Pool.SemAdd(d, "darshan feature text "+d) {
 			t.Fatalf("seed sem add %s failed", d)
 		}
 	}
@@ -191,8 +128,8 @@ func TestHandoffOnJoinMovesOwnedDigests(t *testing.T) {
 	digests := seed(t, n1, 64, added)
 
 	n2 := startNode(t, 0, n1.URL())
-	waitFor(t, "join to converge", func() bool {
-		return rosterSize(n1.mgr) == 2 && rosterSize(n2.mgr) == 2
+	fleettest.WaitFor(t, "join to converge", func() bool {
+		return rosterSize(n1.Roster) == 2 && rosterSize(n2.Roster) == 2
 	})
 
 	// The digests that must arrive on n2 are exactly the ones whose
@@ -201,16 +138,16 @@ func TestHandoffOnJoinMovesOwnedDigests(t *testing.T) {
 	if len(moved) == 0 {
 		t.Fatal("no digests moved on a 1->2 join; ring diff is broken")
 	}
-	waitFor(t, "moved digests pushed to the new owner", func() bool {
+	fleettest.WaitFor(t, "moved digests pushed to the new owner", func() bool {
 		// The sender counts a push only after the receiver's response, so
 		// wait on the counters too, not just entry residency.
-		return n2.pool.Metrics().CacheLen >= len(moved) &&
-			n1.mgr.Metrics().EntriesPushed >= int64(len(moved)) &&
-			n2.mgr.Metrics().EntriesReceived >= int64(len(moved))
+		return n2.Pool.Metrics().CacheLen >= len(moved) &&
+			n1.Roster.Metrics().EntriesPushed >= int64(len(moved)) &&
+			n2.Roster.Metrics().EntriesReceived >= int64(len(moved))
 	})
 
 	for _, d := range moved {
-		e, ok := n2.pool.CacheEntryFor(d)
+		e, ok := n2.Pool.CacheEntryFor(d)
 		if !ok {
 			t.Fatalf("moved digest %s never arrived on the new owner", d)
 		}
@@ -223,17 +160,17 @@ func TestHandoffOnJoinMovesOwnedDigests(t *testing.T) {
 		// The similarity vector moved with its diagnosis, and only ever
 		// after it (the PR 6 invariant held mid-flight by construction:
 		// receivers ingest cache-entry-first).
-		if f, ok := n2.pool.SemFeature(d); !ok || f != "darshan feature text "+d {
+		if f, ok := n2.Pool.SemFeature(d); !ok || f != "darshan feature text "+d {
 			t.Errorf("digest %s has no (or wrong) similarity vector on the new owner: %q, %v", d, f, ok)
 		}
 	}
 	// Sender keeps its copies: handoff bounds staleness by TTL instead
 	// of risking a zero-copy window.
-	if got := n1.pool.Metrics().CacheLen; got != len(digests) {
+	if got := n1.Pool.Metrics().CacheLen; got != len(digests) {
 		t.Errorf("sender cache shrank to %d entries, want %d (no eviction on handoff)", got, len(digests))
 	}
 
-	hm1, hm2 := n1.mgr.Metrics(), n2.mgr.Metrics()
+	hm1, hm2 := n1.Roster.Metrics(), n2.Roster.Metrics()
 	if hm1.RingChanges == 0 || hm2.RosterSize != 2 {
 		t.Errorf("counters off: %+v / %+v", hm1, hm2)
 	}
@@ -242,8 +179,8 @@ func TestHandoffOnJoinMovesOwnedDigests(t *testing.T) {
 func TestReplicationOnInsertWarmsSuccessor(t *testing.T) {
 	n1 := startNode(t, 2)
 	n2 := startNode(t, 2, n1.URL())
-	waitFor(t, "join to converge", func() bool {
-		return rosterSize(n1.mgr) == 2 && rosterSize(n2.mgr) == 2
+	fleettest.WaitFor(t, "join to converge", func() bool {
+		return rosterSize(n1.Roster) == 2 && rosterSize(n2.Roster) == 2
 	})
 
 	// With two members, Successors(d, 2) is both nodes: every insert on
@@ -251,28 +188,28 @@ func TestReplicationOnInsertWarmsSuccessor(t *testing.T) {
 	added := time.Now().Truncate(time.Millisecond)
 	for i := 0; i < 8; i++ {
 		d := fmt.Sprintf("fresh-%02d", i)
-		if !n1.pool.CacheIngest(d, "diagnosis for "+d, added) {
+		if !n1.Pool.CacheIngest(d, "diagnosis for "+d, added) {
 			t.Fatalf("insert %s failed", d)
 		}
 	}
-	waitFor(t, "replicas to land on the successor", func() bool {
+	fleettest.WaitFor(t, "replicas to land on the successor", func() bool {
 		for i := 0; i < 8; i++ {
-			if _, ok := n2.pool.CacheEntryFor(fmt.Sprintf("fresh-%02d", i)); !ok {
+			if _, ok := n2.Pool.CacheEntryFor(fmt.Sprintf("fresh-%02d", i)); !ok {
 				return false
 			}
 		}
 		// The sender counts a push only after the receiver's response, so
 		// the counters trail entry residency by one round-trip.
-		return n1.mgr.Metrics().ReplicaPushed >= 8 && n2.mgr.Metrics().ReplicaReceived >= 8
+		return n1.Roster.Metrics().ReplicaPushed >= 8 && n2.Roster.Metrics().ReplicaReceived >= 8
 	})
 
 	// Convergence, not ping-pong: the successor's ingest is suppressed,
 	// so it must not re-replicate the copies back.
 	time.Sleep(10 * testInterval)
-	if hm := n2.mgr.Metrics(); hm.ReplicaPushed != 0 {
+	if hm := n2.Roster.Metrics(); hm.ReplicaPushed != 0 {
 		t.Errorf("successor re-replicated %d received copies; replication must not bounce", hm.ReplicaPushed)
 	}
-	if hm := n1.mgr.Metrics(); hm.ReplicaReceived != 0 {
+	if hm := n1.Roster.Metrics(); hm.ReplicaReceived != 0 {
 		t.Errorf("origin received %d of its own copies back", hm.ReplicaReceived)
 	}
 }
@@ -280,19 +217,18 @@ func TestReplicationOnInsertWarmsSuccessor(t *testing.T) {
 func TestMemberExpiryAfterDeath(t *testing.T) {
 	n1 := startNode(t, 0)
 	n2 := startNode(t, 0, n1.URL())
-	waitFor(t, "join to converge", func() bool {
-		return rosterSize(n1.mgr) == 2 && rosterSize(n2.mgr) == 2
+	fleettest.WaitFor(t, "join to converge", func() bool {
+		return rosterSize(n1.Roster) == 2 && rosterSize(n2.Roster) == 2
 	})
-	epochBefore := n1.mgr.Snapshot().Epoch
+	epochBefore := n1.Roster.Snapshot().Epoch
 
-	// Kill n2 outright: stop its gossip loop and close its listener.
-	n2.stop()
-	n2.srv.Close()
+	// Kill n2 outright: gossip stops without a goodbye, the listener closes.
+	n2.Abort()
 
-	waitFor(t, "dead member to expire from the roster", func() bool {
-		return rosterSize(n1.mgr) == 1
+	fleettest.WaitFor(t, "dead member to expire from the roster", func() bool {
+		return rosterSize(n1.Roster) == 1
 	})
-	snap := n1.mgr.Snapshot()
+	snap := n1.Roster.Snapshot()
 	if snap.Members[0].URL != n1.URL() {
 		t.Fatalf("surviving roster = %+v, want self only", snap.Members)
 	}

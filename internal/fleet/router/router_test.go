@@ -13,65 +13,20 @@ import (
 	"time"
 
 	"ioagent/internal/darshan"
-	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/client"
-	"ioagent/internal/fleet/server"
-	"ioagent/internal/ioagent"
+	"ioagent/internal/fleet/fleettest"
+	"ioagent/internal/fleet/node"
 	"ioagent/internal/iosim"
-	"ioagent/internal/knowledge"
-	"ioagent/internal/llm"
 )
-
-// node is one in-process daemon: a real pool behind the real server mux.
-type node struct {
-	id   string
-	pool *fleet.Pool
-	srv  *httptest.Server
-}
-
-func startNodes(t *testing.T, ids ...string) []*node {
-	t.Helper()
-	index := knowledge.BuildIndex()
-	nodes := make([]*node, len(ids))
-	for i, id := range ids {
-		pool := fleet.New(llm.NewSim(), fleet.Config{
-			Workers: 2, NodeID: id,
-			Agent: ioagent.Options{Index: index},
-		})
-		srv := httptest.NewServer(server.NewMux(server.Config{Pool: pool, NodeID: id}))
-		nodes[i] = &node{id: id, pool: pool, srv: srv}
-		t.Cleanup(pool.Close)
-		t.Cleanup(srv.Close)
-	}
-	return nodes
-}
 
 // startRouter fronts the nodes with a Router served over httptest and
 // returns it with an SDK client pointed at the router — callers talk to
 // the cluster exactly as they would to one daemon — plus the router's
 // base URL for raw HTTP assertions.
-func startRouter(t *testing.T, nodes []*node) (*Router, *client.Client, string) {
+func startRouter(t *testing.T, nodes []*node.Node) (*Router, *client.Client, string) {
 	t.Helper()
-	urls := make([]string, len(nodes))
-	for i, n := range nodes {
-		urls[i] = n.srv.URL
-	}
-	rt, err := New(Config{
-		Members: urls,
-		ClientOptions: []client.Option{
-			client.WithRetry(1, time.Millisecond), // fast failover in tests
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	srv := httptest.NewServer(rt.Handler())
-	t.Cleanup(srv.Close)
-	c := client.New(srv.URL, client.WithPollInterval(5*time.Millisecond))
-	t.Cleanup(c.Close)
-	return rt, c, srv.URL
+	return startRouterCfg(t, fleettest.URLs(nodes), "", 0)
 }
 
 func routerTrace(t *testing.T, seed int) []byte {
@@ -92,9 +47,9 @@ func routerTrace(t *testing.T, seed int) []byte {
 	return buf.Bytes()
 }
 
-func nodeByURL(nodes []*node, url string) *node {
+func nodeByURL(nodes []*node.Node, url string) *node.Node {
 	for _, n := range nodes {
-		if n.srv.URL == url {
+		if n.URL() == url {
 			return n
 		}
 	}
@@ -105,7 +60,7 @@ func nodeByURL(nodes []*node, url string) *node {
 // round-trips through it as if it were one daemon — and each submission
 // lands on the ring owner of its bytes.
 func TestRouterForwardsByOwnership(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2", "n3")
+	nodes := fleettest.StartCluster(t, "n1", "n2", "n3")
 	rt, c, _ := startRouter(t, nodes)
 	ctx := context.Background()
 
@@ -117,10 +72,10 @@ func TestRouterForwardsByOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.HasPrefix(info.ID, owner.id+"-job-") {
-			t.Fatalf("seed %d: job %s not on ring owner %s", seed, info.ID, owner.id)
+		if !strings.HasPrefix(info.ID, owner.ID+"-job-") {
+			t.Fatalf("seed %d: job %s not on ring owner %s", seed, info.ID, owner.ID)
 		}
-		owners[owner.id] = true
+		owners[owner.ID] = true
 		diag, err := c.WaitDiagnosis(ctx, info.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +89,7 @@ func TestRouterForwardsByOwnership(t *testing.T) {
 	// node): probe enough distinct digests that a single-owner result
 	// means the ring really is degenerate.
 	for seed := 5; seed < 40 && len(owners) < 2; seed++ {
-		owners[nodeByURL(nodes, rt.Route(routerTrace(t, seed))[0]).id] = true
+		owners[nodeByURL(nodes, rt.Route(routerTrace(t, seed))[0]).ID] = true
 	}
 	if len(owners) < 2 {
 		t.Errorf("40 digests all landed on one node; sharding is not spreading (owners=%v)", owners)
@@ -154,7 +109,7 @@ func TestRouterForwardsByOwnership(t *testing.T) {
 // ownership is a pure function of the member list, so a brand-new router
 // finds a previously diagnosed trace in the owning node's cache.
 func TestRouterWarmDigestSurvivesRouterRestart(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2")
+	nodes := fleettest.StartCluster(t, "n1", "n2")
 	_, c1, _ := startRouter(t, nodes)
 	ctx := context.Background()
 
@@ -193,21 +148,21 @@ func nodeFromJob(id string) string {
 // successor is found again on re-lookup (an idempotent resubmit of the
 // same bytes) while the owner stays down.
 func TestRouterFailsOverToSuccessor(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2", "n3")
+	nodes := fleettest.StartCluster(t, "n1", "n2", "n3")
 	rt, c, _ := startRouter(t, nodes)
 	ctx := context.Background()
 
 	raw := routerTrace(t, 40)
 	route := rt.Route(raw)
 	owner, successor := nodeByURL(nodes, route[0]), nodeByURL(nodes, route[1])
-	owner.srv.Close()
+	owner.Abort()
 
 	info, err := c.Submit(ctx, api.SubmitRequest{Trace: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(info.ID, successor.id+"-job-") {
-		t.Fatalf("job %s did not fail over to successor %s", info.ID, successor.id)
+	if !strings.HasPrefix(info.ID, successor.ID+"-job-") {
+		t.Fatalf("job %s did not fail over to successor %s", info.ID, successor.ID)
 	}
 	diag, err := c.WaitDiagnosis(ctx, info.ID)
 	if err != nil {
@@ -222,8 +177,8 @@ func TestRouterFailsOverToSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.CacheHit || !strings.HasPrefix(again.ID, successor.id+"-job-") {
-		t.Fatalf("re-lookup = %+v, want cache hit on %s", again, successor.id)
+	if !again.CacheHit || !strings.HasPrefix(again.ID, successor.ID+"-job-") {
+		t.Fatalf("re-lookup = %+v, want cache hit on %s", again, successor.ID)
 	}
 }
 
@@ -231,7 +186,7 @@ func TestRouterFailsOverToSuccessor(t *testing.T) {
 // job_not_found (the SDK recovery path: resubmit idempotently), not a
 // hang or an opaque 5xx.
 func TestRouterDeadNodeJobLookup(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2")
+	nodes := fleettest.StartCluster(t, "n1", "n2")
 	rt, c, _ := startRouter(t, nodes)
 	ctx := context.Background()
 
@@ -243,7 +198,7 @@ func TestRouterDeadNodeJobLookup(t *testing.T) {
 	if _, err := c.WaitDiagnosis(ctx, info.ID); err != nil {
 		t.Fatal(err)
 	}
-	nodeByURL(nodes, rt.Route(raw)[0]).srv.Close()
+	nodeByURL(nodes, rt.Route(raw)[0]).Abort()
 
 	_, err = c.Job(ctx, info.ID)
 	if api.ErrorCode(err) != api.CodeJobNotFound {
@@ -263,7 +218,7 @@ func TestRouterDeadNodeJobLookup(t *testing.T) {
 // TestRouterAggregatesMetrics: /metrics via the router sums the nodes, in
 // both renderings.
 func TestRouterAggregatesMetrics(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2", "n3")
+	nodes := fleettest.StartCluster(t, "n1", "n2", "n3")
 	_, c, base := startRouter(t, nodes)
 	ctx := context.Background()
 
@@ -316,7 +271,7 @@ func TestRouterAggregatesMetrics(t *testing.T) {
 // TestRouterClusterHealth: the roster endpoint reports node ids, health,
 // and the router's identity, flipping when a node dies.
 func TestRouterClusterHealth(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2")
+	nodes := fleettest.StartCluster(t, "n1", "n2")
 	rt, _, _ := startRouter(t, nodes)
 	srv := httptest.NewServer(rt.Handler())
 	t.Cleanup(srv.Close)
@@ -344,7 +299,7 @@ func TestRouterClusterHealth(t *testing.T) {
 		}
 	}
 
-	nodes[1].srv.Close()
+	nodes[1].Abort()
 	h = fetch()
 	unhealthy := 0
 	for _, row := range h.Nodes {
@@ -361,7 +316,7 @@ func TestRouterClusterHealth(t *testing.T) {
 // refused with loop_detected — both a synthetic forwarded request and a
 // real router-behind-router misconfiguration.
 func TestRouterLoopDetected(t *testing.T) {
-	nodes := startNodes(t, "n1")
+	nodes := fleettest.StartCluster(t, "n1")
 	rt, _, _ := startRouter(t, nodes)
 	srv := httptest.NewServer(rt.Handler())
 	t.Cleanup(srv.Close)
@@ -409,7 +364,7 @@ func TestRouterLoopDetected(t *testing.T) {
 // lane is refused with bad_request before the router computes a route
 // key — a multi-megabyte body costs it a bounded read and nothing else.
 func TestRouterValidatesBeforeKeying(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2")
+	nodes := fleettest.StartCluster(t, "n1", "n2")
 	rt, _, base := startRouter(t, nodes)
 	body := bytes.Repeat([]byte("POSIX\t-1\t1\tPOSIX_OPENS\t1\t/f\t/\text4\n"), 4<<20/36)
 	resp, err := http.Post(base+"/v1/jobs?lane=express", "application/octet-stream", bytes.NewReader(body))
@@ -425,8 +380,8 @@ func TestRouterValidatesBeforeKeying(t *testing.T) {
 		t.Errorf("the router ran the front door for a submission it refused: %+v", st)
 	}
 	for _, n := range nodes {
-		if m := n.pool.Metrics(); m.Submitted != 0 {
-			t.Errorf("node %s saw the refused submission", n.id)
+		if m := n.Pool.Metrics(); m.Submitted != 0 {
+			t.Errorf("node %s saw the refused submission", n.ID)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"slices"
 	"strings"
@@ -19,6 +21,8 @@ import (
 	"ioagent/internal/dxt"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/client"
+	"ioagent/internal/fleet/fleettest"
+	"ioagent/internal/fleet/node"
 	"ioagent/internal/iosim"
 )
 
@@ -68,19 +72,16 @@ func (r *chunked64) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// startRouterCfg is startRouter with an explicit spool configuration.
-func startRouterCfg(t *testing.T, nodes []*node, spoolDir string, spoolMax int64) (*Router, *client.Client, string) {
+// startRouterCfg is startRouter over explicit member URLs and with an
+// explicit spool configuration.
+func startRouterCfg(t *testing.T, urls []string, spoolDir string, spoolMax int64) (*Router, *client.Client, string) {
 	t.Helper()
-	urls := make([]string, len(nodes))
-	for i, n := range nodes {
-		urls[i] = n.srv.URL
-	}
 	rt, err := New(Config{
 		Members:  urls,
 		SpoolDir: spoolDir,
 		SpoolMax: spoolMax,
 		ClientOptions: []client.Option{
-			client.WithRetry(1, time.Millisecond),
+			client.WithRetry(1, time.Millisecond), // fast failover in tests
 		},
 	})
 	if err != nil {
@@ -95,19 +96,15 @@ func startRouterCfg(t *testing.T, nodes []*node, spoolDir string, spoolMax int64
 }
 
 // ownerOf maps a canonical digest to the node id the ring assigns it.
-func ownerOf(t *testing.T, nodes []*node, digest string) string {
+func ownerOf(t *testing.T, nodes []*node.Node, digest string) string {
 	t.Helper()
-	urls := make([]string, len(nodes))
-	for i, n := range nodes {
-		urls[i] = n.srv.URL
-	}
-	cl, err := client.NewCluster(urls)
+	cl, err := client.NewCluster(fleettest.URLs(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
 	owner := cl.RouteDigest(digest)[0]
-	return nodeByURL(nodes, owner).id
+	return nodeByURL(nodes, owner).ID
 }
 
 // TestRouterStreamZeroSpoolByDigestHeader is the tentpole's e2e: a
@@ -116,13 +113,13 @@ func ownerOf(t *testing.T, nodes []*node, digest string) string {
 // spooling — the spool dir is unwritable, so any spool attempt would
 // fail the request.
 func TestRouterStreamZeroSpoolByDigestHeader(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2", "n3")
+	nodes := fleettest.StartCluster(t, "n1", "n2", "n3")
 	noSpool := t.TempDir()
 	if err := os.Chmod(noSpool, 0o500); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.Chmod(noSpool, 0o700) })
-	_, c, _ := startRouterCfg(t, nodes, noSpool, 0)
+	_, c, _ := startRouterCfg(t, fleettest.URLs(nodes), noSpool, 0)
 
 	log := bigTrace(t, 1, 800)
 	body := textBytes(t, log)
@@ -186,9 +183,9 @@ func dxtTrace(t *testing.T, seed int) ([]byte, *darshan.Log) {
 // and cleans its spool up afterwards. Beyond the bound it refuses with
 // trace_too_large.
 func TestRouterStreamSpoolsWithoutHeader(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2")
+	nodes := fleettest.StartCluster(t, "n1", "n2")
 	spool := t.TempDir()
-	_, c, base := startRouterCfg(t, nodes, spool, 1<<20)
+	_, c, base := startRouterCfg(t, fleettest.URLs(nodes), spool, 1<<20)
 
 	parserLog := routerTraceLog(t, 7)
 	dxtBody, dxtLog := dxtTrace(t, 7)
@@ -253,7 +250,11 @@ func TestRouterStreamSpoolsWithoutHeader(t *testing.T) {
 // judging it — proven by the owning daemon, not the router, being the one
 // that meets a wrong claim and answers digest_mismatch.
 func TestRouterStreamTrailerPlaces(t *testing.T) {
-	daemon := startNodes(t, "n1")[0]
+	daemon, err := url.Parse(fleettest.StartCluster(t, "n1")[0].URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(daemon)
 	var (
 		mu        sync.Mutex
 		forwarded []string // X-Fleet-Digest of each stream reaching the daemon
@@ -264,10 +265,10 @@ func TestRouterStreamTrailerPlaces(t *testing.T) {
 			forwarded = append(forwarded, r.Header.Get(api.DigestHeader))
 			mu.Unlock()
 		}
-		daemon.srv.Config.Handler.ServeHTTP(w, r)
+		proxy.ServeHTTP(w, r)
 	}))
 	t.Cleanup(front.Close)
-	_, _, base := startRouterCfg(t, []*node{{id: daemon.id, pool: daemon.pool, srv: front}}, t.TempDir(), 0)
+	_, _, base := startRouterCfg(t, []string{front.URL}, t.TempDir(), 0)
 
 	body, log := dxtTrace(t, 9)
 	digest, err := darshan.ContentDigest(log)
@@ -326,14 +327,10 @@ func TestRouterStreamTrailerPlaces(t *testing.T) {
 // warmed, a router that never saw them and a cold SDK cluster name the
 // same owner.
 func TestOneTraceOneOwner(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2", "n3")
-	rt, c, base := startRouterCfg(t, nodes, t.TempDir(), 0)
+	nodes := fleettest.StartCluster(t, "n1", "n2", "n3")
+	rt, c, base := startRouterCfg(t, fleettest.URLs(nodes), t.TempDir(), 0)
 	coldRouter, _, _ := startRouter(t, nodes)
-	urls := make([]string, len(nodes))
-	for i, n := range nodes {
-		urls[i] = n.srv.URL
-	}
-	coldSDK, err := client.NewCluster(urls)
+	coldSDK, err := client.NewCluster(fleettest.URLs(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +357,7 @@ func TestOneTraceOneOwner(t *testing.T) {
 		if key := client.RouteKey(tc.body); key != digest {
 			t.Errorf("%s: RouteKey %s, want content digest %s", tc.name, key, digest)
 		}
-		if got := nodeByURL(nodes, rt.Route(tc.body)[0]).id; got != owner {
+		if got := nodeByURL(nodes, rt.Route(tc.body)[0]).ID; got != owner {
 			t.Errorf("%s: Cluster.Route owner %s, want %s", tc.name, got, owner)
 		}
 
@@ -420,14 +417,14 @@ func TestOneTraceOneOwner(t *testing.T) {
 		// rt keyed these bytes in Route above, so its buffered door routed
 		// by a memo hit; the other two have never seen them.
 		hitsBefore := rt.cluster.MemoStats().Hits
-		if got := nodeByURL(nodes, rt.Route(tc.body)[0]).id; got != owner {
+		if got := nodeByURL(nodes, rt.Route(tc.body)[0]).ID; got != owner {
 			t.Errorf("%s: warm router owner %s, want %s", tc.name, got, owner)
 		}
 		if rt.cluster.MemoStats().Hits != hitsBefore+1 {
 			t.Errorf("%s: the warm router's memo did not answer for bytes it had keyed", tc.name)
 		}
 		for who, route := range map[string]func([]byte) []string{"cold router": coldRouter.Route, "cold SDK cluster": coldSDK.Route} {
-			if got := nodeByURL(nodes, route(tc.body)[0]).id; got != owner {
+			if got := nodeByURL(nodes, route(tc.body)[0]).ID; got != owner {
 				t.Errorf("%s: %s owner %s, want %s", tc.name, who, got, owner)
 			}
 		}
@@ -442,8 +439,8 @@ func TestOneTraceOneOwner(t *testing.T) {
 // chunks, with incremental pre-parse progress visible while chunks are
 // still outstanding, completing into a job on the owning node.
 func TestRouterUploadSessionPreparsesBeforeFinalChunk(t *testing.T) {
-	nodes := startNodes(t, "n1", "n2", "n3")
-	_, c, _ := startRouterCfg(t, nodes, t.TempDir(), 0)
+	nodes := fleettest.StartCluster(t, "n1", "n2", "n3")
+	_, c, _ := startRouterCfg(t, fleettest.URLs(nodes), t.TempDir(), 0)
 	ctx := context.Background()
 
 	log := bigTrace(t, 3, 400)

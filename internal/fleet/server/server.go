@@ -60,10 +60,6 @@ type Config struct {
 	// on every response as api.NodeHeader and advertised in
 	// Metrics.Node. Empty for an unnamed single daemon.
 	NodeID string
-	// RetryAfter is the delay-seconds hint stamped (api.RetryAfterHeader)
-	// on retryable refusals — quota_exceeded, breaker_open, draining —
-	// which the SDK's adaptive backoff honors as a floor (default 1s).
-	RetryAfter time.Duration
 	// OnTenantClass, when non-nil, is invoked after a successful
 	// POST /v1/sched/tenants assignment took effect in the pool, so the
 	// daemon can journal it (iofleetd -state-dir) and replay it on
@@ -95,6 +91,11 @@ type Elastic interface {
 	Metrics() api.HandoffMetrics
 }
 
+// retryAfter is the delay hint stamped (api.RetryAfterHeader) on retryable
+// refusals — quota_exceeded, breaker_open, draining — which the SDK's
+// adaptive backoff honors as a floor.
+const retryAfter = time.Second
+
 // NewMux builds the daemon's HTTP surface. Every response shape and error
 // code comes from internal/fleet/api, and the whole surface — including
 // unmatched paths — sits behind the version-negotiation middleware.
@@ -104,9 +105,6 @@ func NewMux(cfg Config) http.Handler {
 	}
 	if cfg.Draining == nil {
 		cfg.Draining = new(atomic.Bool)
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.Uploads == nil {
 		cfg.Uploads = mustManager(ingest.Config{NodeID: cfg.NodeID, MaxBytes: cfg.MaxBody})
@@ -123,7 +121,7 @@ func NewMux(cfg Config) http.Handler {
 				log.Printf("iofleetd: journal reject: %v", jerr)
 			}
 		}
-		WriteErrorHinted(w, e, cfg.RetryAfter)
+		WriteErrorHinted(w, e, retryAfter)
 	}
 	// refuseSubmission applies the accept gates shared by every
 	// submission shape (buffered, streamed, upload completion): drain
@@ -279,7 +277,7 @@ func NewMux(cfg Config) http.Handler {
 		}
 		info, err := cfg.Uploads.Open(ingest.OpenOpts{Lane: string(lane), Tenant: tenant, Digest: claim})
 		if err != nil {
-			WriteErrorHinted(w, ingestError(r, "open upload", err, cfg.MaxBody), cfg.RetryAfter)
+			WriteErrorHinted(w, ingestError(r, "open upload", err, cfg.MaxBody), retryAfter)
 			return
 		}
 		WriteJSON(w, http.StatusCreated, toAPIUpload(info))

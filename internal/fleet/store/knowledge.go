@@ -65,7 +65,10 @@ type KnowledgeStore struct {
 // scanned, and a torn or corrupt WAL tail is truncated away (warnings go
 // to Options.Logf). Call Replay to apply the recovered state to a plane.
 func OpenKnowledge(dir string, opts Options) (*KnowledgeStore, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create state dir: %w", err)
 	}

@@ -54,7 +54,7 @@ func TestCrashRecoveryRoundTrip(t *testing.T) {
 	if err := st1.FinalCheckpoint(pool1); err != nil {
 		t.Fatal(err)
 	}
-	if got := st1.PendingCount(); got != 0 {
+	if got := st1.pendingCount(); got != 0 {
 		t.Fatalf("journal should be empty after drain checkpoint, pending = %d", got)
 	}
 

@@ -47,14 +47,26 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-func (o Options) withDefaults() Options {
-	if o.Fsync == "" {
-		o.Fsync = FsyncAlways
-	}
+func (o Options) withDefaults() (Options, error) {
+	var err error
+	o.Fsync, err = ParseFsyncMode(string(o.Fsync))
 	if o.Logf == nil {
 		o.Logf = log.Printf
 	}
-	return o
+	return o, err
+}
+
+// ParseFsyncMode is the one place a durability mode is validated (the
+// -fsync flag, both Open functions): "" selects FsyncAlways, anything
+// but always, batch or off is an error.
+func ParseFsyncMode(s string) (FsyncMode, error) {
+	switch m := FsyncMode(s); m {
+	case "":
+		return FsyncAlways, nil
+	case FsyncAlways, FsyncBatch, FsyncOff:
+		return m, nil
+	}
+	return "", fmt.Errorf("store: fsync mode must be always, batch, or off (got %q)", s)
 }
 
 // Recovery is what a previous process left behind: the persisted result
@@ -110,7 +122,10 @@ type Store struct {
 // corrupt journal tail is truncated away. The recovered state is available
 // through Recovered until Replay consumes it.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create state dir: %w", err)
 	}
@@ -424,9 +439,9 @@ func (s *Store) cover(rec record) {
 	}
 }
 
-// PendingCount returns the number of journaled jobs not yet covered by a
+// pendingCount returns the number of journaled jobs not yet covered by a
 // terminal record.
-func (s *Store) PendingCount() int {
+func (s *Store) pendingCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.pendingRaw)

@@ -94,7 +94,7 @@ func TestJournalWriteAheadReplay(t *testing.T) {
 		Kind: fleet.EventFailed,
 		Job:  fleet.JobInfo{ID: "job-000003", Digest: "d3", Status: fleet.StatusFailed, Error: "boom"},
 	})
-	if got := s.PendingCount(); got != 1 {
+	if got := s.pendingCount(); got != 1 {
 		t.Fatalf("pending = %d, want 1", got)
 	}
 	if err := s.Close(); err != nil {
@@ -641,5 +641,26 @@ func TestTenantClassSurvivesRestartAndCompaction(t *testing.T) {
 	}
 	if w := s3.Recovered().Warnings; len(w) != 0 {
 		t.Fatalf("compacted journal has warnings: %v", w)
+	}
+}
+
+// TestParseFsyncMode: one validator for the -fsync flag and both stores —
+// a typo is an error everywhere, never a mode that is neither always nor
+// off.
+func TestParseFsyncMode(t *testing.T) {
+	for in, want := range map[string]FsyncMode{
+		"": FsyncAlways, "always": FsyncAlways, "batch": FsyncBatch, "off": FsyncOff,
+		"alway": "", "Always": "", "none": "",
+	} {
+		got, err := ParseFsyncMode(in)
+		if got != want || (err == nil) != (want != "") {
+			t.Errorf("ParseFsyncMode(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	if _, err := Open(t.TempDir(), Options{Fsync: "alway"}); err == nil {
+		t.Error("Open accepted fsync mode \"alway\"")
+	}
+	if _, err := OpenKnowledge(t.TempDir(), Options{Fsync: "alway"}); err == nil {
+		t.Error("OpenKnowledge accepted fsync mode \"alway\"")
 	}
 }

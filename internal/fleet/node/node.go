@@ -254,14 +254,14 @@ func (n *Node) tick(ctx context.Context, interval time.Duration) {
 		select {
 		case <-t.C:
 			n.Uploads.Sweep()
+			// Both checkpoints skip themselves when nothing changed: an
+			// idle pool or corpus costs zero write traffic.
 			if n.store != nil {
 				if err := n.store.Checkpoint(n.Pool); err != nil {
 					log.Printf("iofleetd: checkpoint: %v", err)
 				}
 			}
-			// Collapse the knowledge WAL only when it grew; an idle
-			// corpus costs zero write traffic.
-			if n.kstore != nil && n.kstore.Appended() > 0 {
+			if n.kstore != nil {
 				if err := n.kstore.Checkpoint(n.Pool.Knowledge()); err != nil {
 					log.Printf("iofleetd: knowledge checkpoint: %v", err)
 				}
@@ -287,7 +287,7 @@ func (n *Node) Close() {
 		n.Pool.Close()
 		n.stopTick()
 		if n.kstore != nil {
-			if err := n.kstore.Checkpoint(n.Pool.Knowledge()); err != nil {
+			if err := n.kstore.FinalCheckpoint(n.Pool.Knowledge()); err != nil {
 				log.Printf("iofleetd: final knowledge checkpoint: %v", err)
 			}
 		}

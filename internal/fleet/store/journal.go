@@ -2,9 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 	"time"
 
 	"ioagent/internal/darshan"
@@ -94,144 +93,115 @@ type PendingUpload struct {
 	CreatedAt time.Time
 }
 
-// scanJournal reads the journal at path and returns the uncovered submit
-// records in append order, together with their raw lines (kept for
-// compaction). A torn or corrupt tail — the expected state after a crash
-// mid-append — is tolerated: scanning stops at the first line that is not
-// valid JSON, and valid is the byte offset where that tail begins, so the
-// caller can truncate it before appending. A structurally valid submit
-// record whose embedded trace fails to decode is skipped with a warning
-// instead of aborting the scan.
-func scanJournal(path string) (pending []PendingJob, uploads []PendingUpload, classes map[string]string, raw map[string][]byte, valid int64, warnings []string, err error) {
-	raw = make(map[string][]byte)
-	classes = make(map[string]string)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil, classes, raw, 0, nil, nil
-	}
-	if err != nil {
-		return nil, nil, nil, nil, 0, nil, fmt.Errorf("store: read journal: %w", err)
-	}
+// journalScan is what opening the journal yields: the log itself, open for
+// appending, plus the uncovered records in append order with their raw
+// lines (kept for compaction).
+type journalScan struct {
+	log      *recordLog
+	pending  []PendingJob
+	uploads  []PendingUpload
+	classes  map[string]string // latest SLO class per tenant
+	raw      map[string][]byte // retained line per job ID, upload ID and classKey
+	warnings []string
+}
 
+// scanJournal opens the journal at path (see openRecordLog for the torn or
+// corrupt tail — the expected state after a crash mid-append) and folds
+// its records into the uncovered set. A structurally valid record that
+// cannot be used — a submit whose embedded trace fails to decode, an
+// unknown op — is skipped with a warning instead of ending the scan.
+func scanJournal(path string, fsync FsyncMode) (journalScan, error) {
+	sc := journalScan{classes: make(map[string]string), raw: make(map[string][]byte)}
+	warnf := func(format string, args ...any) {
+		sc.warnings = append(sc.warnings, fmt.Sprintf("journal: "+format, args...))
+	}
 	byID := make(map[string]int)   // pending index by previous-process ID
 	upByID := make(map[string]int) // uploads index by session ID
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// Torn final line (no newline): crash mid-append. Tolerate.
-			warnings = append(warnings, fmt.Sprintf("journal: dropping torn tail (%d bytes)", len(data)-off))
-			break
-		}
-		line := data[off : off+nl]
-		var rec record
-		if uerr := json.Unmarshal(line, &rec); uerr != nil {
-			warnings = append(warnings, fmt.Sprintf("journal: dropping corrupt tail at offset %d: %v", off, uerr))
-			break
-		}
+	log, tail, err := openRecordLog(path, "journal", fsync, func(off int, rec record, line []byte) {
 		switch rec.Op {
 		case opSubmit:
 			if rec.ID == "" || len(rec.Trace) == 0 {
-				warnings = append(warnings, fmt.Sprintf("journal: skipping malformed submit at offset %d", off))
+				warnf("skipping malformed submit at offset %d", off)
 				break
 			}
-			log, derr := darshan.Decode(bytes.NewReader(rec.Trace))
+			trace, derr := darshan.Decode(bytes.NewReader(rec.Trace))
 			if derr != nil {
-				warnings = append(warnings, fmt.Sprintf("journal: skipping submit %s with undecodable trace: %v", rec.ID, derr))
+				warnf("skipping submit %s with undecodable trace: %v", rec.ID, derr)
 				break
 			}
-			p := PendingJob{ID: rec.ID, Digest: rec.Digest, Lane: fleet.Lane(rec.Lane), Tenant: rec.Tenant, SubmittedAt: rec.At, Log: log}
+			p := PendingJob{ID: rec.ID, Digest: rec.Digest, Lane: fleet.Lane(rec.Lane), Tenant: rec.Tenant, SubmittedAt: rec.At, Log: trace}
 			if i, dup := byID[rec.ID]; dup {
-				pending[i] = p
-				raw[rec.ID] = append([]byte(nil), line...)
-				break
+				sc.pending[i] = p
+			} else {
+				byID[rec.ID] = len(sc.pending)
+				sc.pending = append(sc.pending, p)
 			}
-			byID[rec.ID] = len(pending)
-			pending = append(pending, p)
-			raw[rec.ID] = append([]byte(nil), line...)
+			sc.raw[rec.ID] = bytes.Clone(line)
 		case opDone, opFail, opReplayed:
 			if i, ok := byID[rec.ID]; ok {
-				pending[i].ID = "" // tombstone; filtered below
+				sc.pending[i].ID = "" // tombstone; filtered below
 				delete(byID, rec.ID)
-				delete(raw, rec.ID)
+				delete(sc.raw, rec.ID)
 			}
 		case opUploadOpen:
 			if rec.ID == "" {
-				warnings = append(warnings, fmt.Sprintf("journal: skipping malformed upload_open at offset %d", off))
+				warnf("skipping malformed upload_open at offset %d", off)
 				break
 			}
 			u := PendingUpload{ID: rec.ID, Lane: rec.Lane, Tenant: rec.Tenant, Digest: rec.Digest, CreatedAt: rec.At}
 			if i, dup := upByID[rec.ID]; dup {
-				uploads[i] = u
+				sc.uploads[i] = u
 			} else {
-				upByID[rec.ID] = len(uploads)
-				uploads = append(uploads, u)
+				upByID[rec.ID] = len(sc.uploads)
+				sc.uploads = append(sc.uploads, u)
 			}
-			raw[rec.ID] = append([]byte(nil), line...)
+			sc.raw[rec.ID] = bytes.Clone(line)
 		case opUploadClose:
 			if i, ok := upByID[rec.ID]; ok {
-				uploads[i].ID = "" // tombstone; filtered below
+				sc.uploads[i].ID = "" // tombstone; filtered below
 				delete(upByID, rec.ID)
-				delete(raw, rec.ID)
+				delete(sc.raw, rec.ID)
 			}
 		case opTenantClass:
 			if rec.Tenant == "" {
-				warnings = append(warnings, fmt.Sprintf("journal: skipping malformed tenant_class at offset %d", off))
+				warnf("skipping malformed tenant_class at offset %d", off)
 				break
 			}
 			// Last record per tenant wins; an empty class clears the
 			// assignment (and lets compaction drop its lines entirely).
 			if rec.Class == "" {
-				delete(classes, rec.Tenant)
-				delete(raw, classKey(rec.Tenant))
+				delete(sc.classes, rec.Tenant)
+				delete(sc.raw, classKey(rec.Tenant))
 				break
 			}
-			classes[rec.Tenant] = rec.Class
-			raw[classKey(rec.Tenant)] = append([]byte(nil), line...)
+			sc.classes[rec.Tenant] = rec.Class
+			sc.raw[classKey(rec.Tenant)] = bytes.Clone(line)
 		case opReject, opMemberJoin, opMemberLeave:
 			// Audit-only; nothing to replay.
 		default:
-			warnings = append(warnings, fmt.Sprintf("journal: ignoring unknown op %q at offset %d", rec.Op, off))
+			warnf("ignoring unknown op %q at offset %d", rec.Op, off)
 		}
-		off += nl + 1
-		valid = int64(off)
+	})
+	if err != nil {
+		return journalScan{}, err
 	}
-
+	sc.log = log
+	if tail != "" {
+		sc.warnings = append(sc.warnings, tail)
+	}
 	// Compact out the tombstoned (covered) submits and uploads.
-	kept := pending[:0]
-	for _, p := range pending {
-		if p.ID != "" {
-			kept = append(kept, p)
-		}
-	}
-	upKept := uploads[:0]
-	for _, u := range uploads {
-		if u.ID != "" {
-			upKept = append(upKept, u)
-		}
-	}
-	return kept, upKept, classes, raw, valid, warnings, nil
+	sc.pending = slices.DeleteFunc(sc.pending, func(p PendingJob) bool { return p.ID == "" })
+	sc.uploads = slices.DeleteFunc(sc.uploads, func(u PendingUpload) bool { return u.ID == "" })
+	return sc, nil
 }
 
-// appendLocked marshals rec and appends it to the journal, maintaining the
-// pending-submit bookkeeping used by compaction. Caller holds s.mu.
+// appendLocked appends rec to the journal, maintaining the pending-record
+// bookkeeping used by compaction. Caller holds s.mu.
 func (s *Store) appendLocked(rec record) error {
-	if s.journal == nil {
-		return ErrClosed
-	}
-	line, err := json.Marshal(rec)
+	line, err := s.log.append(rec)
 	if err != nil {
-		return fmt.Errorf("store: marshal journal record: %w", err)
+		return err
 	}
-	line = append(line, '\n')
-	if _, err := s.journal.Write(line); err != nil {
-		return fmt.Errorf("store: append journal: %w", err)
-	}
-	if s.opts.Fsync == FsyncAlways {
-		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("store: fsync journal: %w", err)
-		}
-	}
-	s.appended++
 	switch rec.Op {
 	case opSubmit, opUploadOpen:
 		if _, dup := s.pendingRaw[rec.ID]; !dup {
@@ -257,14 +227,10 @@ func (s *Store) appendLocked(rec record) error {
 }
 
 // compactLocked rewrites the journal to contain only the still-pending
-// submit records — everything else is covered by completions and (for
-// results) by the snapshot — then reopens it for appending. The rewrite is
-// atomic: a crash mid-compaction leaves the previous journal intact.
-// Caller holds s.mu.
+// records — everything else is covered by completions and (for results)
+// by the snapshot. Caller holds s.mu, which is what makes the cut exact:
+// nothing is appended between choosing the lines and replacing the file.
 func (s *Store) compactLocked() error {
-	if s.journal == nil {
-		return ErrClosed
-	}
 	var buf bytes.Buffer
 	order := s.pendingOrder[:0]
 	for _, id := range s.pendingOrder {
@@ -276,19 +242,5 @@ func (s *Store) compactLocked() error {
 		buf.Write(line)
 	}
 	s.pendingOrder = order
-
-	path := s.path(journalName)
-	if err := atomicWrite(path, buf.Bytes(), s.opts.Fsync != FsyncOff); err != nil {
-		return fmt.Errorf("store: compact journal: %w", err)
-	}
-	// The old descriptor now points at the unlinked pre-compaction file;
-	// swap it for the fresh journal before any further appends.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopen journal: %w", err)
-	}
-	s.journal.Close()
-	s.journal = f
-	s.appended = 0
-	return nil
+	return s.log.rewrite(buf.Bytes(), s.log.size)
 }

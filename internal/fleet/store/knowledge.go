@@ -1,26 +1,17 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
+	"errors"
+	"path/filepath"
 	"sync"
 
 	"ioagent/internal/fleet/knowledge"
 	"ioagent/internal/vectordb"
 )
 
-// Knowledge-plane persistence lives in its own sidecar files —
-// knowledge.wal (mutation journal) and knowledge.json (corpus snapshot) —
-// deliberately separate from the job journal: corpus epochs and job
-// lifecycles have different write rates, different compaction triggers,
-// and an operator may wipe one without losing the other.
-const (
-	knowledgeWALName         = "knowledge.wal"
-	knowledgeSnapshotName    = "knowledge.json"
-	knowledgeSnapshotVersion = 1
-)
+// knowledgeWALName is the knowledge plane's mutation journal; its
+// snapshot is knowledge.json (see snapshot.go).
+const knowledgeWALName = "knowledge.wal"
 
 // Knowledge WAL record operations: one upsert batch, one epoch promotion.
 const (
@@ -36,12 +27,6 @@ type krecord struct {
 	Epoch  uint64              `json:"epoch,omitempty"`
 }
 
-// knowledgeSnapshot is the on-disk form of knowledge.json.
-type knowledgeSnapshot struct {
-	Version int             `json:"version"`
-	State   knowledge.State `json:"state"`
-}
-
 // KnowledgeStore persists one node's knowledge plane: every Upsert and
 // Swap is journaled write-ahead through the plane's OnEvent hook, and
 // Checkpoint collapses the journal into an atomic snapshot. Like Store it
@@ -51,9 +36,11 @@ type KnowledgeStore struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	wal      *os.File
-	appended int
+	// ckpt serialises checkpoints: a checkpoint's cut is an offset into
+	// the very file its rewrite replaces. Taken before mu, never under it.
+	ckpt sync.Mutex
+	mu   sync.Mutex
+	log  *recordLog // knowledge.wal
 
 	// Recovered state, consumed by Replay.
 	snap    *knowledge.State
@@ -65,70 +52,39 @@ type KnowledgeStore struct {
 // scanned, and a torn or corrupt WAL tail is truncated away (warnings go
 // to Options.Logf). Call Replay to apply the recovered state to a plane.
 func OpenKnowledge(dir string, opts Options) (*KnowledgeStore, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.prepare(dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create state dir: %w", err)
-	}
 	ks := &KnowledgeStore{dir: dir, opts: opts}
 
-	if data, err := os.ReadFile(ks.path(knowledgeSnapshotName)); err == nil {
-		var snap knowledgeSnapshot
-		switch uerr := json.Unmarshal(data, &snap); {
-		case uerr != nil:
-			opts.Logf("store: ignoring corrupt knowledge snapshot: %v", uerr)
-		case snap.Version != knowledgeSnapshotVersion:
-			opts.Logf("store: ignoring knowledge snapshot with unknown version %d", snap.Version)
-		default:
-			ks.snap = &snap.State
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: read knowledge snapshot: %w", err)
-	}
-
-	walPath := ks.path(knowledgeWALName)
-	valid := int64(0)
-	if data, err := os.ReadFile(walPath); err == nil {
-		for off := 0; off < len(data); {
-			nl := bytes.IndexByte(data[off:], '\n')
-			if nl < 0 {
-				opts.Logf("store: knowledge wal: dropping torn tail (%d bytes)", len(data)-off)
-				break
-			}
-			var rec krecord
-			if uerr := json.Unmarshal(data[off:off+nl], &rec); uerr != nil {
-				opts.Logf("store: knowledge wal: dropping corrupt tail at offset %d: %v", off, uerr)
-				break
-			}
-			switch rec.Op {
-			case opKnowledgeUpsert, opKnowledgeSwap:
-				ks.records = append(ks.records, rec)
-			default:
-				opts.Logf("store: knowledge wal: ignoring unknown op %q at offset %d", rec.Op, off)
-			}
-			off += nl + 1
-			valid = int64(off)
-		}
-		if valid < int64(len(data)) {
-			if terr := os.Truncate(walPath, valid); terr != nil {
-				return nil, fmt.Errorf("store: truncate knowledge wal tail: %w", terr)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: read knowledge wal: %w", err)
-	}
-
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	snap, warn, err := readSnapshot[knowledgeSnapshot](filepath.Join(dir, knowledgeSnapshotName), "knowledge snapshot")
 	if err != nil {
-		return nil, fmt.Errorf("store: open knowledge wal: %w", err)
+		return nil, err
 	}
-	ks.wal = f
+	if warn != "" {
+		opts.Logf("store: %s", warn)
+	}
+	if snap.Version == snapshotVersion { // the zero document when none was loaded
+		ks.snap = &snap.State
+	}
+	var tail string
+	ks.log, tail, err = openRecordLog(filepath.Join(dir, knowledgeWALName), "knowledge wal", opts.Fsync, func(off int, rec krecord, _ []byte) {
+		switch rec.Op {
+		case opKnowledgeUpsert, opKnowledgeSwap:
+			ks.records = append(ks.records, rec)
+		default:
+			opts.Logf("store: knowledge wal: ignoring unknown op %q at offset %d", rec.Op, off)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if tail != "" {
+		opts.Logf("store: %s", tail)
+	}
 	return ks, nil
 }
-
-func (ks *KnowledgeStore) path(name string) string { return ks.dir + string(os.PathSeparator) + name }
 
 // Replay applies the recovered snapshot and journal tail to the plane, in
 // write order, without emitting new events. Idempotent against records the
@@ -177,65 +133,51 @@ func (ks *KnowledgeStore) OnEvent(e knowledge.Event) {
 	}
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if ks.wal == nil {
+	if _, err := ks.log.append(rec); errors.Is(err, ErrClosed) {
 		ks.opts.Logf("store: knowledge event after close: dropped")
-		return
+	} else if err != nil {
+		ks.opts.Logf("%v", err)
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		ks.opts.Logf("store: marshal knowledge record: %v", err)
-		return
-	}
-	line = append(line, '\n')
-	if _, err := ks.wal.Write(line); err != nil {
-		ks.opts.Logf("store: append knowledge wal: %v", err)
-		return
-	}
-	if ks.opts.Fsync == FsyncAlways {
-		if err := ks.wal.Sync(); err != nil {
-			ks.opts.Logf("store: fsync knowledge wal: %v", err)
-		}
-	}
-	ks.appended++
 }
 
 // Checkpoint snapshots the plane's full state (including any staged,
-// unswapped delta) to knowledge.json and truncates the WAL the snapshot
-// now covers. The snapshot write is atomic; a crash between the write and
-// the truncation only leaves covered records, which replay idempotently.
+// unswapped delta) to knowledge.json and drops the WAL records the
+// snapshot covers; a store with nothing journaled since the last
+// checkpoint skips itself. The cut is the WAL's end offset taken BEFORE
+// the export: a record below it was appended under the plane's mutation
+// lock after its mutation applied, so the export — which takes that lock
+// afterwards — contains it. Everything at or above the cut is carried
+// over, covered by the snapshot or not: replay is idempotent, which is
+// also why a crash between the snapshot's rename and the rewrite is safe.
 func (ks *KnowledgeStore) Checkpoint(p *knowledge.Plane) error {
-	state := p.Export()
-	data, err := json.Marshal(knowledgeSnapshot{Version: knowledgeSnapshotVersion, State: state})
-	if err != nil {
-		return fmt.Errorf("store: marshal knowledge snapshot: %w", err)
-	}
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if ks.wal == nil {
-		return ErrClosed
-	}
-	if err := atomicWrite(ks.path(knowledgeSnapshotName), data, ks.opts.Fsync != FsyncOff); err != nil {
-		return fmt.Errorf("store: write knowledge snapshot: %w", err)
-	}
-	if err := atomicWrite(ks.path(knowledgeWALName), nil, ks.opts.Fsync != FsyncOff); err != nil {
-		return fmt.Errorf("store: truncate knowledge wal: %w", err)
-	}
-	f, err := os.OpenFile(ks.path(knowledgeWALName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopen knowledge wal: %w", err)
-	}
-	ks.wal.Close()
-	ks.wal = f
-	ks.appended = 0
-	return nil
+	return ks.checkpoint(p, false)
 }
 
-// Appended returns the WAL records written since the last checkpoint —
-// the daemon's trigger for periodic checkpointing.
-func (ks *KnowledgeStore) Appended() int {
+// FinalCheckpoint is Checkpoint with the skip disabled, for the drain
+// path: it also collapses records recovered at boot and never re-covered.
+func (ks *KnowledgeStore) FinalCheckpoint(p *knowledge.Plane) error {
+	return ks.checkpoint(p, true)
+}
+
+func (ks *KnowledgeStore) checkpoint(p *knowledge.Plane, force bool) error {
+	ks.ckpt.Lock()
+	defer ks.ckpt.Unlock()
+	ks.mu.Lock()
+	cut, clean, closed := ks.log.size, ks.log.n == 0, ks.log.f == nil
+	ks.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	if clean && !force {
+		return nil
+	}
+	doc := &knowledgeSnapshot{State: p.Export()}
+	if err := writeSnapshot(filepath.Join(ks.dir, knowledgeSnapshotName), "knowledge snapshot", doc, ks.opts.Fsync != FsyncOff); err != nil {
+		return err
+	}
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	return ks.appended
+	return ks.log.rewrite(nil, cut)
 }
 
 // Close syncs and closes the WAL. Events arriving after Close are dropped
@@ -243,17 +185,5 @@ func (ks *KnowledgeStore) Appended() int {
 func (ks *KnowledgeStore) Close() error {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if ks.wal == nil {
-		return nil
-	}
-	if ks.opts.Fsync != FsyncOff {
-		if err := ks.wal.Sync(); err != nil {
-			ks.wal.Close()
-			ks.wal = nil
-			return fmt.Errorf("store: fsync knowledge wal on close: %w", err)
-		}
-	}
-	err := ks.wal.Close()
-	ks.wal = nil
-	return err
+	return ks.log.close()
 }

@@ -4,20 +4,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"ioagent/internal/fleet"
+	"ioagent/internal/fleet/knowledge"
 )
 
-// snapshotName is the result-cache snapshot file inside the state
-// directory.
-const snapshotName = "snapshot.json"
+// The three snapshot files in a state directory. knowledge.json sits
+// beside knowledge.wal, deliberately apart from the job files: corpus
+// epochs and job lifecycles have different write rates and checkpoint
+// triggers, and an operator may wipe one without losing the other.
+const (
+	snapshotName          = "snapshot.json"  // result cache
+	semIndexName          = "semindex.json"  // similarity index (feature text per cached digest)
+	knowledgeSnapshotName = "knowledge.json" // knowledge-plane corpus
+)
 
-// snapshotVersion guards the on-disk format. A reader finding a version it
-// does not understand ignores the snapshot (the cache is an optimization;
-// the journal alone preserves correctness).
+// snapshotVersion guards the on-disk format of every snapshot file. A
+// reader finding a version it does not understand ignores the file: a lost
+// cache or similarity index costs recomputation, and the logs alone
+// preserve correctness.
 const snapshotVersion = 1
+
+// versioned is the header every snapshot document embeds; it is the only
+// part of a document the codec itself reads or writes.
+type versioned struct {
+	Version int `json:"version"`
+}
+
+func (v *versioned) header() *versioned { return v }
 
 // SnapshotEntry is one persisted result-cache entry. Only the canonical
 // report text is stored: the parsed Report is reconstructed on load with
@@ -29,131 +43,57 @@ type SnapshotEntry struct {
 	Added  time.Time `json:"added"`
 }
 
-// snapshotFile is the on-disk snapshot document.
-type snapshotFile struct {
-	Version int             `json:"version"`
-	SavedAt time.Time       `json:"saved_at"`
-	Entries []SnapshotEntry `json:"entries"`
+// snapshotDoc is the on-disk document of snapshot.json (E = SnapshotEntry)
+// and semindex.json (E = fleet.SemEntry).
+type snapshotDoc[E any] struct {
+	versioned
+	SavedAt time.Time `json:"saved_at"`
+	Entries []E       `json:"entries"`
 }
 
-// readSnapshot loads the snapshot at path. A missing file yields an empty
-// entry list; a corrupt or version-incompatible file is ignored with a
-// warning rather than failing recovery, because losing the cache costs
-// recomputation, not correctness.
-func readSnapshot(path string) (entries []SnapshotEntry, warnings []string, err error) {
+// knowledgeSnapshot is the on-disk document of knowledge.json.
+type knowledgeSnapshot struct {
+	versioned
+	State knowledge.State `json:"state"`
+}
+
+// readSnapshot loads the snapshot document at path. A missing file yields
+// the zero document; so does a corrupt or version-incompatible one, with a
+// warning instead of a failed recovery. Stale temp files of an interrupted
+// write are removed on the way.
+func readSnapshot[D any, P interface {
+	*D
+	header() *versioned
+}](path, label string) (doc D, warning string, err error) {
+	removeStaleTemps(path)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, nil, nil
+		return doc, "", nil
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: read snapshot: %w", err)
+		return doc, "", fmt.Errorf("store: read %s: %w", label, err)
 	}
-	var f snapshotFile
-	if uerr := json.Unmarshal(data, &f); uerr != nil {
-		return nil, []string{fmt.Sprintf("snapshot: ignoring corrupt file: %v", uerr)}, nil
+	if uerr := json.Unmarshal(data, P(&doc)); uerr != nil {
+		var zero D
+		return zero, fmt.Sprintf("%s: ignoring corrupt file: %v", label, uerr), nil
 	}
-	if f.Version != snapshotVersion {
-		return nil, []string{fmt.Sprintf("snapshot: ignoring unsupported version %d", f.Version)}, nil
+	if v := P(&doc).header().Version; v != snapshotVersion {
+		var zero D
+		return zero, fmt.Sprintf("%s: ignoring unsupported version %d", label, v), nil
 	}
-	return f.Entries, nil, nil
+	return doc, "", nil
 }
 
-// semIndexName is the similarity-index sidecar file inside the state
-// directory. It persists the semantic cache's feature vectors beside the
-// result-cache snapshot so that a restarted daemon can serve similarity
-// hits immediately instead of re-deriving features as traces trickle in.
-const semIndexName = "semindex.json"
-
-// semIndexFile is the on-disk similarity-index document. It shares the
-// snapshot's versioning posture: an unreadable or version-incompatible
-// file costs only warm-up (features are re-derived on fresh submissions),
-// never correctness.
-type semIndexFile struct {
-	Version int              `json:"version"`
-	SavedAt time.Time        `json:"saved_at"`
-	Entries []fleet.SemEntry `json:"entries"`
-}
-
-// readSemIndex loads the similarity-index sidecar at path. Missing,
-// corrupt, or version-incompatible files yield an empty list with at most
-// a warning, mirroring readSnapshot.
-func readSemIndex(path string) (entries []fleet.SemEntry, warnings []string, err error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: read sem index: %w", err)
-	}
-	var f semIndexFile
-	if uerr := json.Unmarshal(data, &f); uerr != nil {
-		return nil, []string{fmt.Sprintf("sem index: ignoring corrupt file: %v", uerr)}, nil
-	}
-	if f.Version != snapshotVersion {
-		return nil, []string{fmt.Sprintf("sem index: ignoring unsupported version %d", f.Version)}, nil
-	}
-	return f.Entries, nil, nil
-}
-
-// writeSemIndex atomically replaces the similarity-index sidecar at path.
-func writeSemIndex(path string, entries []fleet.SemEntry, sync bool) error {
-	doc := semIndexFile{Version: snapshotVersion, SavedAt: time.Now(), Entries: entries}
+// writeSnapshot stamps doc with the current version and atomically
+// replaces the file at path with it (see atomicWrite).
+func writeSnapshot(path, label string, doc interface{ header() *versioned }, sync bool) error {
+	doc.header().Version = snapshotVersion
 	data, err := json.Marshal(doc)
 	if err != nil {
-		return fmt.Errorf("store: marshal sem index: %w", err)
+		return fmt.Errorf("store: marshal %s: %w", label, err)
 	}
 	if err := atomicWrite(path, data, sync); err != nil {
-		return fmt.Errorf("store: write sem index: %w", err)
-	}
-	return nil
-}
-
-// writeSnapshot atomically replaces the snapshot at path.
-func writeSnapshot(path string, entries []SnapshotEntry, sync bool) error {
-	doc := snapshotFile{Version: snapshotVersion, SavedAt: time.Now(), Entries: entries}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		return fmt.Errorf("store: marshal snapshot: %w", err)
-	}
-	if err := atomicWrite(path, data, sync); err != nil {
-		return fmt.Errorf("store: write snapshot: %w", err)
-	}
-	return nil
-}
-
-// atomicWrite writes data to path via a same-directory temp file and
-// rename, so readers only ever observe the old or the new content — never
-// a torn write. When sync is set, the file is fsynced before the rename and
-// the directory after it, making the replacement durable across power loss.
-func atomicWrite(path string, data []byte, sync bool) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	if sync {
-		if d, err := os.Open(dir); err == nil {
-			d.Sync()
-			d.Close()
-		}
+		return fmt.Errorf("store: write %s: %w", label, err)
 	}
 	return nil
 }

@@ -47,13 +47,20 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-func (o Options) withDefaults() (Options, error) {
+// prepare is the first step of both Open functions: it validates and
+// defaults the options and creates the state directory.
+func (o Options) prepare(dir string) (Options, error) {
 	var err error
-	o.Fsync, err = ParseFsyncMode(string(o.Fsync))
+	if o.Fsync, err = ParseFsyncMode(string(o.Fsync)); err != nil {
+		return o, err
+	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
 	}
-	return o, err
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return o, fmt.Errorf("store: create state dir: %w", err)
+	}
+	return o, nil
 }
 
 // ParseFsyncMode is the one place a durability mode is validated (the
@@ -106,14 +113,13 @@ type Store struct {
 	opts Options
 
 	mu        sync.Mutex
-	journal   *os.File
+	log       *recordLog // journal.wal; log.n counts records since the last compaction
 	recovered Recovery
 	// pendingRaw holds the raw journal line of every uncovered submit,
 	// keyed by job ID; pendingOrder preserves append order. Together they
 	// let compaction rewrite the journal without rereading it.
 	pendingRaw   map[string][]byte
 	pendingOrder []string
-	appended     int  // records appended since the last compaction
 	dirty        bool // cache changed since the last snapshot
 }
 
@@ -122,74 +128,46 @@ type Store struct {
 // corrupt journal tail is truncated away. The recovered state is available
 // through Recovered until Replay consumes it.
 func Open(dir string, opts Options) (*Store, error) {
-	opts, err := opts.withDefaults()
+	opts, err := opts.prepare(dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create state dir: %w", err)
-	}
-	s := &Store{dir: dir, opts: opts, pendingRaw: make(map[string][]byte)}
+	s := &Store{dir: dir, opts: opts}
 
-	cache, warns, err := readSnapshot(s.path(snapshotName))
+	cache, warn, err := readSnapshot[snapshotDoc[SnapshotEntry]](filepath.Join(dir, snapshotName), "snapshot")
 	if err != nil {
 		return nil, err
 	}
-	s.recovered.Cache = cache
-	s.recovered.Warnings = append(s.recovered.Warnings, warns...)
-
-	sem, warns, err := readSemIndex(s.path(semIndexName))
+	sem, semWarn, err := readSnapshot[snapshotDoc[fleet.SemEntry]](filepath.Join(dir, semIndexName), "sem index")
 	if err != nil {
 		return nil, err
 	}
-	s.recovered.Sem = sem
-	s.recovered.Warnings = append(s.recovered.Warnings, warns...)
-
-	jpath := s.path(journalName)
-	pending, uploads, classes, raw, valid, warns, err := scanJournal(jpath)
+	sc, err := scanJournal(filepath.Join(dir, journalName), opts.Fsync)
 	if err != nil {
 		return nil, err
 	}
-	s.recovered.Pending = pending
-	s.recovered.Uploads = uploads
-	s.recovered.TenantClasses = classes
-	s.recovered.Warnings = append(s.recovered.Warnings, warns...)
-	if info, err := os.Stat(jpath); err == nil && info.Size() > valid {
-		if err := os.Truncate(jpath, valid); err != nil {
-			return nil, fmt.Errorf("store: truncate journal tail: %w", err)
+	s.log, s.pendingRaw = sc.log, sc.raw
+	s.recovered = Recovery{Cache: cache.Entries, Sem: sem.Entries, Pending: sc.pending, Uploads: sc.uploads, TenantClasses: sc.classes}
+	for _, w := range append([]string{warn, semWarn}, sc.warnings...) {
+		if w != "" {
+			s.recovered.Warnings = append(s.recovered.Warnings, w)
+			opts.Logf("store: %s", w)
 		}
 	}
-	for _, p := range pending {
+	for _, p := range sc.pending {
 		s.pendingOrder = append(s.pendingOrder, p.ID)
 	}
-	for _, u := range uploads {
+	for _, u := range sc.uploads {
 		s.pendingOrder = append(s.pendingOrder, u.ID)
 	}
-	tenants := make([]string, 0, len(classes))
-	for tenant := range classes {
-		tenants = append(tenants, tenant)
-	}
-	sort.Strings(tenants) // deterministic compaction order
-	for _, tenant := range tenants {
+	for _, tenant := range sortedKeys(sc.classes) { // deterministic compaction order
 		s.pendingOrder = append(s.pendingOrder, classKey(tenant))
-	}
-	s.pendingRaw = raw
-
-	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open journal: %w", err)
-	}
-	s.journal = f
-	for _, w := range s.recovered.Warnings {
-		opts.Logf("store: %s", w)
 	}
 	return s, nil
 }
 
 // Dir returns the state directory.
 func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
 
 // Recovered returns what Open found on disk. Replay consumes the same
 // state; calling both is fine (Recovered is read-only).
@@ -258,10 +236,7 @@ func (s *Store) Replay(p *fleet.Pool) (restored, resubmitted int, err error) {
 			return restored, resubmitted, fmt.Errorf("store: replay %s: %w", job.ID, serr)
 		}
 		resubmitted++
-		s.mu.Lock()
-		aerr := s.appendLocked(record{Op: opReplayed, ID: job.ID, Digest: job.Digest, At: time.Now()})
-		s.mu.Unlock()
-		if aerr != nil {
+		if aerr := s.journal(record{Op: opReplayed, ID: job.ID, Digest: job.Digest, At: time.Now()}); aerr != nil {
 			return restored, resubmitted, aerr
 		}
 	}
@@ -302,7 +277,7 @@ func (s *Store) OnJobEvent(ev fleet.Event) {
 // beside the journal: internal/fleet/ingest appends accepted bytes there
 // while this store journals the session opens, and the two recover
 // together.
-func (s *Store) UploadDir() string { return s.path("uploads") }
+func (s *Store) UploadDir() string { return filepath.Join(s.dir, "uploads") }
 
 // OnUploadEvent is the ingest.Config.OnEvent hook: it write-ahead-journals
 // every opened upload session and covers it when the session closes
@@ -336,10 +311,7 @@ func (s *Store) ReplayUploads(m *ingest.Manager) (restored int, err error) {
 			ID: u.ID, Lane: u.Lane, Tenant: u.Tenant, Digest: u.Digest, CreatedAt: u.CreatedAt,
 		}); rerr != nil {
 			s.opts.Logf("store: replay upload %s: %v (dropping the session)", u.ID, rerr)
-			s.mu.Lock()
-			aerr := s.appendLocked(record{Op: opUploadClose, ID: u.ID, At: time.Now()})
-			s.mu.Unlock()
-			if aerr != nil {
+			if aerr := s.journal(record{Op: opUploadClose, ID: u.ID, At: time.Now()}); aerr != nil {
 				return restored, aerr
 			}
 			continue
@@ -378,18 +350,14 @@ func (s *Store) TenantClass(tenant, class string) error {
 	if tenant == "" {
 		return errors.New("store: tenant_class with no tenant")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(record{Op: opTenantClass, Tenant: tenant, Class: class, At: time.Now()})
+	return s.journal(record{Op: opTenantClass, Tenant: tenant, Class: class, At: time.Now()})
 }
 
 // Reject journals a refused submission (e.g. a 503 during drain) for the
 // audit trail. Rejected work is the client's to retry; it is never
 // replayed.
 func (s *Store) Reject(reason string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(record{Op: opReject, Reason: reason, At: time.Now()})
+	return s.journal(record{Op: opReject, Reason: reason, At: time.Now()})
 }
 
 // MemberJoined and MemberLeft journal elastic-roster transitions this
@@ -405,21 +373,22 @@ func (s *Store) MemberJoined(url string) { s.memberEvent(opMemberJoin, url) }
 func (s *Store) MemberLeft(url string) { s.memberEvent(opMemberLeave, url) }
 
 func (s *Store) memberEvent(op, url string) {
-	s.mu.Lock()
-	err := s.appendLocked(record{Op: op, URL: url, At: time.Now()})
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.journal(record{Op: op, URL: url, At: time.Now()}); err != nil {
 		s.opts.Logf("store: journal %s %s: %v", op, url, err)
 	}
+}
+
+// journal appends one record to the journal.
+func (s *Store) journal(rec record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(rec)
 }
 
 // append journals one record, reporting hook-path failures through Logf
 // (the pool's hook signature cannot carry an error).
 func (s *Store) append(rec record) {
-	s.mu.Lock()
-	err := s.appendLocked(rec)
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.journal(rec); err != nil {
 		s.opts.Logf("store: journal %s %s: %v", rec.Op, rec.ID, err)
 	}
 }
@@ -467,19 +436,18 @@ func (s *Store) FinalCheckpoint(p *fleet.Pool) error {
 
 func (s *Store) checkpoint(p *fleet.Pool, force bool) error {
 	s.mu.Lock()
-	dirty, appended := s.dirty, s.appended
+	snapshot := force || s.dirty
+	clean := !snapshot && s.log.n == 0
+	// Clear the flag before exporting: a change landing mid-export is
+	// either captured by this snapshot or re-marks dirty for the next
+	// one; clearing afterwards could silently swallow it.
+	s.dirty = false
 	s.mu.Unlock()
-	if !force && !dirty && appended == 0 {
+	if clean {
 		return nil
 	}
 
-	if force || dirty {
-		// Clear the flag before exporting: a change landing mid-export is
-		// either captured by this snapshot or re-marks dirty for the next
-		// one; clearing afterwards could silently swallow it.
-		s.mu.Lock()
-		s.dirty = false
-		s.mu.Unlock()
+	if snapshot {
 		exported := p.CacheExport()
 		entries := make([]SnapshotEntry, 0, len(exported))
 		for _, e := range exported {
@@ -488,16 +456,16 @@ func (s *Store) checkpoint(p *fleet.Pool, force bool) error {
 			}
 			entries = append(entries, SnapshotEntry{Digest: e.Digest, Text: e.Result.Text, Added: e.Added})
 		}
-		if err := writeSnapshot(s.path(snapshotName), entries, s.opts.Fsync != FsyncOff); err != nil {
-			s.mu.Lock()
-			s.dirty = true
-			s.mu.Unlock()
-			return err
+		sync, now := s.opts.Fsync != FsyncOff, time.Now()
+		err := writeSnapshot(filepath.Join(s.dir, snapshotName), "snapshot", &snapshotDoc[SnapshotEntry]{SavedAt: now, Entries: entries}, sync)
+		if err == nil {
+			// The similarity index rides the same dirty cadence as the
+			// cache snapshot: every sem entry is pinned to a cache digest
+			// (eviction drops both), so any index change implies a cache
+			// change.
+			err = writeSnapshot(filepath.Join(s.dir, semIndexName), "sem index", &snapshotDoc[fleet.SemEntry]{SavedAt: now, Entries: p.SemExport()}, sync)
 		}
-		// The similarity index rides the same dirty cadence as the cache
-		// snapshot: every sem entry is pinned to a cache digest (eviction
-		// drops both), so any index change implies a cache change.
-		if err := writeSemIndex(s.path(semIndexName), p.SemExport(), s.opts.Fsync != FsyncOff); err != nil {
+		if err != nil {
 			s.mu.Lock()
 			s.dirty = true
 			s.mu.Unlock()
@@ -507,7 +475,7 @@ func (s *Store) checkpoint(p *fleet.Pool, force bool) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.appended == 0 {
+	if s.log.n == 0 {
 		return nil
 	}
 	return s.compactLocked()
@@ -519,16 +487,5 @@ func (s *Store) checkpoint(p *fleet.Pool, force bool) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.journal == nil {
-		return nil
-	}
-	var err error
-	if s.opts.Fsync != FsyncOff {
-		err = s.journal.Sync()
-	}
-	if cerr := s.journal.Close(); err == nil {
-		err = cerr
-	}
-	s.journal = nil
-	return err
+	return s.log.close()
 }

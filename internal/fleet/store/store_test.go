@@ -234,10 +234,12 @@ func TestJournalCompactionEquivalence(t *testing.T) {
 	s.OnJobEvent(doneEvent("job-000004", "d4"))
 
 	// What replay would see before compaction.
-	before, _, _, _, _, _, err := scanJournal(filepath.Join(dir, journalName))
+	scan, err := scanJournal(filepath.Join(dir, journalName), FsyncOff)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scan.log.close()
+	before := scan.pending
 
 	// Compact (via the checkpoint path; the cache is clean so only the
 	// journal is rewritten) and compare.
@@ -246,10 +248,12 @@ func TestJournalCompactionEquivalence(t *testing.T) {
 	if err := s.Checkpoint(pool); err != nil {
 		t.Fatal(err)
 	}
-	after, _, _, _, _, warns, err := scanJournal(filepath.Join(dir, journalName))
+	scan, err = scanJournal(filepath.Join(dir, journalName), FsyncOff)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scan.log.close()
+	after, warns := scan.pending, scan.warnings
 	if len(warns) != 0 {
 		t.Errorf("compacted journal has warnings: %v", warns)
 	}
@@ -414,9 +418,9 @@ func TestSnapshotCorruptFileIgnored(t *testing.T) {
 
 func TestSnapshotAtomicWriteLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
-	if err := writeSnapshot(filepath.Join(dir, snapshotName), []SnapshotEntry{
+	if err := writeSnapshot(filepath.Join(dir, snapshotName), "snapshot", &snapshotDoc[SnapshotEntry]{Entries: []SnapshotEntry{
 		{Digest: "d1", Text: "I/O Performance Diagnosis\nok", Added: time.Now()},
-	}, true); err != nil {
+	}}, true); err != nil {
 		t.Fatal(err)
 	}
 	names, err := os.ReadDir(dir)
@@ -428,9 +432,9 @@ func TestSnapshotAtomicWriteLeavesNoTemp(t *testing.T) {
 			t.Errorf("temp file %s left behind", e.Name())
 		}
 	}
-	entries, warns, err := readSnapshot(filepath.Join(dir, snapshotName))
-	if err != nil || len(warns) != 0 || len(entries) != 1 || entries[0].Digest != "d1" {
-		t.Errorf("round trip = (%v, %v, %v)", entries, warns, err)
+	doc, warn, err := readSnapshot[snapshotDoc[SnapshotEntry]](filepath.Join(dir, snapshotName), "snapshot")
+	if entries := doc.Entries; err != nil || warn != "" || len(entries) != 1 || entries[0].Digest != "d1" {
+		t.Errorf("round trip = (%v, %q, %v)", entries, warn, err)
 	}
 }
 

@@ -31,28 +31,6 @@ func WriteShared(s *Sim, path string, iface Iface, layout *Layout, total, xfer i
 	return f
 }
 
-// ReadShared mirrors WriteShared for reads.
-func ReadShared(s *Sim, path string, iface Iface, layout *Layout, total, xfer int64) *File {
-	f := s.OpenShared(path, iface, iface == MPIColl, layout)
-	n := s.NProcs()
-	perRank := total / int64(n)
-	if iface == MPIColl {
-		for off := int64(0); off < perRank; off += xfer {
-			sz := min64(xfer, perRank-off)
-			f.CollectiveRead(off*int64(n), sz)
-		}
-		return f
-	}
-	for rank := 0; rank < n; rank++ {
-		base := int64(rank) * perRank
-		for off := int64(0); off < perRank; off += xfer {
-			sz := min64(xfer, perRank-off)
-			f.ReadAt(rank, base+off, sz)
-		}
-	}
-	return f
-}
-
 // FilePerProcessWrite writes one private file per rank (N:N pattern), each
 // perRank bytes in xfer transfers. pathPattern must contain one %d verb for
 // the rank.
@@ -107,23 +85,6 @@ func RandomWrites(s *Sim, f *File, n int, size, extent int64) {
 			off := s.rng.Int63n(extent - size + 1)
 			f.WriteAt(rank, off, size)
 		}
-	}
-}
-
-// StridedReads issues n reads of size bytes per rank with a fixed stride
-// between consecutive accesses (a classic interleaved block pattern).
-func StridedReads(s *Sim, f *File, rank int, n int, start, size, stride int64) {
-	off := start
-	for i := 0; i < n; i++ {
-		f.ReadAt(rank, off, size)
-		off += stride
-	}
-}
-
-// RereadSame reads the same region repeatedly (repetitive data access).
-func RereadSame(s *Sim, f *File, rank int, n int, off, size int64) {
-	for i := 0; i < n; i++ {
-		f.ReadAt(rank, off, size)
 	}
 }
 

@@ -415,9 +415,16 @@ func TestStateDirV1(t *testing.T) {
 	// Checkpoint without running a job: the cache and the similarity index
 	// are restored by hand (Replay would also resubmit the pending jobs,
 	// whose completions would race the checkpoint), and one audit record
-	// makes the journal compact.
+	// makes the journal compact. The fixture's `added` stamps are fixed, so
+	// under the default 1 h TTL CacheRestore would drop both entries as
+	// expired (and SemRestore the vector they back) an hour after they were
+	// written: the pool runs with a cache that never expires. Expiry on
+	// restore is pinned by TestCacheRestoreDropsExpired and
+	// TestSemRestoreDropsUnbackedEntries in internal/fleet; this test pins
+	// the format.
 	cfg := testConfig(1, s)
 	cfg.SemCache = true
+	cfg.CacheTTL = -1
 	pool := fleet.New(llm.NewSim(), cfg)
 	defer pool.Close()
 	var entries []fleet.CacheEntry
@@ -426,6 +433,10 @@ func TestStateDirV1(t *testing.T) {
 	}
 	pool.CacheRestore(entries)
 	pool.SemRestore(rec.Sem)
+	if n, sem := pool.Metrics().CacheLen, pool.SemLen(); n != 2 || sem != 1 {
+		t.Fatalf("restore kept %d cache and %d sem entries, want 2 and 1: the fixture's added stamps are fixed, so CacheTTL must be negative (never expire), is %v (0 = the 1h default)",
+			n, sem, cfg.CacheTTL)
+	}
 	if err := s.Reject("fixture"); err != nil {
 		t.Fatal(err)
 	}

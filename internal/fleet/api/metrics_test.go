@@ -38,13 +38,16 @@ func promText(m Metrics) []byte {
 	return buf.Bytes()
 }
 
-// jsonText encodes as server.WriteJSON does.
+// jsonText encodes as server.WriteJSON does — one compact,
+// newline-terminated document — then indents it, so the goldens stay
+// readable in review. Whitespace is not part of the wire contract.
 func jsonText(t *testing.T, m Metrics) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
+	var compact, buf bytes.Buffer
+	if err := json.NewEncoder(&compact).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Indent(&buf, compact.Bytes(), "", "  "); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -165,17 +165,30 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // network errors, 5xx, api.CodeDraining — are retried with backoff; the
 // resubmit is safe because the daemon deduplicates by trace digest.
 func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
+	info, _, err := c.submitJSON(ctx, req)
+	return info, err
+}
+
+// submitJSON is Submit that also returns the reply as the daemon sent
+// it, for Cluster.SubmitJSON.
+func (c *Client) submitJSON(ctx context.Context, req api.SubmitRequest) (api.JobInfo, []byte, error) {
 	lane, err := validSubmit(req)
 	if err != nil {
-		return api.JobInfo{}, err
+		return api.JobInfo{}, nil, err
 	}
-	var info api.JobInfo
 	path := "/v1/jobs?lane=" + url.QueryEscape(string(lane))
 	if req.Tenant != "" {
 		path += "&tenant=" + url.QueryEscape(req.Tenant)
 	}
-	err = c.do(ctx, http.MethodPost, path, req.Trace, &info)
-	return info, err
+	data, err := c.fetch(ctx, http.MethodPost, path, req.Trace, nil)
+	if err != nil {
+		return api.JobInfo{}, nil, err
+	}
+	var info api.JobInfo
+	if err := decodeJSON(data, http.MethodPost, path, &info); err != nil {
+		return api.JobInfo{}, nil, err
+	}
+	return info, data, nil
 }
 
 // validSubmit applies the client-side submission checks — a known lane,
@@ -253,8 +266,25 @@ func (c *Client) SubmitAndWait(ctx context.Context, req api.SubmitRequest) (api.
 	return c.WaitDiagnosis(ctx, info.ID)
 }
 
-// do runs one logical call with retry: build request, send, decode. body
-// may be nil; out may be nil for calls with no interesting response.
+// do runs one logical call with retry and decodes its 2xx body into
+// out. body may be nil; out may be nil for calls with no interesting
+// response.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+	return c.doHeaders(ctx, method, path, body, nil, out)
+}
+
+// doHeaders is do with extra per-call request headers (empty values are
+// skipped).
+func (c *Client) doHeaders(ctx context.Context, method, path string, body []byte, headers map[string]string, out any) error {
+	data, err := c.fetch(ctx, method, path, body, headers)
+	if err != nil || out == nil {
+		return err
+	}
+	return decodeJSON(data, method, path, out)
+}
+
+// fetch runs one logical call with retry — build request, send, read —
+// and returns the 2xx body bytes as the server sent them.
 //
 // The retry delay starts from the exponential base but is shaped by two
 // live signals: the transient-failure rate observed over this client's
@@ -262,21 +292,21 @@ func (c *Client) SubmitAndWait(ctx context.Context, req api.SubmitRequest) (api.
 // than a single blip), and a server-sent Retry-After floors it (the
 // server knows when the quota frees or the drain completes better than
 // any client-side formula).
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) fetch(ctx context.Context, method, path string, body []byte, headers map[string]string) ([]byte, error) {
 	if c.brk != nil && !c.brk.allow() {
-		return ErrBreakerOpen
+		return nil, ErrBreakerOpen
 	}
 	delay := c.baseDelay
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		err := c.once(ctx, method, path, body, out)
+		data, err := c.once(ctx, method, path, body, headers)
 		c.observe(err)
 		if err == nil || !retryable(err) || attempt >= c.maxAttempts {
-			return err
+			return data, err
 		}
 		lastErr = err
 		if serr := c.sleep(ctx, c.nextDelay(delay, err)); serr != nil {
-			return fmt.Errorf("%w (last attempt: %w)", serr, lastErr)
+			return nil, fmt.Errorf("%w (last attempt: %w)", serr, lastErr)
 		}
 		if delay *= 2; delay > c.maxDelay {
 			delay = c.maxDelay
@@ -314,23 +344,28 @@ func (c *Client) nextDelay(base time.Duration, err error) time.Duration {
 
 // once performs a single HTTP round trip, enforcing version compatibility
 // and mapping error bodies onto *api.Error.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) once(ctx context.Context, method, path string, body []byte, headers map[string]string) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := c.newRequest(ctx, method, path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
 	}
+	for k, v := range headers {
+		if v != "" {
+			req.Header.Set(k, v)
+		}
+	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return &transportError{err}
+		return nil, &transportError{err}
 	}
-	return c.decodeResponse(resp, method, path, out)
+	return c.readResponse(resp)
 }
 
 // newRequest builds a request carrying the client's standing headers.
@@ -347,9 +382,13 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 	return req, nil
 }
 
-// decodeResponse consumes and closes the response body, enforcing the
-// version handshake and mapping error envelopes onto *api.Error.
-func (c *Client) decodeResponse(resp *http.Response, method, path string, out any) error {
+// maxResponse bounds one response body.
+const maxResponse = 64 << 20
+
+// readResponse consumes and closes the response body, enforcing the
+// version handshake and mapping error envelopes onto *api.Error. It
+// returns a 2xx body as the server sent it.
+func (c *Client) readResponse(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
 
 	// Version skew check before trusting any payload: an incompatible
@@ -357,17 +396,17 @@ func (c *Client) decodeResponse(resp *http.Response, method, path string, out an
 	if adv := resp.Header.Get(api.VersionHeader); adv != "" {
 		v, perr := api.ParseVersion(adv)
 		if perr != nil {
-			return api.Errorf(api.CodeUnsupportedVersion, "server sent malformed version %q", adv)
+			return nil, api.Errorf(api.CodeUnsupportedVersion, "server sent malformed version %q", adv)
 		}
 		if !v.CompatibleWith(api.Current) {
-			return api.Errorf(api.CodeUnsupportedVersion,
+			return nil, api.Errorf(api.CodeUnsupportedVersion,
 				"server speaks api %s, this client speaks %s", v, api.Current)
 		}
 	}
 
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBody(resp)
 	if err != nil {
-		return &transportError{err}
+		return nil, err
 	}
 	if resp.StatusCode >= 400 {
 		var outErr error
@@ -387,18 +426,43 @@ func (c *Client) decodeResponse(resp *http.Response, method, path string, out an
 		if secs, perr := strconv.Atoi(strings.TrimSpace(resp.Header.Get(api.RetryAfterHeader))); perr == nil && secs > 0 {
 			outErr = &hintedError{err: outErr, retryAfter: time.Duration(secs) * time.Second}
 		}
-		return outErr
+		return nil, outErr
 	}
 	// A versioned server stamps every successful response, so a 2xx
 	// without the header means a pre-versioning daemon (or not a fleet
 	// daemon at all) — refuse it rather than misparse its payload.
 	if resp.Header.Get(api.VersionHeader) == "" {
-		return api.Errorf(api.CodeUnsupportedVersion,
+		return nil, api.Errorf(api.CodeUnsupportedVersion,
 			"server sent no %s header; it does not speak the versioned fleet api", api.VersionHeader)
 	}
-	if out == nil {
-		return nil
+	return data, nil
+}
+
+// readBody reads a response body of up to maxResponse bytes. A declared
+// Content-Length sizes one exact read; a body cut short of it is a
+// transport failure, and one declared over the cap is refused unread.
+// Without a length (chunked replies) the body is read to EOF, bounded.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n > maxResponse {
+		return nil, fmt.Errorf("client: response too large: %d bytes declared, limit %d", n, maxResponse)
 	}
+	if n < 0 {
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
+		if err != nil {
+			return nil, &transportError{err}
+		}
+		return data, nil
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, &transportError{err}
+	}
+	return data, nil
+}
+
+// decodeJSON unmarshals a 2xx body into out, naming the call on failure.
+func decodeJSON(data []byte, method, path string, out any) error {
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 	}

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -230,5 +233,98 @@ func TestClientHonorsContextDuringBackoff(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("cancelled backoff must return promptly")
+	}
+}
+
+// rawReply serves a hand-written HTTP/1.1 response over the hijacked
+// connection and closes it: head is the status line plus headers, body is
+// written as is (so it may fall short of a declared Content-Length).
+func rawReply(head, body string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			panic(err)
+		}
+		defer conn.Close()
+		buf.WriteString(head + "\r\n" + api.VersionHeader + ": " + api.Current.String() + "\r\n\r\n" + body)
+		buf.Flush()
+	}
+}
+
+// lengthRecorder notes the Content-Length of every response it relays.
+type lengthRecorder struct{ lengths []int64 }
+
+func (l *lengthRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		l.lengths = append(l.lengths, resp.ContentLength)
+	}
+	return resp, err
+}
+
+// TestClientSizedReads: a declared Content-Length sizes the read. An exact
+// body decodes; a body cut short of it is a retryable transport failure;
+// a length over the 64 MiB cap is refused as too large before any byte is
+// read; a chunked reply (no length) is read to EOF as before.
+func TestClientSizedReads(t *testing.T) {
+	job := `{"id":"n1-job-000001","status":"done"}`
+	cases := []struct {
+		name      string
+		h         http.HandlerFunc
+		wantCalls int64
+		check     func(t *testing.T, info api.JobInfo, err error)
+	}{
+		{"exact", rawReply("HTTP/1.1 200 OK\r\nContent-Length: "+fmt.Sprint(len(job)), job), 1,
+			func(t *testing.T, info api.JobInfo, err error) {
+				if err != nil || info.ID != "n1-job-000001" || info.Status != api.StatusDone {
+					t.Errorf("exact body = %+v, %v", info, err)
+				}
+			}},
+		{"short", rawReply("HTTP/1.1 200 OK\r\nContent-Length: "+fmt.Sprint(len(job)+10), job), 2,
+			func(t *testing.T, _ api.JobInfo, err error) {
+				var te *transportError
+				if !errors.As(err, &te) || !retryable(err) {
+					t.Errorf("short body = %v, want a retryable transport error", err)
+				}
+			}},
+		{"too large", rawReply("HTTP/1.1 200 OK\r\nContent-Length: "+fmt.Sprint(maxResponse+1), job), 1,
+			func(t *testing.T, _ api.JobInfo, err error) {
+				var se *json.SyntaxError
+				if err == nil || !strings.Contains(err.Error(), "response too large") || errors.As(err, &se) || retryable(err) {
+					t.Errorf("oversized reply = %v, want a permanent response-too-large error", err)
+				}
+			}},
+		{"chunked", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set(api.VersionHeader, api.Current.String())
+			io.WriteString(w, job[:10])
+			w.(http.Flusher).Flush() // commits the header without a length
+			io.WriteString(w, job[10:])
+		}, 1,
+			func(t *testing.T, info api.JobInfo, err error) {
+				if err != nil || info.ID != "n1-job-000001" {
+					t.Errorf("chunked body = %+v, %v", info, err)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				tc.h(w, r)
+			}))
+			t.Cleanup(srv.Close)
+			lengths := &lengthRecorder{}
+			c := New(srv.URL, WithRetry(2, time.Millisecond), WithHTTPClient(&http.Client{Transport: lengths}))
+			instantSleep(c)
+			info, err := c.Job(context.Background(), "n1-job-000001")
+			tc.check(t, info, err)
+			if calls.Load() != tc.wantCalls {
+				t.Errorf("%d calls, want %d", calls.Load(), tc.wantCalls)
+			}
+			if tc.name == "chunked" && (len(lengths.lengths) != 1 || lengths.lengths[0] != -1) {
+				t.Errorf("response lengths = %v, want one reply without Content-Length", lengths.lengths)
+			}
+		})
 	}
 }

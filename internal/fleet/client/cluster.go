@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -257,24 +259,32 @@ func failover(err error) bool {
 // ID carries the accepting node's prefix, which later routes Job and
 // Diagnosis calls back to it.
 func (cl *Cluster) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
+	info, _, err := cl.SubmitJSON(ctx, req)
+	return info, err
+}
+
+// SubmitJSON is Submit that also returns the accepting node's reply as
+// the bytes it sent, so a relay (iofleet-router) can serve them without
+// encoding the job again.
+func (cl *Cluster) SubmitJSON(ctx context.Context, req api.SubmitRequest) (api.JobInfo, []byte, error) {
 	// Validate before keying: a submission every member would refuse must
 	// not cost the front door a decode first.
 	if _, err := validSubmit(req); err != nil {
-		return api.JobInfo{}, err
+		return api.JobInfo{}, nil, err
 	}
 	ms := cl.cur.Load()
 	for _, member := range cl.orderByBackoff(ms.ring.Successors(cl.routeKey(req.Trace), len(ms.members))) {
-		info, err := ms.clients[member].Submit(ctx, req)
+		info, data, err := ms.clients[member].submitJSON(ctx, req)
 		cl.observeForward(member, err)
 		if err == nil {
 			cl.learn(info.ID, member)
-			return info, nil
+			return info, data, nil
 		}
 		if !failover(err) || ctx.Err() != nil {
-			return api.JobInfo{}, err
+			return api.JobInfo{}, nil, err
 		}
 	}
-	return api.JobInfo{}, api.Errorf(api.CodeNodeDown,
+	return api.JobInfo{}, nil, api.Errorf(api.CodeNodeDown,
 		"no fleet node accepted the submission (%d tried; all down or draining)", len(ms.members))
 }
 
@@ -343,67 +353,83 @@ func (cl *Cluster) memberForNode(ctx context.Context, ms *membership, node strin
 	return nil, false
 }
 
-// lookup routes a job-scoped call to the member that owns the job ID, or
-// fans out across members for IDs without a node prefix. An unreachable
-// owning member maps to api.CodeJobNotFound: the job's state is gone with
-// the node (or will replay under a fresh ID when it comes back), and
-// "not found" is the code that tells callers to use the recovery path —
-// resubmit the same bytes, which is idempotent by digest.
-func (cl *Cluster) lookup(ctx context.Context, id string, call func(*Client) error) error {
+// lookup fetches a job-scoped resource — path suffix under
+// /v1/jobs/{id} — from the member that owns the job ID, or fans out
+// across members for IDs without a node prefix, and returns the owner's
+// reply as it sent it. An unreachable owning member maps to
+// api.CodeJobNotFound: the job's state is gone with the node (or will
+// replay under a fresh ID when it comes back), and "not found" is the
+// code that tells callers to use the recovery path — resubmit the same
+// bytes, which is idempotent by digest.
+func (cl *Cluster) lookup(ctx context.Context, id, suffix string) ([]byte, error) {
+	path := "/v1/jobs/" + url.PathEscape(id) + suffix
 	ms := cl.cur.Load()
 	if node := nodeFromID(id); node != "" {
 		c, ok := cl.memberForNode(ctx, ms, node)
 		if !ok {
-			return api.Errorf(api.CodeJobNotFound,
+			return nil, api.Errorf(api.CodeJobNotFound,
 				"job %s belongs to node %q, which is not a reachable cluster member; resubmit the trace (idempotent)", id, node)
 		}
-		err := call(c)
+		data, err := c.fetch(ctx, http.MethodGet, path, nil, nil)
 		if err != nil && failover(err) && ctx.Err() == nil {
-			return api.Errorf(api.CodeJobNotFound,
+			return nil, api.Errorf(api.CodeJobNotFound,
 				"job %s is on node %q, which is unreachable; resubmit the trace (idempotent)", id, node)
 		}
-		return err
+		return data, err
 	}
 	// Prefix-less ID (unnamed daemon): ask everyone.
 	var lastErr error = api.Errorf(api.CodeJobNotFound, "unknown job %q on every cluster member", id)
 	for _, member := range ms.members {
-		err := call(ms.clients[member])
+		data, err := ms.clients[member].fetch(ctx, http.MethodGet, path, nil, nil)
 		if err == nil {
-			return nil
+			return data, nil
 		}
 		if api.ErrorCode(err) == api.CodeJobNotFound || failover(err) {
 			lastErr = err
 			continue
 		}
-		return err
+		return nil, err
 	}
 	if failover(lastErr) {
-		return api.Errorf(api.CodeJobNotFound,
+		return nil, api.Errorf(api.CodeJobNotFound,
 			"job %s not found on any reachable member; resubmit the trace (idempotent)", id)
 	}
-	return lastErr
+	return nil, lastErr
+}
+
+// JobJSON fetches one job's snapshot (an api.JobInfo document) from the
+// node that owns its ID, as the bytes that node sent.
+func (cl *Cluster) JobJSON(ctx context.Context, id string) ([]byte, error) {
+	return cl.lookup(ctx, id, "")
+}
+
+// DiagnosisJSON fetches the finished report (an api.Diagnosis document)
+// from the node that owns the job, as the bytes that node sent.
+func (cl *Cluster) DiagnosisJSON(ctx context.Context, id string) ([]byte, error) {
+	return cl.lookup(ctx, id, "/diagnosis")
 }
 
 // Job fetches one job's snapshot from the node that owns its ID.
 func (cl *Cluster) Job(ctx context.Context, id string) (api.JobInfo, error) {
 	var info api.JobInfo
-	err := cl.lookup(ctx, id, func(c *Client) error {
-		var cerr error
-		info, cerr = c.Job(ctx, id)
-		return cerr
-	})
+	err := cl.lookupInto(ctx, id, "", &info)
 	return info, err
 }
 
 // Diagnosis fetches the finished report from the node that owns the job.
 func (cl *Cluster) Diagnosis(ctx context.Context, id string) (api.Diagnosis, error) {
 	var d api.Diagnosis
-	err := cl.lookup(ctx, id, func(c *Client) error {
-		var cerr error
-		d, cerr = c.Diagnosis(ctx, id)
-		return cerr
-	})
+	err := cl.lookupInto(ctx, id, "/diagnosis", &d)
 	return d, err
+}
+
+// lookupInto is lookup decoded into out.
+func (cl *Cluster) lookupInto(ctx context.Context, id, suffix string, out any) error {
+	data, err := cl.lookup(ctx, id, suffix)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(data, http.MethodGet, "/v1/jobs/"+id+suffix, out)
 }
 
 // fanOut calls fn once per member of one membership view concurrently and

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -104,8 +103,12 @@ func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, di
 	if err != nil {
 		return api.JobInfo{}, &transportError{err}
 	}
+	data, err := c.readResponse(resp)
+	if err != nil {
+		return api.JobInfo{}, err
+	}
 	var info api.JobInfo
-	if err := c.decodeResponse(resp, http.MethodPost, path, &info); err != nil {
+	if err := decodeJSON(data, http.MethodPost, path, &info); err != nil {
 		return api.JobInfo{}, err
 	}
 	return info, nil
@@ -245,54 +248,6 @@ func submitChunked(ctx context.Context, u uploader, r io.Reader, chunkSize int, 
 		}
 	}
 	return u.UploadComplete(ctx, up.ID)
-}
-
-// doHeaders is do with extra per-call request headers (empty values are
-// skipped).
-func (c *Client) doHeaders(ctx context.Context, method, path string, body []byte, headers map[string]string, out any) error {
-	if c.brk != nil && !c.brk.allow() {
-		return ErrBreakerOpen
-	}
-	delay := c.baseDelay
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		err := c.onceHeaders(ctx, method, path, body, headers, out)
-		c.observe(err)
-		if err == nil || !retryable(err) || attempt >= c.maxAttempts {
-			return err
-		}
-		lastErr = err
-		if serr := c.sleep(ctx, c.nextDelay(delay, err)); serr != nil {
-			return fmt.Errorf("%w (last attempt: %w)", serr, lastErr)
-		}
-		if delay *= 2; delay > c.maxDelay {
-			delay = c.maxDelay
-		}
-	}
-}
-
-func (c *Client) onceHeaders(ctx context.Context, method, path string, body []byte, headers map[string]string, out any) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := c.newRequest(ctx, method, path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	}
-	for k, v := range headers {
-		if v != "" {
-			req.Header.Set(k, v)
-		}
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return &transportError{err}
-	}
-	return c.decodeResponse(resp, method, path, out)
 }
 
 // failoverStream reports whether an error from one member justifies

@@ -34,6 +34,9 @@
 //     that accepted it. If that node is gone, lookups report
 //     job_not_found with a hint to resubmit — the router cannot conjure
 //     state that died with a node (run daemons with -state-dir for that).
+//   - Single-owner JSON replies — a job, its diagnosis, the accepted job
+//     of a buffered submission — are the owning daemon's bytes, relayed
+//     unchanged with Content-Length once checked to be valid JSON.
 //   - /metrics aggregates all reachable nodes (JSON and Prometheus);
 //     /v1/cluster reports per-node health.
 //   - Requests that already passed through a router are refused with
@@ -213,7 +216,7 @@ func (rt *Router) Handler() http.Handler {
 			server.WriteError(w, apiErr)
 			return
 		}
-		info, err := rt.cluster.Submit(r.Context(), api.SubmitRequest{
+		_, reply, err := rt.cluster.SubmitJSON(r.Context(), api.SubmitRequest{
 			Lane:   api.Lane(r.URL.Query().Get("lane")),
 			Tenant: r.URL.Query().Get("tenant"),
 			Trace:  trace,
@@ -222,7 +225,7 @@ func (rt *Router) Handler() http.Handler {
 			rt.writeErr(w, "submit", err)
 			return
 		}
-		server.WriteJSON(w, http.StatusAccepted, info)
+		server.WriteRawJSON(w, http.StatusAccepted, reply)
 	})
 	// Streaming submission. With the api.DigestHeader header the router
 	// never reads the body at all: placement comes from the header, and
@@ -329,25 +332,22 @@ func (rt *Router) Handler() http.Handler {
 		server.WriteJSON(w, http.StatusOK, infos)
 	})
 	handle("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		info, err := rt.cluster.Job(r.Context(), r.PathValue("id"))
-		if err != nil {
-			rt.writeErr(w, "job", err)
-			return
-		}
-		server.WriteJSON(w, http.StatusOK, info)
+		reply, err := rt.cluster.JobJSON(r.Context(), r.PathValue("id"))
+		rt.relay(w, "job", reply, err)
 	})
 	handle("GET /v1/jobs/{id}/diagnosis", func(w http.ResponseWriter, r *http.Request) {
+		if !server.WantsText(r) {
+			reply, err := rt.cluster.DiagnosisJSON(r.Context(), r.PathValue("id"))
+			rt.relay(w, "diagnosis", reply, err)
+			return
+		}
 		diag, err := rt.cluster.Diagnosis(r.Context(), r.PathValue("id"))
 		if err != nil {
 			rt.writeErr(w, "diagnosis", err)
 			return
 		}
-		if server.WantsText(r) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintln(w, diag.Text)
-			return
-		}
-		server.WriteJSON(w, http.StatusOK, diag)
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, diag.Text)
 	})
 	// Knowledge plane (api 1.4): mutations broadcast to every member —
 	// each daemon stages and promotes its own ring shard of the corpus —
@@ -521,6 +521,19 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 // (Cluster.Submit's route key, spoolAndRoute).
 func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, *api.Error) {
 	return server.ReadBody(w, r, maxBody, r.ContentLength, "trace body", "router")
+}
+
+// relay serves a single-owner read: the owning node's JSON reply byte for
+// byte, once it is known to be one JSON document, or the failure.
+func (rt *Router) relay(w http.ResponseWriter, op string, reply []byte, err error) {
+	if err == nil && !json.Valid(reply) {
+		err = fmt.Errorf("owning node sent a reply that is not valid JSON")
+	}
+	if err != nil {
+		rt.writeErr(w, op, err)
+		return
+	}
+	server.WriteRawJSON(w, http.StatusOK, reply)
 }
 
 // writeErr maps a cluster-call failure onto the wire: api errors pass

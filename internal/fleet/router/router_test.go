@@ -9,15 +9,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ioagent/internal/darshan"
+	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/client"
 	"ioagent/internal/fleet/fleettest"
 	"ioagent/internal/fleet/node"
 	"ioagent/internal/iosim"
+	"ioagent/internal/llm"
 )
 
 // startRouter fronts the nodes with a Router served over httptest and
@@ -29,7 +32,7 @@ func startRouter(t *testing.T, nodes []*node.Node) (*Router, *client.Client, str
 	return startRouterCfg(t, fleettest.URLs(nodes), "", 0)
 }
 
-func routerTrace(t *testing.T, seed int) []byte {
+func routerTrace(t testing.TB, seed int) []byte {
 	t.Helper()
 	sim := iosim.New(iosim.Config{
 		Seed: int64(seed)*19 + 7, NProcs: 2, UsesMPI: true,
@@ -384,4 +387,153 @@ func TestRouterValidatesBeforeKeying(t *testing.T) {
 			t.Errorf("node %s saw the refused submission", n.ID)
 		}
 	}
+}
+
+// gateLLM holds every model call until open, pinning jobs in the running
+// state.
+type gateLLM struct {
+	inner llm.Client
+	ch    chan struct{}
+	once  sync.Once
+}
+
+func (g *gateLLM) open() { g.once.Do(func() { close(g.ch) }) }
+
+func (g *gateLLM) Complete(req llm.Request) (llm.Response, error) {
+	<-g.ch
+	return g.inner.Complete(req)
+}
+
+// rawGet fetches url with the given Accept header (empty: the JSON
+// default) and returns the status, the Content-Length header and the body.
+func rawGet(t *testing.T, url, accept string) (int, string, []byte) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, url, nil)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Length"), body
+}
+
+// TestRouterRelaysOwnerBytes: the single-owner JSON reads — a job and its
+// diagnosis — and the buffered submit reply are the owning node's bytes,
+// served with their length; the text diagnosis and the lookup failures
+// (a running job, an unknown node prefix) keep their codes and statuses.
+func TestRouterRelaysOwnerBytes(t *testing.T) {
+	g := &gateLLM{inner: llm.NewSim(), ch: make(chan struct{})}
+	var nodes []*node.Node
+	for _, id := range []string{"n1", "n2"} {
+		nodes = append(nodes, fleettest.Start(t, node.Config{LLM: g, Fleet: fleet.Config{NodeID: id}}))
+	}
+	t.Cleanup(g.open) // runs before the nodes drain
+	rt, c, base := startRouter(t, nodes)
+	ctx := context.Background()
+
+	raw := routerTrace(t, 90)
+	owner := nodeByURL(nodes, rt.Route(raw)[0])
+	info, err := c.Submit(ctx, api.SubmitRequest{Trace: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diagPath := "/v1/jobs/" + info.ID + "/diagnosis"
+	if _, err := c.Diagnosis(ctx, info.ID); api.ErrorCode(err) != api.CodeJobNotDone {
+		t.Fatalf("running job's diagnosis = %v, want job_not_done", err)
+	}
+	if status, _, _ := rawGet(t, base+diagPath, ""); status != http.StatusConflict {
+		t.Errorf("running job's diagnosis status = %d, want 409", status)
+	}
+	g.open()
+	if _, err := c.WaitDiagnosis(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{"/v1/jobs/" + info.ID, diagPath} {
+		status, length, via := rawGet(t, base+path, "")
+		_, _, direct := rawGet(t, owner.URL()+path, "")
+		if status != http.StatusOK || !bytes.Equal(via, direct) {
+			t.Errorf("GET %s via router = %d %q, owner sent %q", path, status, via, direct)
+		}
+		if length != fmt.Sprint(len(via)) {
+			t.Errorf("GET %s Content-Length = %q, body is %d bytes", path, length, len(via))
+		}
+	}
+	status, _, text := rawGet(t, base+diagPath, "text/plain")
+	_, _, directText := rawGet(t, owner.URL()+diagPath, "text/plain")
+	if status != http.StatusOK || !bytes.Equal(text, directText) || json.Valid(text) {
+		t.Errorf("text diagnosis via router = %d %q, owner sent %q", status, text, directText)
+	}
+
+	// A resubmission is a cache hit, terminal on acceptance: the router's
+	// 202 body is the owner's own snapshot of the new job.
+	resp, err := http.Post(base+"/v1/jobs", "application/octet-stream", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hit api.JobInfo
+	if err := json.Unmarshal(reply, &hit); err != nil || resp.StatusCode != http.StatusAccepted || !hit.CacheHit {
+		t.Fatalf("resubmit via router = %d %q (%v), want a 202 cache hit", resp.StatusCode, reply, err)
+	}
+	if _, _, direct := rawGet(t, owner.URL()+"/v1/jobs/"+hit.ID, ""); !bytes.Equal(reply, direct) {
+		t.Errorf("submit reply via router = %q, owner's snapshot is %q", reply, direct)
+	}
+
+	status, _, body := rawGet(t, base+"/v1/jobs/zz-job-000001", "")
+	var e api.Error
+	if err := json.Unmarshal(body, &e); err != nil || status != http.StatusNotFound || e.Code != api.CodeJobNotFound {
+		t.Errorf("unknown node prefix = %d %q, want 404 job_not_found", status, body)
+	}
+}
+
+// BenchmarkRouterJobRelay polls a finished job and reads its diagnosis
+// through the router with the SDK, as the exact-hit path does: client →
+// router → one node and back.
+func BenchmarkRouterJobRelay(b *testing.B) {
+	n := fleettest.Start(b, node.Config{Fleet: fleet.Config{NodeID: "n1"}})
+	rt, err := New(Config{Members: []string{n.URL()}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(rt.Close)
+	srv := httptest.NewServer(rt.Handler())
+	b.Cleanup(srv.Close)
+	c := client.New(srv.URL, client.WithPollInterval(time.Millisecond))
+	b.Cleanup(c.Close)
+	ctx := context.Background()
+	info, err := c.Submit(ctx, api.SubmitRequest{Trace: routerTrace(b, 91)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.WaitDiagnosis(ctx, info.ID); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("job", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := c.Job(ctx, info.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("diagnosis", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := c.Diagnosis(ctx, info.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -897,13 +898,44 @@ func toAPISchedStatus(st fleet.SchedStatus) api.SchedStatus {
 	return out
 }
 
-// WriteJSON serves v as an indented JSON document on the given status.
+// jsonBufs recycles WriteJSON's encode buffers across responses.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledJSON bounds the buffers jsonBufs keeps: one large listing must
+// not pin its buffer for the process lifetime.
+const maxPooledJSON = 64 << 10
+
+// WriteJSON serves v as one compact, newline-terminated JSON document on
+// the given status, with Content-Length. v is encoded in full before the
+// header goes out, so a value that cannot be encoded is served as a 500
+// internal envelope, never as the promised status with an empty body.
+// Whitespace is not part of the wire contract; pipe through jq to read
+// a reply by eye.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		log.Printf("fleet server: encode %T response: %v", v, err)
+		buf.Reset()
+		status = http.StatusInternalServerError
+		// An api.Error envelope always encodes.
+		json.NewEncoder(buf).Encode(api.Errorf(api.CodeInternal, "internal error: response could not be encoded"))
+	}
+	WriteRawJSON(w, status, buf.Bytes())
+	if buf.Cap() <= maxPooledJSON {
+		jsonBufs.Put(buf)
+	}
+}
+
+// WriteRawJSON serves body, an already-encoded JSON document, verbatim on
+// the given status, with Content-Length. The router relays single-owner
+// replies through it byte for byte.
+func WriteRawJSON(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
 }
 
 // WriteError serves the wire error envelope on its canonical HTTP status.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -923,5 +924,62 @@ func TestMuxSchedEndpoints(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestWriteJSON: a reply is one compact, newline-terminated document whose
+// Content-Length matches it, and a value that cannot be encoded is served
+// as a 500 internal envelope — not as the promised status with an empty
+// body.
+func TestWriteJSON(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusAccepted, api.JobInfo{ID: "n1-job-000001", Status: api.StatusDone})
+	body := rec.Body.String()
+	if rec.Code != http.StatusAccepted || strings.Count(body, "\n") != 1 || !strings.HasSuffix(body, "}\n") ||
+		strings.Contains(body, ": ") || rec.Header().Get("Content-Length") != fmt.Sprint(len(body)) {
+		t.Errorf("reply = %d %q (Content-Length %q), want a compact 202 document with its length",
+			rec.Code, body, rec.Header().Get("Content-Length"))
+	}
+
+	rec = httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, api.Diagnosis{Confidence: math.NaN()})
+	var e api.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusInternalServerError || e.Code != api.CodeInternal {
+		t.Errorf("unencodable value = %d %q (%v), want 500 internal", rec.Code, rec.Body.String(), err)
+	}
+	if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(rec.Body.Len()) {
+		t.Errorf("error envelope Content-Length = %q, body is %d bytes", got, rec.Body.Len())
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but its header map.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.h }
+func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d discardWriter) WriteHeader(int)             {}
+
+// BenchmarkWriteJSON encodes the two documents of the exact-hit path: the
+// job snapshot a submit or poll returns and a finished diagnosis.
+func BenchmarkWriteJSON(b *testing.B) {
+	now := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
+	docs := []struct {
+		name string
+		v    any
+	}{
+		{"job", api.JobInfo{ID: "n1-job-000042", Digest: strings.Repeat("ab", 32), Status: api.StatusDone,
+			Lane: api.LaneBatch, Tenant: "acme", CacheHit: true, Attempts: 1,
+			SubmittedAt: now, StartedAt: now, FinishedAt: now}},
+		{"diagnosis", api.Diagnosis{JobID: "n1-job-000042", Digest: strings.Repeat("ab", 32), Lane: api.LaneBatch,
+			CacheHit: true, Text: strings.Repeat("Small writes dominate: 94% of POSIX writes are under 1 KiB.\n", 40)}},
+	}
+	for _, doc := range docs {
+		b.Run(doc.name, func(b *testing.B) {
+			w := discardWriter{h: http.Header{}}
+			b.ReportAllocs()
+			for b.Loop() {
+				WriteJSON(w, http.StatusOK, doc.v)
+			}
+		})
 	}
 }

@@ -110,7 +110,7 @@ fi
 jobs_json=$(curl -sf "http://$addr/v1/jobs")
 src=$(printf '%s' "$jobs_json" | sed -n 's/.*"source_digest": *"\([0-9a-f]*\)".*/\1/p' | head -1)
 [ -n "$src" ] || { echo "similarity-hit job carries no source_digest:"; printf '%s\n' "$jobs_json"; exit 1; }
-printf '%s' "$jobs_json" | grep -q "\"digest\": \"$src\"" \
+printf '%s' "$jobs_json" | grep -q "\"digest\": *\"$src\"" \
     || { echo "source_digest $src does not match any diagnosed job's digest:"; printf '%s\n' "$jobs_json"; exit 1; }
 
 echo "== checking Prometheus exposition"
@@ -171,7 +171,7 @@ curl -sf "http://$router/metrics" | grep -q '"tenant_jobs"' \
     || { echo "router metrics missing per-tenant counters"; exit 1; }
 curl -sf -H 'Accept: text/plain' "http://$router/metrics" | grep -q '^fleet_owned_digests' \
     || { echo "router exposition missing fleet_owned_digests"; exit 1; }
-curl -sf "http://$router/v1/cluster" | grep -q '"healthy": true' \
+curl -sf "http://$router/v1/cluster" | grep -q '"healthy": *true' \
     || { echo "cluster health reports no healthy node"; exit 1; }
 
 echo "== restarting the router: warm digest must hit the owning node's cache"
@@ -261,7 +261,7 @@ curl -sf -X POST "http://$krouter/v1/knowledge/docs" -d '{"docs":[{
   "title": "Fleet advisory: metadata storm mitigation",
   "text": "When metadata operations such as open and stat account for most of the observed I/O time, the metadata server has become the bottleneck: every process that performed thousands of metadata operations (opens and stats) adds load on the mdt. Batch stat calls, cache open file handles, and spread directory entries across mdt targets to reduce metadata time."
 }]}' >/dev/null || { echo "broadcast knowledge upsert failed"; exit 1; }
-curl -sf -X POST "http://$krouter/v1/knowledge/swap" -d '{}' | grep -q '"epoch": 2' \
+curl -sf -X POST "http://$krouter/v1/knowledge/swap" -d '{}' | grep -q '"epoch": *2' \
     || { echo "broadcast swap did not promote epoch 2"; exit 1; }
 if ! wait "$kbatch_pid"; then
     echo "in-flight batch failed across the epoch swap:"
@@ -288,18 +288,18 @@ wait "$k2_pid" 2>/dev/null || true
 k2_pid=$!
 pids="$pids $k2_pid"
 k2=$(wait_addr "$workdir/k2b.log" "$k2_pid")
-curl -sf "http://$k2/v1/knowledge" | grep -q '"epoch": 2' \
+curl -sf "http://$k2/v1/knowledge" | grep -q '"epoch": *2' \
     || { echo "knowledge epoch did not survive kill -9:"; curl -s "http://$k2/v1/knowledge"; exit 1; }
 echo "   k2 recovered at epoch 2 from its knowledge WAL"
 
 echo "== one-sided swap must surface as cluster epoch skew"
 curl -sf -X POST "http://$k1/v1/knowledge/docs" -d '{"remove":["e2esync-advisory"]}' >/dev/null
 curl -sf -X POST "http://$k1/v1/knowledge/swap" -d '{}' >/dev/null
-curl -sf "http://$krouter/v1/cluster" | grep -q '"knowledge_epoch_skew": true' \
+curl -sf "http://$krouter/v1/cluster" | grep -q '"knowledge_epoch_skew": *true' \
     || { echo "one-sided swap not reported as knowledge_epoch_skew:"; curl -s "http://$krouter/v1/cluster"; exit 1; }
 curl -sf -X POST "http://$k2/v1/knowledge/docs" -d '{"remove":["e2esync-advisory"]}' >/dev/null
 curl -sf -X POST "http://$k2/v1/knowledge/swap" -d '{}' >/dev/null
-if curl -sf "http://$krouter/v1/cluster" | grep -q '"knowledge_epoch_skew": true'; then
+if curl -sf "http://$krouter/v1/cluster" | grep -q '"knowledge_epoch_skew": *true'; then
     echo "converged fleet still reports knowledge_epoch_skew:"; curl -s "http://$krouter/v1/cluster"; exit 1
 fi
 echo "   skew raised on divergence, cleared on convergence"
@@ -334,7 +334,7 @@ echo "   members at $ex1 (ex1) and $ex2 (ex2), roster-following router at $erout
 wait_members() { # count
     _i=0
     while [ "$_i" -lt 100 ]; do
-        _n=$(curl -s "http://$erouter/v1/cluster" | grep -c '"healthy": true' || true)
+        _n=$(curl -s "http://$erouter/v1/cluster" | grep -o '"healthy": *true' | wc -l)
         [ "$_n" -ge "$1" ] && return 0
         _i=$((_i + 1))
         sleep 0.1

@@ -129,6 +129,11 @@ const RetryAfterHeader = "Retry-After"
 // all additive.
 var Current = Version{Major: 1, Minor: 6}
 
+// CurrentHeader is Current in its VersionHeader form, rendered once:
+// every request the SDK sends and every response a server writes carries
+// it.
+var CurrentHeader = Current.String()
+
 // Version is a major.minor protocol version. Majors are incompatible;
 // minors are additive within a major.
 type Version struct {

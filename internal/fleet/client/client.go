@@ -374,7 +374,7 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set(api.VersionHeader, api.Current.String())
+	req.Header.Set(api.VersionHeader, api.CurrentHeader)
 	req.Header.Set("Accept", "application/json")
 	if c.forwardedBy != "" {
 		req.Header.Set(api.ForwardedHeader, c.forwardedBy)

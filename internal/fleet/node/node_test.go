@@ -224,7 +224,14 @@ func TestElasticPairReplicatesAndCloses(t *testing.T) {
 	fleettest.WaitFor(t, "the pair to converge", func() bool {
 		return len(n1.Roster.Members()) == 2 && len(n2.Roster.Members()) == 2
 	})
-	if j := journal(t, dir); !strings.Contains(j, `"op":"member_join"`) || !strings.Contains(j, n2.URL()) {
+	// The roster publishes the new member list before it journals the
+	// join (an audit record, never replayed), so the record can trail
+	// Members() by a moment.
+	hasJoin := func(j string) bool {
+		return strings.Contains(j, `"op":"member_join"`) && strings.Contains(j, n2.URL())
+	}
+	fleettest.WaitFor(t, "the member_join record", func() bool { return hasJoin(journal(t, dir)) })
+	if j := journal(t, dir); !hasJoin(j) {
 		t.Errorf("journal has no member_join for %s:\n%s", n2.URL(), j)
 	}
 

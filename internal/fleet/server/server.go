@@ -640,7 +640,7 @@ func NewMux(cfg Config) http.Handler {
 // wrap their whole surface in it.
 func WithVersion(node string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(api.VersionHeader, api.Current.String())
+		w.Header().Set(api.VersionHeader, api.CurrentHeader)
 		if node != "" {
 			w.Header().Set(api.NodeHeader, node)
 		}

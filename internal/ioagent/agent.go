@@ -212,7 +212,8 @@ func (a *Agent) Diagnose(log *darshan.Log) (*Result, error) {
 		go func(i int, frag *Fragment) {
 			defer wg.Done()
 			fr := FragmentResult{Fragment: frag}
-			nl, _, err := a.describeFragment(frag)
+			js := frag.JSON()
+			nl, _, err := a.describeFragment(frag, js)
 			if err != nil {
 				errs[i] = err
 				return
@@ -226,7 +227,7 @@ func (a *Agent) Diagnose(log *darshan.Log) (*Result, error) {
 				return
 			}
 			fr.Kept = len(sources)
-			diag, err := a.diagnoseFragment(frag, nl, sources)
+			diag, err := a.diagnoseFragment(frag, js, nl, sources)
 			if err != nil {
 				errs[i] = err
 				return

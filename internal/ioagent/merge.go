@@ -2,6 +2,7 @@ package ioagent
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -16,7 +17,11 @@ func (a *Agent) mergeCall(summaries []string) (string, error) {
 	b.WriteString("Merge the following diagnosis summaries into a single comprehensive diagnosis. ")
 	b.WriteString("Remove redundancy, resolve contradictions, and keep every distinct finding with its references.\n")
 	for i, s := range summaries {
-		fmt.Fprintf(&b, "--- SUMMARY %d ---\n%s\n", i+1, s)
+		b.WriteString("--- SUMMARY ")
+		b.WriteString(strconv.Itoa(i + 1))
+		b.WriteString(" ---\n")
+		b.WriteString(s)
+		b.WriteString("\n")
 	}
 	b.WriteString("--- END SUMMARIES ---\n")
 	resp, err := a.client.Complete(llm.Prompt(a.model, b.String()))

@@ -18,13 +18,14 @@ type retrieved struct {
 	Score float64
 }
 
-// describeFragment asks the model to transform a JSON fragment into natural
-// language (paper Fig. 3) for embedding-based retrieval.
-func (a *Agent) describeFragment(frag *Fragment) (string, llm.Usage, error) {
+// describeFragment asks the model to transform a JSON fragment (js is
+// frag.JSON()) into natural language (paper Fig. 3) for embedding-based
+// retrieval.
+func (a *Agent) describeFragment(frag *Fragment, js string) (string, llm.Usage, error) {
 	prompt := "TASK: describe\n" +
 		"Transform the following Darshan summary fragment into a natural-language description a domain scientist can read. " +
 		"Explain every value, including histogram bins, in complete sentences.\n" +
-		frag.JSON() + "\n"
+		js + "\n"
 	resp, err := a.client.Complete(llm.Prompt(a.model, prompt))
 	if err != nil {
 		return "", llm.Usage{}, fmt.Errorf("describe %s: %w", frag.ID(), err)
@@ -80,7 +81,7 @@ func (a *Agent) selfReflect(nl string, sources []retrieved) ([]retrieved, error)
 			prompt := "TASK: filter\n" +
 				"Decide whether the SOURCE below is relevant to the FRAGMENT. Answer YES or NO with a reason.\n" +
 				"FRAGMENT:\n" + nl + "\nEND FRAGMENT\n" +
-				fmt.Sprintf("[SOURCE %s] %s\n", sources[i].Key, sources[i].Text)
+				"[SOURCE " + sources[i].Key + "] " + sources[i].Text + "\n"
 			resp, err := a.client.Complete(llm.Prompt(a.cheapModel, prompt))
 			if err == nil {
 				a.addCost(resp)
@@ -109,18 +110,26 @@ func (a *Agent) selfReflect(nl string, sources []retrieved) ([]retrieved, error)
 	return out, nil
 }
 
-// diagnoseFragment produces the grounded per-fragment diagnosis.
-func (a *Agent) diagnoseFragment(frag *Fragment, nl string, sources []retrieved) (string, error) {
+// diagnoseFragment produces the grounded per-fragment diagnosis; js is
+// frag.JSON().
+func (a *Agent) diagnoseFragment(frag *Fragment, js, nl string, sources []retrieved) (string, error) {
 	var b strings.Builder
 	b.WriteString("TASK: diagnose\n")
 	b.WriteString("You are an expert HPC I/O analyst. Diagnose any I/O performance issues evidenced by this summary fragment. ")
 	b.WriteString("Justify each issue with the concrete values and cite the supporting sources.\n\n")
-	b.WriteString("Fragment (JSON):\n" + frag.JSON() + "\n\n")
-	b.WriteString("Fragment (description):\n" + nl + "\n")
+	b.WriteString("Fragment (JSON):\n")
+	b.WriteString(js)
+	b.WriteString("\n\nFragment (description):\n")
+	b.WriteString(nl)
+	b.WriteString("\n")
 	if len(sources) > 0 {
 		b.WriteString("\nRetrieved domain knowledge:\n")
 		for _, s := range sources {
-			fmt.Fprintf(&b, "[SOURCE %s] %s\n", s.Key, s.Text)
+			b.WriteString("[SOURCE ")
+			b.WriteString(s.Key)
+			b.WriteString("] ")
+			b.WriteString(s.Text)
+			b.WriteString("\n")
 		}
 	}
 	resp, err := a.client.Complete(llm.Prompt(a.model, b.String()))

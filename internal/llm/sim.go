@@ -3,23 +3,28 @@ package llm
 import (
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"regexp"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ioagent/internal/embed"
 	"ioagent/internal/issue"
 )
 
 // SimLLM is the deterministic simulated language model. See the package
-// documentation for the behavioral model. The zero value is not usable;
-// construct with NewSim.
+// documentation for the behavioral model. The zero value is ready to use;
+// NewSim is its shorthand. A SimLLM must not be copied after first use.
 type SimLLM struct {
 	// ExtraSeed perturbs all stochastic behavior; the default of 0 gives
 	// the canonical reproduction runs.
 	ExtraSeed int64
+
+	// vecs is the filter's text→vector table (see embed).
+	vecs [vecSlots]atomic.Pointer[vecEntry]
 }
 
 // NewSim returns a simulated model client serving every catalog model.
@@ -83,27 +88,75 @@ func (s *SimLLM) seed(model, prompt string) int64 {
 	return int64(h.Sum64()) ^ s.ExtraSeed
 }
 
-// lazySource is the per-call random source, seeded from (model, prompt) on
-// the first draw. Most calls never draw (describe has no stochastic step,
-// filter draws only near its threshold, attention spares short prompts),
-// and seeding math/rand's generator costs more than such a call's own
-// work. The draws are those of rand.NewSource(seed), bit for bit.
+// lazySource is the per-call random source of seed(model, prompt). Most
+// calls never draw (describe has no stochastic step, filter draws only
+// near its threshold, attention spares short prompts) and most that do
+// draw once, while seeding math/rand's generator fills 607 words, more
+// than such a call's own work. So nothing is seeded before the first
+// draw, the first draw is computed directly (firstDraw), and only a
+// second one builds the generator. The draws are those of
+// rand.NewSource(seed), bit for bit.
 type lazySource struct {
 	sim           *SimLLM
 	model, prompt string
+	first         bool // firstDraw has served the first value
 	src           rand.Source64
 }
 
-func (l *lazySource) source() rand.Source64 {
-	if l.src == nil {
+func (l *lazySource) Uint64() uint64 {
+	switch {
+	case l.src != nil:
+	case !l.first:
+		l.first = true
+		return firstDraw(l.sim.seed(l.model, l.prompt))
+	default:
 		l.src = rand.NewSource(l.sim.seed(l.model, l.prompt)).(rand.Source64)
+		l.src.Uint64() // the value firstDraw served
 	}
-	return l.src
+	return l.src.Uint64()
 }
 
-func (l *lazySource) Int63() int64    { return l.source().Int63() }
-func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
-func (l *lazySource) Seed(seed int64) { l.source().Seed(seed) }
+// Int63 masks Uint64 as math/rand's generator does.
+func (l *lazySource) Int63() int64 { return int64(l.Uint64() & (1<<63 - 1)) }
+
+func (l *lazySource) Seed(seed int64) { l.src = rand.NewSource(seed).(rand.Source64) }
+
+// firstDraw is the first Uint64 of rand.NewSource(seed) without building
+// its state. math/rand seeds with the Lehmer generator x ↦ 48271·x mod
+// (2³¹−1) from the normalised seed x₀: after 20 discarded steps, word i
+// of the 607-word register is (x₃ᵢ₊₂₁<<40 ^ x₃ᵢ₊₂₂<<20 ^ x₃ᵢ₊₂₃) ^
+// rngCooked[i], where xₖ = x₀·48271ᵏ mod (2³¹−1). The first draw returns
+// word 333 + word 606 (feed and tap after one step back from 334 and 0),
+// so it needs only those six xₖ: x₀ times a precomputed power, then two
+// more steps each. The constants below are from Go's
+// src/math/rand/rng.go; TestLazySourceMatchesMathRand holds the whole
+// sequence to rand.NewSource.
+func firstDraw(seed int64) uint64 {
+	const (
+		m         = 1<<31 - 1 // int32max, the Lehmer modulus
+		a         = 48271
+		pow333    = 2082024995           // 48271^1020 mod m: x₃ᵢ₊₂₁ for i = 333
+		pow606    = 933195560            // 48271^1839 mod m: x₃ᵢ₊₂₁ for i = 606
+		cooked333 = -4633371852008891965 // rngCooked[333]
+		cooked606 = 4152330101494654406  // rngCooked[606]
+	)
+	seed %= m
+	if seed < 0 {
+		seed += m
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	word := func(pow uint64, cooked int64) int64 {
+		x := uint64(seed) * pow % m
+		u := int64(x) << 40
+		x = x * a % m
+		u ^= int64(x) << 20
+		x = x * a % m
+		return u ^ int64(x) ^ cooked
+	}
+	return uint64(word(pow333, cooked333) + word(pow606, cooked606))
+}
 
 var taskRe = regexp.MustCompile(`(?m)^TASK:\s*([a-z]+)\s*$`)
 
@@ -583,7 +636,7 @@ func (s *SimLLM) filter(f *FactSet, spec ModelSpec, rng *rand.Rand) string {
 		return "NO: no source provided"
 	}
 	src := f.Sources[0]
-	sim := embed.Cosine(embed.Embed(f.Fragment), embed.Embed(src.Text))
+	sim := embed.Cosine(s.embed(f.Fragment), s.embed(src.Text))
 	relevant := sim > 0.15
 	// Imperfect judgment near the boundary for weaker models.
 	if math.Abs(sim-0.15) < 0.04 && rng.Float64() < (1-spec.Capability)*0.5 {
@@ -593,6 +646,48 @@ func (s *SimLLM) filter(f *FactSet, spec ModelSpec, rng *rand.Rand) string {
 		return fmt.Sprintf("YES: the source addresses the same behavior discussed in the fragment (similarity %.2f)", sim)
 	}
 	return fmt.Sprintf("NO: the source discusses a different aspect of I/O than the fragment (similarity %.2f)", sim)
+}
+
+// vecSlots is the size of a SimLLM's text→vector table. The filter is
+// called once per retrieved source: its fragment text recurs ~15 times in
+// a row, and its source is one of the corpus's chunks (66 in the built-in
+// corpus) on every job. 512 direct-mapped slots hold those chunks and the
+// fragments in flight with few collisions; a slot costs 8 bytes empty and
+// ~2 KB filled, so the table is bounded near 1 MB.
+const vecSlots = 512
+
+// maxVecText is the longest text the table keeps; longer ones are
+// embedded on every call. Corpus chunks and fragment descriptions are
+// under a few KB; the cap keeps an unusual prompt from pinning a large
+// key.
+const maxVecText = 8 << 10
+
+type vecEntry struct {
+	text string
+	vec  embed.Vector
+}
+
+// vecSeed keys the table's slot hash. It is set once at init and only
+// read afterwards.
+var vecSeed = maphash.MakeSeed()
+
+// embed is embed.Embed through the table. A slot holds one immutable
+// entry, replaced whole on a miss; a hit counts only when the entry's
+// text equals the asked text, so a slot collision costs a recompute and
+// never a wrong vector. There is no eviction order and no invalidation
+// because Embed is a pure function of the text, and the key is cloned so
+// an entry never pins the prompt it was cut from.
+func (s *SimLLM) embed(text string) embed.Vector {
+	if len(text) > maxVecText {
+		return embed.Embed(text)
+	}
+	slot := &s.vecs[maphash.String(vecSeed, text)%vecSlots]
+	if e := slot.Load(); e != nil && e.text == text {
+		return e.vec
+	}
+	e := &vecEntry{text: strings.Clone(text), vec: embed.Embed(text)}
+	slot.Store(e)
+	return e.vec
 }
 
 // merge combines diagnosis summaries. Pairwise merges (within the model's

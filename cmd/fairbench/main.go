@@ -32,6 +32,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -175,7 +176,7 @@ func runInteractive(logs *logSource, fifo bool, workers int, latency time.Durati
 
 	jobs := make(map[string][]*fleet.Job, 2)
 	for i := 0; i < noisyN; i++ {
-		j, err := pool.SubmitWith(logs.next(), fleet.SubmitOpts{Tenant: noisyTenant})
+		j, err := pool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: logs.next()}, fleet.SubmitOpts{Tenant: noisyTenant})
 		if err != nil {
 			log.Fatalf("fairbench: noisy submit %d: %v", i, err)
 		}
@@ -183,7 +184,7 @@ func runInteractive(logs *logSource, fifo bool, workers int, latency time.Durati
 	}
 	for i := 0; i < lightN; i++ {
 		time.Sleep(pace)
-		j, err := pool.SubmitWith(logs.next(), fleet.SubmitOpts{Tenant: lightTenant})
+		j, err := pool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: logs.next()}, fleet.SubmitOpts{Tenant: lightTenant})
 		if err != nil {
 			log.Fatalf("fairbench: light submit %d: %v", i, err)
 		}
@@ -209,13 +210,13 @@ func runShare(logs *logSource, workers int, latency time.Duration) sharePhase {
 	// Interleave the submissions so both tenants are active from the
 	// first dequeue on.
 	for i := 0; i < noisyJobs; i++ {
-		j, err := pool.SubmitWith(logs.next(), fleet.SubmitOpts{Tenant: noisyTenant})
+		j, err := pool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: logs.next()}, fleet.SubmitOpts{Tenant: noisyTenant})
 		if err != nil {
 			log.Fatalf("fairbench: share noisy submit: %v", err)
 		}
 		all = append(all, j)
 		if i < lightJobs {
-			j, err := pool.SubmitWith(logs.next(), fleet.SubmitOpts{Tenant: lightTenant})
+			j, err := pool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: logs.next()}, fleet.SubmitOpts{Tenant: lightTenant})
 			if err != nil {
 				log.Fatalf("fairbench: share light submit: %v", err)
 			}
@@ -258,7 +259,7 @@ func runAdmission(logs *logSource) admissionPhase {
 	var ph admissionPhase
 	var all []*fleet.Job
 	for i := 0; i < flood; i++ {
-		j, err := pool.SubmitWith(logs.next(), fleet.SubmitOpts{Tenant: lightTenant})
+		j, err := pool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: logs.next()}, fleet.SubmitOpts{Tenant: lightTenant})
 		switch {
 		case errors.Is(err, fleet.ErrSLOExceeded):
 			// Projection already sees the backlog blowing the target —
@@ -277,7 +278,7 @@ func runAdmission(logs *logSource) admissionPhase {
 	time.Sleep(2200 * time.Millisecond)
 	for i := 0; i < probes; i++ {
 		ph.Probes++
-		j, err := pool.SubmitWith(logs.next(), fleet.SubmitOpts{Tenant: lightTenant})
+		j, err := pool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: logs.next()}, fleet.SubmitOpts{Tenant: lightTenant})
 		switch {
 		case errors.Is(err, fleet.ErrSLOExceeded):
 			ph.ProbesRejected++

@@ -161,7 +161,7 @@ func runFleet(workers int, opts ioagent.Options, paths []string) {
 		check(err)
 		// A multi-trace sweep is bulk work: the batch lane keeps it from
 		// crowding out interactive submitters sharing a pool.
-		jobs[i], err = pool.SubmitWith(log, fleet.SubmitOpts{Lane: fleet.LaneBatch})
+		jobs[i], err = pool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: log}, fleet.SubmitOpts{Lane: fleet.LaneBatch})
 		check(err)
 	}
 	pool.Wait()

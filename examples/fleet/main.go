@@ -159,14 +159,14 @@ func main() {
 	defer lanePool.Close()
 	var batchJobs []*fleet.Job
 	for i := 0; i < 8; i++ {
-		j, err := lanePool.SubmitWith(makeTrace(int64(200+i)), fleet.SubmitOpts{Lane: fleet.LaneBatch})
+		j, err := lanePool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: makeTrace(int64(200 + i))}, fleet.SubmitOpts{Lane: fleet.LaneBatch})
 		if err != nil {
 			log.Fatal(err)
 		}
 		batchJobs = append(batchJobs, j)
 	}
 	start = time.Now()
-	ji, err := lanePool.SubmitWith(makeTrace(300), fleet.SubmitOpts{Lane: fleet.LaneInteractive})
+	ji, err := lanePool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: makeTrace(300)}, fleet.SubmitOpts{Lane: fleet.LaneInteractive})
 	if err != nil {
 		log.Fatal(err)
 	}

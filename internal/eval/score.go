@@ -8,44 +8,20 @@ import (
 	"ioagent/internal/llm"
 )
 
-// nullReport is the fixed judging baseline for ScoreDiagnosis: the
-// diagnosis that claims nothing is wrong. Scoring against this null
-// hypothesis mirrors internal/fleet/semcache's confidence gate, so
-// scenario verdicts and reuse-gate verdicts share one scale.
-const nullReport = "No significant I/O performance issues detected."
-
 // ScoreDiagnosis rates one diagnosis text against a known expected label
 // set, blending label agreement and an LLM judge verdict equally:
 //
 //	score = 0.5·F1(expected, claimed) + 0.5·judge
 //
-// where judge maps the diagnosis's mean rank against the null report
+// where judge maps the diagnosis's mean rank against judge.NullReport
 // (rank 1 — always wins — scores 1.0; rank 2 scores 0.0). The result is
 // in [0, 1]. This is the per-scenario verdict internal/scenario's matrix
-// and cmd/fleetbench compare against committed baselines.
+// and cmd/fleetbench compare against committed baselines; the fleet's
+// reuse gate and tier self-check run the same kernel, judge.AgainstNull.
 func ScoreDiagnosis(client llm.Client, model string, expected issue.Set, diagnosisText string) (float64, error) {
-	_, _, f1 := issue.F1(expected, llm.ClaimedLabels(diagnosisText))
-
-	j := &judge.Judge{
-		Client:       client,
-		Model:        model,
-		Permutations: 2,
-		Augment:      judge.All(),
-	}
-	entries := []judge.Entry{
-		{Tool: "diagnosis", Text: diagnosisText},
-		{Tool: "baseline", Text: nullReport},
-	}
-	ranks, err := j.MeanRanks(entries, judge.Accuracy, expected)
+	fit, err := judge.AgainstNull(client, model, expected, diagnosisText)
 	if err != nil {
 		return 0, fmt.Errorf("eval: score diagnosis: %w", err)
 	}
-	js := 2 - ranks[0]
-	if js < 0 {
-		js = 0
-	}
-	if js > 1 {
-		js = 1
-	}
-	return 0.5*f1 + 0.5*js, nil
+	return fit.Score(), nil
 }

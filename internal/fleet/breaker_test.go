@@ -288,11 +288,11 @@ func TestMetricsTenantCounts(t *testing.T) {
 
 	log := breakerTrace(7)
 	for i := 0; i < 3; i++ {
-		if _, err := pool.SubmitWith(log, SubmitOpts{Tenant: "acme"}); err != nil {
+		if _, err := submitOpts(pool, log, SubmitOpts{Tenant: "acme"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := pool.SubmitWith(log, SubmitOpts{Tenant: "globex"}); err != nil {
+	if _, err := submitOpts(pool, log, SubmitOpts{Tenant: "globex"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pool.Submit(log); err != nil { // anonymous

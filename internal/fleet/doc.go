@@ -27,9 +27,10 @@
 //
 // # Priority lanes
 //
-// Submissions carry a priority class (SubmitWith + SubmitOpts): the
-// interactive lane for latency-sensitive callers and the batch lane for
-// bulk sweeps. Each lane has its own bounded queue, so a saturated batch
+// Every submission enters through one door, SubmitPreparsed (Submit is
+// its interactive-lane shorthand), and carries a priority class
+// (SubmitOpts.Lane): the interactive lane for latency-sensitive callers
+// and the batch lane for bulk sweeps. Each lane has its own bounded queue, so a saturated batch
 // lane backpressures batch submitters without blocking interactive ones,
 // and workers dequeue with a weighted preference — interactive first,
 // except one in every Config.BatchShare picks goes to batch when both

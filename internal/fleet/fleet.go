@@ -111,8 +111,8 @@ func (l Lane) withDefault() Lane {
 // Valid reports whether l names a known lane.
 func (l Lane) Valid() bool { return l == LaneInteractive || l == LaneBatch }
 
-// SubmitOpts carries per-submission options for SubmitWith. The zero
-// value matches Submit: interactive lane, no tenant.
+// SubmitOpts carries per-submission options for SubmitPreparsed. The
+// zero value matches Submit: interactive lane, no tenant.
 type SubmitOpts struct {
 	// Lane selects the priority class; empty means LaneInteractive.
 	Lane Lane
@@ -226,9 +226,9 @@ type Config struct {
 	// before any LLM call, so raising it only makes reuse rarer, never
 	// more expensive.
 	SimThreshold float64
-	// GateModel is the LLM judge model for the reuse gate (default
-	// gpt-4o-mini-sim — the gate also leans on label agreement and vector
-	// similarity, so a cheap judge suffices).
+	// GateModel is the LLM judge model for the reuse gate and the tier
+	// self-check (default gpt-4o-mini-sim — the gate also leans on label
+	// agreement and vector similarity, so a cheap judge suffices).
 	GateModel string
 	// GateThreshold is the minimum blended confidence to allow reuse
 	// (default semcache.DefaultGateThreshold).
@@ -317,12 +317,12 @@ func (c Config) withDefaults() Config {
 		c.BreakerCooldown = 5 * time.Second
 	}
 	c.Agent = c.Agent.WithDefaults()
+	if (c.SemCache || len(c.TierModels) > 0) && c.GateModel == "" {
+		c.GateModel = llm.GPT4oMini
+	}
 	if c.SemCache {
 		if c.SimThreshold <= 0 {
 			c.SimThreshold = 0.85
-		}
-		if c.GateModel == "" {
-			c.GateModel = llm.GPT4oMini
 		}
 		if c.GateThreshold <= 0 {
 			c.GateThreshold = semcache.DefaultGateThreshold
@@ -483,7 +483,8 @@ func (j *Job) Info() JobInfo {
 
 // complete transitions the job to its terminal state. Called exactly once.
 // Done closes before the lock is released, so whoever reads a terminal
-// Status also finds Done closed.
+// Status also finds Done closed. A failed job never reports a cache hit:
+// a follower whose ride-along did not pay off is not a cache success.
 func (j *Job) complete(res *ioagent.Result, err error, at time.Time) {
 	j.mu.Lock()
 	j.result = res
@@ -492,6 +493,7 @@ func (j *Job) complete(res *ioagent.Result, err error, at time.Time) {
 	j.log = nil
 	if err != nil {
 		j.status = StatusFailed
+		j.cacheHit = false
 	} else {
 		j.status = StatusDone
 	}
@@ -515,8 +517,11 @@ type Pool struct {
 	brk  *breaker
 	m    metrics
 
-	// Semantic reuse (nil unless Config.SemCache): the similarity index
-	// over diagnosed traces and the confidence gate that decides reuse.
+	// sem is the similarity index over diagnosed traces (nil unless
+	// Config.SemCache); gate judges reuse and tier self-checks (nil
+	// unless Config.SemCache or Config.TierModels). A pool with a gate
+	// derives features and labels once per fresh job; one without
+	// derives nothing.
 	sem  *semcache.Index
 	gate *semcache.Gate
 	// tiers is the cheapest-first agent ladder (empty unless
@@ -639,14 +644,16 @@ func (p *Pool) emit(kind EventKind, j *Job, log *darshan.Log) {
 	}
 }
 
-// Preparsed pairs an already-decoded trace with its canonical content
-// digest (darshan.ContentDigest), computed once by the ingest layer while
-// the bytes were still arriving. SubmitPreparsed trusts the pairing and
-// skips the re-encode that Digest would otherwise pay — the serving layer
-// that built the Preparsed is responsible for having verified any
+// Preparsed is a trace as the submitting layer holds it: decoded (Log),
+// or only decodable (Decode), and content-addressed (ContentDigest,
+// darshan.ContentDigest) when that layer already hashed it while the
+// bytes were arriving. SubmitPreparsed trusts the pairing — the serving
+// layer that built the Preparsed is responsible for having verified any
 // client-asserted digest against the bytes it actually parsed.
 type Preparsed struct {
-	Log           *darshan.Log
+	Log *darshan.Log
+	// ContentDigest may be left empty when Log is set: the pool digests
+	// the log itself. Without a Log it is required.
 	ContentDigest string
 	// Decode, consulted only when Log is nil, decodes the trace on demand:
 	// a serving layer that knows the digest of bytes it has not decoded
@@ -657,81 +664,42 @@ type Preparsed struct {
 	Decode func() (*darshan.Log, error)
 }
 
-// Submit enqueues a trace for diagnosis on the interactive lane; see
-// SubmitWith for the full contract.
+// Submit enqueues a decoded trace on the interactive lane, with no tenant
+// and no deadline on backpressure; see SubmitPreparsed.
 func (p *Pool) Submit(log *darshan.Log) (*Job, error) {
-	return p.SubmitWith(log, SubmitOpts{})
+	return p.SubmitPreparsed(context.Background(), Preparsed{Log: log}, SubmitOpts{})
 }
 
-// SubmitWith enqueues a trace for diagnosis on the requested lane and
+// SubmitPreparsed enqueues a trace for diagnosis on the requested lane and
 // returns immediately unless that lane's queue is full, in which case it
 // blocks for backpressure (each lane has its own QueueDepth, so a batch
 // flood never blocks interactive submitters). Three outcomes are possible
 // without any new pipeline work: a cache hit completes the job instantly;
 // a digest equal to an in-flight job coalesces onto it; and only
 // otherwise does the job occupy a worker.
-func (p *Pool) SubmitWith(log *darshan.Log, opts SubmitOpts) (*Job, error) {
-	return p.SubmitContext(context.Background(), log, opts)
-}
-
-// SubmitContext is SubmitWith with a context bounding the backpressure
-// wait: if the lane queue is full and ctx is done before a slot frees,
-// the job is aborted (terminal failed with the context's error, observers
-// notified) instead of holding the caller's goroutine — which is how a
-// serving layer avoids leaking handlers for clients that already hung up.
-// Work already accepted is unaffected; only the not-yet-queued submission
-// is abandoned.
-func (p *Pool) SubmitContext(ctx context.Context, log *darshan.Log, opts SubmitOpts) (*Job, error) {
-	cd, err := darshan.ContentDigest(log)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: digest: %w", err)
-	}
-	return p.submit(ctx, Preparsed{Log: log, ContentDigest: cd}, opts)
-}
-
-// SubmitPreparsed enqueues a trace the streaming ingest layer already
-// decoded and content-addressed: the diagnosis digest is derived from
-// pp.ContentDigest without re-encoding the log, so a multi-megabyte
-// streamed trace pays its canonicalization exactly once. With pp.Log nil
-// and pp.Decode set the trace is not even decoded unless the job has to
-// run. The context bounds the backpressure wait as in SubmitContext.
+//
+// The diagnosis digest is derived from pp.ContentDigest without
+// re-encoding the log, so a multi-megabyte streamed trace pays its
+// canonicalization exactly once; with pp.Log nil and pp.Decode set the
+// trace is not even decoded unless the job has to run.
+//
+// ctx bounds the backpressure wait: if the lane queue is full and ctx is
+// done before a slot frees, the job is aborted (terminal failed with the
+// context's error, observers notified) instead of holding the caller's
+// goroutine — which is how a serving layer avoids leaking handlers for
+// clients that already hung up. Work already accepted is unaffected;
+// only the not-yet-queued submission is abandoned.
 func (p *Pool) SubmitPreparsed(ctx context.Context, pp Preparsed, opts SubmitOpts) (*Job, error) {
+	if pp.ContentDigest == "" && pp.Log != nil {
+		cd, err := darshan.ContentDigest(pp.Log)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: digest: %w", err)
+		}
+		pp.ContentDigest = cd
+	}
 	if (pp.Log == nil && pp.Decode == nil) || pp.ContentDigest == "" {
-		return nil, fmt.Errorf("fleet: preparsed submission needs a log (or the means to decode it) and its content digest")
+		return nil, fmt.Errorf("fleet: preparsed submission needs a log, or its content digest and the means to decode it")
 	}
-	return p.submit(ctx, pp, opts)
-}
-
-// admitLocked applies the refusals that precede a job's existence.
-// Caller holds p.mu.
-func (p *Pool) admitLocked(lane Lane, opts SubmitOpts) error {
-	if p.closed {
-		return ErrClosed
-	}
-	// Tenant quota, checked before the job exists: a tenant at its
-	// in-flight cap is refused outright rather than admitted and failed.
-	if opts.Tenant != "" && p.cfg.TenantMaxInflight > 0 {
-		p.m.mu.Lock()
-		over := p.m.tenantInflight[opts.Tenant] >= int64(p.cfg.TenantMaxInflight)
-		p.m.mu.Unlock()
-		if over {
-			return ErrTenantQuota
-		}
-	}
-	// SLO admission, also before the job exists (and before the cache is
-	// consulted, mirroring the quota): a tenant whose projected queue
-	// age exceeds its class target is refused retryably rather than
-	// admitted to rot. The scheduler has its own lock and never calls
-	// back into the Pool, so querying it under p.mu is safe.
-	if opts.Tenant != "" && p.cfg.SLOAdmission {
-		if err := p.schd.Admit(string(lane), opts.Tenant); err != nil {
-			return fmt.Errorf("%w: %s", ErrSLOExceeded, err)
-		}
-	}
-	return nil
-}
-
-func (p *Pool) submit(ctx context.Context, pp Preparsed, opts SubmitOpts) (*Job, error) {
 	lane := opts.Lane.withDefault()
 	if !lane.Valid() {
 		return nil, fmt.Errorf("fleet: unknown lane %q", opts.Lane)
@@ -862,46 +830,40 @@ func (p *Pool) submit(ctx context.Context, pp Preparsed, opts SubmitOpts) (*Job,
 		// onto it meanwhile) rather than park a goroutine on a queue
 		// slot nobody wants.
 		p.qmu.RUnlock()
-		p.abortQueued(j, err)
+		p.settle(j, false, nil, fmt.Errorf("fleet: submission abandoned before reaching the queue: %w", err))
 		return j, err
 	}
 	p.qmu.RUnlock()
 	return j, nil
 }
 
-// abortQueued terminally fails a job that was accepted but never reached
-// its lane queue (context cancellation during backpressure), releasing
-// the in-flight digest claim and completing any coalesced followers with
-// the same error.
-func (p *Pool) abortQueued(j *Job, cause error) {
-	p.mu.Lock()
-	var followers []*Job
-	if entry := p.inflight[j.digest]; entry != nil && entry.primary == j {
-		followers = entry.followers
-		delete(p.inflight, j.digest)
+// admitLocked applies the refusals that precede a job's existence.
+// Caller holds p.mu.
+func (p *Pool) admitLocked(lane Lane, opts SubmitOpts) error {
+	if p.closed {
+		return ErrClosed
 	}
-	p.mu.Unlock()
-
-	finished := p.cfg.now()
-	p.m.mu.Lock()
-	p.m.queuedByLane[j.lane]--
-	p.m.failed += int64(1 + len(followers))
-	p.m.mu.Unlock()
-
-	err := fmt.Errorf("fleet: submission abandoned before reaching the queue: %w", cause)
-	j.complete(nil, err, finished)
-	p.jobWG.Done()
-	p.m.releaseTenant(j.tenant)
-	p.emit(EventFailed, j, nil)
-	for _, f := range followers {
-		f.mu.Lock()
-		f.cacheHit = false
-		f.mu.Unlock()
-		f.complete(nil, err, finished)
-		p.jobWG.Done()
-		p.m.releaseTenant(f.tenant)
-		p.emit(EventFailed, f, nil)
+	// Tenant quota, checked before the job exists: a tenant at its
+	// in-flight cap is refused outright rather than admitted and failed.
+	if opts.Tenant != "" && p.cfg.TenantMaxInflight > 0 {
+		p.m.mu.Lock()
+		over := p.m.tenantInflight[opts.Tenant] >= int64(p.cfg.TenantMaxInflight)
+		p.m.mu.Unlock()
+		if over {
+			return ErrTenantQuota
+		}
 	}
+	// SLO admission, also before the job exists (and before the cache is
+	// consulted, mirroring the quota): a tenant whose projected queue
+	// age exceeds its class target is refused retryably rather than
+	// admitted to rot. The scheduler has its own lock and never calls
+	// back into the Pool, so querying it under p.mu is safe.
+	if opts.Tenant != "" && p.cfg.SLOAdmission {
+		if err := p.schd.Admit(string(lane), opts.Tenant); err != nil {
+			return fmt.Errorf("%w: %s", ErrSLOExceeded, err)
+		}
+	}
+	return nil
 }
 
 // Job returns a previously submitted job by ID.
@@ -1103,13 +1065,15 @@ func (p *Pool) worker() {
 	}
 }
 
+// derive is semcache.Derive; tests count the derivations through it.
+var derive = semcache.Derive
+
 func (p *Pool) runJob(j *Job) {
 	start := p.cfg.now()
 	j.mu.Lock()
 	j.status = StatusRunning
 	j.started = start
 	log := j.log
-	submitted := j.submitted
 	j.mu.Unlock()
 	// Followers that attached while the primary was still queued move to
 	// running with it.
@@ -1128,18 +1092,23 @@ func (p *Pool) runJob(j *Job) {
 	p.m.running++
 	p.m.mu.Unlock()
 
+	// One canonicalization and one drishti pass per fresh job, and only
+	// for a pool whose gate will read them: the similarity lookup keys on
+	// the features, the gate and the tier self-check judge against the
+	// labels.
+	var d semcache.Derived
+	if p.gate != nil {
+		d = derive(log)
+	}
 	var res *ioagent.Result
 	var err error
-	var features, src string
-	var conf float64
 	reused := false
 	// Semantic reuse first: an exact-digest miss may still be a near
 	// duplicate of an already-diagnosed trace. This runs on the worker —
 	// never under p.mu — because the gate makes LLM judge calls.
 	if p.sem != nil {
-		features = semcache.FeatureText(log)
-		if r, s, c, ok := p.semanticReuse(log, features); ok {
-			res, src, conf, reused = r, s, c, true
+		if r, src, conf, ok := p.semanticReuse(d); ok {
+			res, reused = r, true
 			j.mu.Lock()
 			j.simHit, j.srcDigest, j.conf = true, src, conf
 			j.mu.Unlock()
@@ -1170,7 +1139,7 @@ func (p *Pool) runJob(j *Job) {
 				err = ErrBreakerOpen
 				continue
 			}
-			res, err = p.diagnose(log)
+			res, err = p.diagnose(log, d.Labels)
 			p.brk.record(err != nil && llm.IsTransient(err))
 			if err == nil || !llm.IsTransient(err) {
 				break
@@ -1188,58 +1157,70 @@ func (p *Pool) runJob(j *Job) {
 			// a similarity vector must never point at a digest the cache
 			// cannot serve. Reused results are not indexed — their text
 			// already has a vector under the source digest.
-			p.sem.Add(j.digest, features)
+			p.sem.Add(j.digest, d.Features)
 		}
 	}
+	p.settle(j, true, res, err)
+}
 
+// settle is the one way out of the pool for a job that was not terminal
+// at submit time: it releases the digest's in-flight claim and ends the
+// primary j and every follower that coalesced onto it with one outcome.
+// ran says whether a worker dequeued j (runJob) or j never reached its
+// lane queue (a canceled backpressure wait). Followers of a similarity
+// hit carry the primary's provenance.
+func (p *Pool) settle(j *Job, ran bool, res *ioagent.Result, err error) {
 	p.mu.Lock()
 	var followers []*Job
-	if entry := p.inflight[j.digest]; entry != nil {
+	if entry := p.inflight[j.digest]; entry != nil && entry.primary == j {
 		followers = entry.followers
+		delete(p.inflight, j.digest)
 	}
-	delete(p.inflight, j.digest)
 	p.mu.Unlock()
 
 	finished := p.cfg.now()
 	p.m.mu.Lock()
-	p.m.running--
+	if ran {
+		p.m.running--
+	} else {
+		p.m.queuedByLane[j.lane]--
+	}
 	if err != nil {
 		p.m.failed += int64(1 + len(followers))
 	} else {
 		p.m.done += int64(1 + len(followers))
 	}
 	p.m.mu.Unlock()
-	if err == nil {
-		p.m.recordLatency(finished.Sub(submitted))
-	}
 
 	kind := EventDone
 	if err != nil {
 		kind = EventFailed
 	}
-	j.complete(res, err, finished)
-	p.jobWG.Done()
-	p.m.releaseTenant(j.tenant)
-	p.emit(kind, j, nil)
+	j.mu.Lock()
+	simHit, src, conf := j.simHit, j.srcDigest, j.conf
+	j.mu.Unlock()
+	p.end(j, res, err, finished, kind)
 	for _, f := range followers {
-		f.mu.Lock()
-		fsub := f.submitted
-		if err != nil {
-			// The ride-along did not pay off; don't let a failed job
-			// report itself as a cache success.
-			f.cacheHit = false
-		} else if reused {
-			// Followers served by the primary's similarity hit carry the
-			// same provenance.
+		if err == nil && simHit {
+			f.mu.Lock()
 			f.simHit, f.srcDigest, f.conf = true, src, conf
+			f.mu.Unlock()
 		}
-		f.mu.Unlock()
-		if err == nil {
-			p.m.recordLatency(finished.Sub(fsub))
-		}
-		f.complete(res, err, finished)
-		p.jobWG.Done()
-		p.m.releaseTenant(f.tenant)
-		p.emit(kind, f, nil)
+		p.end(f, res, err, finished, kind)
 	}
+}
+
+// end completes one job — a primary or a follower — records its
+// submit-to-done latency when it succeeded, and releases its tenant's
+// in-flight count and its jobWG slot; its terminal event comes last. The
+// tenant slot is freed first, so whoever sees the job terminal, or
+// returns from Wait, finds its quota already released.
+func (p *Pool) end(j *Job, res *ioagent.Result, err error, at time.Time, kind EventKind) {
+	if err == nil {
+		p.m.recordLatency(at.Sub(j.submitted))
+	}
+	p.m.releaseTenant(j.tenant)
+	j.complete(res, err, at)
+	p.jobWG.Done()
+	p.emit(kind, j, nil)
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -25,6 +26,12 @@ func testConfig(workers int) Config {
 		RetryDelay: time.Millisecond,
 		Agent:      ioagent.Options{Index: sharedIndex},
 	}
+}
+
+// submitOpts submits a decoded trace with options through the pool's one
+// door, with no deadline on backpressure.
+func submitOpts(p *Pool, log *darshan.Log, opts SubmitOpts) (*Job, error) {
+	return p.SubmitPreparsed(context.Background(), Preparsed{Log: log}, opts)
 }
 
 // testTrace generates a small deterministic trace; distinct seeds give

@@ -67,15 +67,15 @@ func TestSubmitLaneDefaultsAndValidation(t *testing.T) {
 		t.Errorf("JobInfo lane = %q, want interactive", info.Lane)
 	}
 
-	jb, err := p.SubmitWith(testTrace(1), SubmitOpts{Lane: LaneBatch})
+	jb, err := submitOpts(p, testTrace(1), SubmitOpts{Lane: LaneBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jb.Lane() != LaneBatch {
-		t.Errorf("SubmitWith batch lane = %q", jb.Lane())
+		t.Errorf("batch-lane submit lane = %q", jb.Lane())
 	}
 
-	if _, err := p.SubmitWith(testTrace(2), SubmitOpts{Lane: "bulk"}); err == nil {
+	if _, err := submitOpts(p, testTrace(2), SubmitOpts{Lane: "bulk"}); err == nil {
 		t.Error("unknown lane must be rejected")
 	}
 }
@@ -95,17 +95,17 @@ func TestBatchFloodCannotStarveInteractive(t *testing.T) {
 	defer p.Close()
 
 	// One batch job occupies the worker (blocked at the gate)...
-	if _, err := p.SubmitWith(testTrace(100), SubmitOpts{Lane: LaneBatch}); err != nil {
+	if _, err := submitOpts(p, testTrace(100), SubmitOpts{Lane: LaneBatch}); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.started
 	// ...and a full QueueDepth of batch jobs saturates the batch lane.
 	for i := 0; i < depth; i++ {
-		if _, err := p.SubmitWith(testTrace(101+i), SubmitOpts{Lane: LaneBatch}); err != nil {
+		if _, err := submitOpts(p, testTrace(101+i), SubmitOpts{Lane: LaneBatch}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ji, err := p.SubmitWith(testTrace(200), SubmitOpts{Lane: LaneInteractive})
+	ji, err := submitOpts(p, testTrace(200), SubmitOpts{Lane: LaneInteractive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,16 +153,16 @@ func TestInteractiveFloodKeepsBatchShare(t *testing.T) {
 
 	// Interactive job on the worker, three more flooding the lane, one
 	// batch job waiting behind them.
-	if _, err := p.SubmitWith(testTrace(300), SubmitOpts{Lane: LaneInteractive}); err != nil {
+	if _, err := submitOpts(p, testTrace(300), SubmitOpts{Lane: LaneInteractive}); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.started
 	for i := 0; i < 3; i++ {
-		if _, err := p.SubmitWith(testTrace(301+i), SubmitOpts{Lane: LaneInteractive}); err != nil {
+		if _, err := submitOpts(p, testTrace(301+i), SubmitOpts{Lane: LaneInteractive}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	jb, err := p.SubmitWith(testTrace(400), SubmitOpts{Lane: LaneBatch})
+	jb, err := submitOpts(p, testTrace(400), SubmitOpts{Lane: LaneBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +201,17 @@ func TestStrictPriorityDrainsInteractiveFirst(t *testing.T) {
 	p := New(gate, cfg)
 	defer p.Close()
 
-	if _, err := p.SubmitWith(testTrace(500), SubmitOpts{Lane: LaneBatch}); err != nil {
+	if _, err := submitOpts(p, testTrace(500), SubmitOpts{Lane: LaneBatch}); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.started
 	for i := 0; i < 3; i++ {
-		if _, err := p.SubmitWith(testTrace(501+i), SubmitOpts{Lane: LaneBatch}); err != nil {
+		if _, err := submitOpts(p, testTrace(501+i), SubmitOpts{Lane: LaneBatch}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.SubmitWith(testTrace(600+i), SubmitOpts{Lane: LaneInteractive}); err != nil {
+		if _, err := submitOpts(p, testTrace(600+i), SubmitOpts{Lane: LaneInteractive}); err != nil {
 			t.Fatal(err)
 		}
 	}

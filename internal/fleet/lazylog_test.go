@@ -38,6 +38,45 @@ func newLazyTrace(t *testing.T, seed int) *lazyTrace {
 	return lt
 }
 
+// TestSubmitPreparsedValidates pins the Preparsed contract: a decoded log
+// needs no content digest (the pool digests it, exactly as Digest would),
+// while a submission that cannot be decoded, or cannot be addressed
+// without decoding, is refused before any job exists.
+func TestSubmitPreparsedValidates(t *testing.T) {
+	p := New(llm.NewSim(), testConfig(1))
+	defer p.Close()
+	ctx := context.Background()
+	log := testTrace(1)
+	j, err := p.SubmitPreparsed(ctx, Preparsed{Log: log}, SubmitOpts{})
+	if err != nil {
+		t.Fatalf("a decoded log without a content digest was refused: %v", err)
+	}
+	want, err := Digest(p.cfg.Agent, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Digest() != want {
+		t.Errorf("digest of {Log} = %s, want Digest(opts, log) = %s", j.Digest(), want)
+	}
+	lt := newLazyTrace(t, 2)
+	refused := map[string]Preparsed{
+		"{Decode} without a digest":     {Decode: lt.pp.Decode},
+		"{}":                            {},
+		"{ContentDigest} without a log": {ContentDigest: lt.pp.ContentDigest},
+	}
+	for name, pp := range refused {
+		if _, err := p.SubmitPreparsed(ctx, pp, SubmitOpts{}); err == nil {
+			t.Errorf("%s was accepted", name)
+		}
+	}
+	if got := len(p.Jobs()); got != 1 {
+		t.Errorf("%d jobs exist, want only the accepted one", got)
+	}
+	if n := lt.decodes.Load(); n != 0 {
+		t.Errorf("a refused submission decoded its trace %d times", n)
+	}
+}
+
 // blockedLLM parks every model call until release is closed, pinning a
 // primary in flight.
 type blockedLLM struct {

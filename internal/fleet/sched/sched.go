@@ -20,7 +20,7 @@
 //
 //   - Enqueue blocks while the lane is at capacity (backpressure) and
 //     aborts with ctx.Err() if the context is done first — the
-//     SubmitContext contract. A canceled Enqueue leaves no trace: the
+//     fleet.SubmitPreparsed contract. A canceled Enqueue leaves no trace: the
 //     item was never admitted, so per-tenant depth and age state are
 //     untouched.
 //   - Dequeue blocks until an item is available; after Close it drains

@@ -187,7 +187,7 @@ func TestSchedBackpressureBlocksUntilDequeue(t *testing.T) {
 }
 
 // TestSchedCancelWhileQueuedLeaksNoTenantState is the regression test
-// for SubmitContext cancellation: an Enqueue aborted by its context
+// for fleet.SubmitPreparsed cancellation: an Enqueue aborted by its context
 // while waiting out backpressure must leave per-tenant depth and age
 // state exactly as it found them — the canceled item was never
 // admitted, so nothing may leak.

@@ -25,16 +25,16 @@ func TestSchedTenantFairnessUnderFlood(t *testing.T) {
 	defer p.Close()
 
 	// Pin the worker, then flood 16 noisy jobs and 1 light job.
-	if _, err := p.SubmitWith(testTrace(9000), SubmitOpts{Tenant: "noisy"}); err != nil {
+	if _, err := submitOpts(p, testTrace(9000), SubmitOpts{Tenant: "noisy"}); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.started
 	for i := 0; i < 16; i++ {
-		if _, err := p.SubmitWith(testTrace(9001+i), SubmitOpts{Tenant: "noisy"}); err != nil {
+		if _, err := submitOpts(p, testTrace(9001+i), SubmitOpts{Tenant: "noisy"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	jl, err := p.SubmitWith(testTrace(9100), SubmitOpts{Tenant: "light"})
+	jl, err := submitOpts(p, testTrace(9100), SubmitOpts{Tenant: "light"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSchedTenantFairnessUnderFlood(t *testing.T) {
 }
 
 // TestSchedCancelWhileQueuedNoTenantLeak is the pool-level face of the
-// sched regression test: a SubmitContext canceled while waiting out
+// sched regression test: a SubmitPreparsed canceled while waiting out
 // backpressure must not leak per-tenant depth/age state in the
 // scheduler snapshot, and must keep the pool's own lane counters exact.
 func TestSchedCancelWhileQueuedNoTenantLeak(t *testing.T) {
@@ -84,11 +84,11 @@ func TestSchedCancelWhileQueuedNoTenantLeak(t *testing.T) {
 	p := New(gate, cfg)
 	defer p.Close()
 
-	if _, err := p.SubmitWith(testTrace(9200), SubmitOpts{Tenant: "t1"}); err != nil {
+	if _, err := submitOpts(p, testTrace(9200), SubmitOpts{Tenant: "t1"}); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.started
-	if _, err := p.SubmitWith(testTrace(9201), SubmitOpts{Tenant: "t1"}); err != nil {
+	if _, err := submitOpts(p, testTrace(9201), SubmitOpts{Tenant: "t1"}); err != nil {
 		t.Fatal(err) // fills the lane to QueueDepth=1
 	}
 
@@ -98,13 +98,13 @@ func TestSchedCancelWhileQueuedNoTenantLeak(t *testing.T) {
 	var subErr error
 	go func() {
 		defer wg.Done()
-		_, subErr = p.SubmitContext(ctx, testTrace(9202), SubmitOpts{Tenant: "t2"})
+		_, subErr = p.SubmitPreparsed(ctx, Preparsed{Log: testTrace(9202)}, SubmitOpts{Tenant: "t2"})
 	}()
 	time.Sleep(30 * time.Millisecond) // let the submission park on the full lane
 	cancel()
 	wg.Wait()
 	if !errors.Is(subErr, context.Canceled) {
-		t.Fatalf("canceled SubmitContext returned %v, want context.Canceled", subErr)
+		t.Fatalf("canceled SubmitPreparsed returned %v, want context.Canceled", subErr)
 	}
 
 	m := p.Metrics()
@@ -157,17 +157,17 @@ func TestSchedSLOAdmissionRefusesRetryably(t *testing.T) {
 
 	// Pin the worker, then queue one vip job and age it past gold's 2s
 	// target.
-	if _, err := p.SubmitWith(testTrace(9300), SubmitOpts{Tenant: "vip"}); err != nil {
+	if _, err := submitOpts(p, testTrace(9300), SubmitOpts{Tenant: "vip"}); err != nil {
 		t.Fatal(err)
 	}
 	<-gate.started
-	if _, err := p.SubmitWith(testTrace(9301), SubmitOpts{Tenant: "vip"}); err != nil {
+	if _, err := submitOpts(p, testTrace(9301), SubmitOpts{Tenant: "vip"}); err != nil {
 		t.Fatal(err)
 	}
 	advance(3 * time.Second)
 
 	before := p.Metrics().Submitted
-	_, err := p.SubmitWith(testTrace(9302), SubmitOpts{Tenant: "vip"})
+	_, err := submitOpts(p, testTrace(9302), SubmitOpts{Tenant: "vip"})
 	if !errors.Is(err, ErrSLOExceeded) {
 		t.Fatalf("stale-backlog submission returned %v, want ErrSLOExceeded", err)
 	}
@@ -179,7 +179,7 @@ func TestSchedSLOAdmissionRefusesRetryably(t *testing.T) {
 		t.Fatalf("sched rejects %d/%d, want 1/1", m.Sched.Rejects, m.Sched.Tenants["vip"].Rejects)
 	}
 	// A classless tenant is never refused.
-	if _, err := p.SubmitWith(testTrace(9303), SubmitOpts{Tenant: "steerage"}); err != nil {
+	if _, err := submitOpts(p, testTrace(9303), SubmitOpts{Tenant: "steerage"}); err != nil {
 		t.Fatalf("classless tenant refused: %v", err)
 	}
 }

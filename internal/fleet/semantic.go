@@ -9,6 +9,7 @@ import (
 	"ioagent/internal/darshan"
 	"ioagent/internal/fleet/semcache"
 	"ioagent/internal/ioagent"
+	"ioagent/internal/issue"
 	"ioagent/internal/llm"
 )
 
@@ -20,12 +21,12 @@ const semLookupK = 4
 // semanticReuse tries to serve a cache miss from a near-duplicate's cached
 // diagnosis. It returns ok=false — and counts a semcache miss or gate
 // reject — when the submission must fall through to a fresh diagnosis.
-func (p *Pool) semanticReuse(log *darshan.Log, features string) (res *ioagent.Result, source string, conf float64, ok bool) {
-	for _, cand := range p.sem.Lookup(features, semLookupK) {
+func (p *Pool) semanticReuse(d semcache.Derived) (res *ioagent.Result, source string, conf float64, ok bool) {
+	for _, cand := range p.sem.Lookup(d.Features, semLookupK) {
 		if cand.Score < p.cfg.SimThreshold {
 			break // candidates are best-first; the rest are even farther
 		}
-		if semcache.Modality(cand.Features) != semcache.Modality(features) {
+		if semcache.Modality(cand.Features) != semcache.Modality(d.Features) {
 			// Cross-modality fence: a DXT per-operation trace must never
 			// be served a diagnosis produced from Darshan counters (or
 			// vice versa), however close the derived profiles sit — the
@@ -40,7 +41,7 @@ func (p *Pool) semanticReuse(log *darshan.Log, features string) (res *ioagent.Re
 			p.sem.Remove(cand.Digest)
 			continue
 		}
-		dec, err := p.gate.Evaluate(log, cached.Text, cand.Score)
+		dec, err := p.gate.EvaluateLabels(d.Labels, cached.Text, cand.Score)
 		if err != nil {
 			// A gate that cannot decide must not guess: treat the
 			// submission as a plain miss and pay for a fresh diagnosis.
@@ -59,9 +60,10 @@ func (p *Pool) semanticReuse(log *darshan.Log, features string) (res *ioagent.Re
 }
 
 // diagnose runs one diagnosis attempt: the shared agent directly, or the
-// cheapest-first tier ladder when Config.TierModels is set. Transient
-// errors propagate to runJob's retry/breaker loop unchanged.
-func (p *Pool) diagnose(log *darshan.Log) (*ioagent.Result, error) {
+// cheapest-first tier ladder when Config.TierModels is set, self-checking
+// each rung against the trace's drishti labels. Transient errors
+// propagate to runJob's retry/breaker loop unchanged.
+func (p *Pool) diagnose(log *darshan.Log, labels issue.Set) (*ioagent.Result, error) {
 	if len(p.tiers) == 0 {
 		return p.agent.Diagnose(log)
 	}
@@ -79,7 +81,7 @@ func (p *Pool) diagnose(log *darshan.Log) (*ioagent.Result, error) {
 		if p.cfg.TierBudgetUSD > 0 && p.llmSpendUSD() >= p.cfg.TierBudgetUSD {
 			break // budget exhausted: stop escalating, serve what we have
 		}
-		score, err := p.gate.ScoreDiagnosis(log, r.Text)
+		score, err := p.gate.ScoreDiagnosis(labels, r.Text)
 		if err != nil {
 			break // cannot self-check: accept this rung rather than guess
 		}
@@ -109,10 +111,7 @@ func (p *Pool) StatsByModel() map[string]ioagent.ModelStats {
 	merge := func(stats map[string]ioagent.ModelStats) {
 		for model, ms := range stats {
 			agg := out[model]
-			agg.Usage.PromptTokens += ms.Usage.PromptTokens
-			agg.Usage.CompletionTokens += ms.Usage.CompletionTokens
-			agg.CostUSD += ms.CostUSD
-			agg.Calls += ms.Calls
+			agg.Add(ms)
 			out[model] = agg
 		}
 	}
@@ -137,10 +136,7 @@ func (p *Pool) recordGateUsage(resp llm.Response) {
 		p.gateStats = make(map[string]ioagent.ModelStats)
 	}
 	ms := p.gateStats[resp.Model]
-	ms.Usage.PromptTokens += resp.Usage.PromptTokens
-	ms.Usage.CompletionTokens += resp.Usage.CompletionTokens
-	ms.CostUSD += resp.CostUSD
-	ms.Calls++
+	ms.Add(ioagent.ModelStats{Usage: resp.Usage, CostUSD: resp.CostUSD, Calls: 1})
 	p.gateStats[resp.Model] = ms
 }
 

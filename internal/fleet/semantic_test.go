@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ioagent/internal/darshan"
+	"ioagent/internal/fleet/semcache"
 	"ioagent/internal/llm"
 )
 
@@ -310,5 +312,53 @@ func TestTierBudgetStopsEscalation(t *testing.T) {
 	}
 	if got := m.Tiers[llm.GPT4oMini].Jobs; got != 2 {
 		t.Errorf("cheap tier jobs = %d, want 2", got)
+	}
+}
+
+// TestDeriveOncePerFreshJob: a pool with a gate canonicalizes and runs
+// drishti once per fresh job — however many attempts, tier rungs and
+// gate calls the job makes — and never for an exact hit; a pool without
+// a gate derives nothing. A tier-only pool judges on the cheap gate
+// model, as a reuse pool does.
+func TestDeriveOncePerFreshJob(t *testing.T) {
+	var derived atomic.Int64
+	derive = func(log *darshan.Log) semcache.Derived {
+		derived.Add(1)
+		return semcache.Derive(log)
+	}
+	defer func() { derive = semcache.Derive }()
+	run := func(p *Pool, logs ...*darshan.Log) {
+		t.Helper()
+		defer p.Close()
+		for _, log := range logs {
+			j, err := p.Submit(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	run(New(llm.NewSim(), testConfig(1)), testTrace(1), testTrace(2))
+	if n := derived.Load(); n != 0 {
+		t.Fatalf("a pool without a gate derived %d times", n)
+	}
+
+	cfg := semConfig(1)
+	cfg.TierModels = []string{llm.GPT4oMini, llm.GPT4o}
+	cfg.TierThreshold = 1.1 // always self-check and escalate
+	run(New(&failFirstN{inner: llm.NewSim(), n: 1}, cfg), testTrace(1), testTrace(2), testTrace(1))
+	if n := derived.Load(); n != 2 {
+		t.Fatalf("two fresh jobs and one exact hit derived %d times, want 2", n)
+	}
+
+	cfg = testConfig(1)
+	cfg.TierModels = []string{llm.GPT4oMini, llm.GPT4o}
+	p := New(llm.NewSim(), cfg)
+	defer p.Close()
+	if p.gate.Model != llm.GPT4oMini {
+		t.Errorf("tier-only pool judges on %q, want %q", p.gate.Model, llm.GPT4oMini)
 	}
 }

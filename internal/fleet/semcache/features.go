@@ -23,10 +23,24 @@ import (
 	"ioagent/internal/darshan"
 	"ioagent/internal/drishti"
 	"ioagent/internal/dxt"
+	"ioagent/internal/issue"
 )
 
-// FeatureText renders a trace as a deterministic feature token stream. Two
-// properties matter:
+// Derived is what the fleet derives from a trace once per fresh job, from
+// one canonicalization and one drishti pass: the feature text the
+// similarity index keys on and the heuristic labels the gate and the tier
+// self-check judge against.
+type Derived struct {
+	Features string
+	Labels   issue.Set
+}
+
+// FeatureText is Derive(log).Features.
+func FeatureText(log *darshan.Log) string { return Derive(log).Features }
+
+// Derive renders a trace's feature text and takes its drishti labels.
+//
+// The feature text is a deterministic token stream. Two properties matter:
 //
 //   - Rendering independence: the extractor works on darshan.Canonical(log),
 //     the same rendering-neutral form ContentDigest hashes, so the binary
@@ -41,7 +55,7 @@ import (
 // counter values — so near-duplicate traces (same workload, perturbed
 // timestamps or slightly different byte counts) land on nearby vectors
 // while genuinely different workloads do not.
-func FeatureText(log *darshan.Log) string {
+func Derive(log *darshan.Log) Derived {
 	c := darshan.Canonical(log)
 	var toks []string
 
@@ -104,11 +118,12 @@ func FeatureText(log *darshan.Log) string {
 	for _, h := range dr.Hits {
 		toks = append(toks, "trig"+sanitize(h.TriggerID))
 	}
-	for _, l := range dr.Labels().Sorted() {
+	labels := dr.Labels()
+	for _, l := range labels.Sorted() {
 		toks = append(toks, "lbl"+sanitize(string(l)))
 	}
 
-	return strings.Join(toks, " ")
+	return Derived{Features: strings.Join(toks, " "), Labels: labels}
 }
 
 // Modality names the trace modality encoded in a feature text:

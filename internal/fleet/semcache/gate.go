@@ -10,14 +10,6 @@ import (
 	"ioagent/internal/llm"
 )
 
-// nullReport is the gate's fixed judging baseline: a diagnosis that claims
-// no issues at all. Judging the candidate against this null hypothesis —
-// instead of against another live diagnosis — gives the judge a stable
-// reference point: a cached diagnosis that matches the new trace's issue
-// labels should beat "nothing is wrong" decisively, while one that claims
-// the wrong issues loses ground to it.
-const nullReport = "No significant I/O performance issues detected."
-
 // Gate decides whether a similarity candidate's cached diagnosis can be
 // reused for a new trace.
 type Gate struct {
@@ -53,7 +45,13 @@ type Decision struct {
 
 // Evaluate scores whether candidateText (the cached diagnosis of another
 // trace) applies to log. sim is the feature-vector cosine similarity that
-// proposed the candidate.
+// proposed the candidate. It takes the trace's drishti labels itself; a
+// caller that already holds them (Derive) calls EvaluateLabels.
+func (g *Gate) Evaluate(log *darshan.Log, candidateText string, sim float64) (Decision, error) {
+	return g.EvaluateLabels(drishti.Analyze(darshan.Canonical(log)).Labels(), candidateText, sim)
+}
+
+// EvaluateLabels is Evaluate against the new trace's drishti labels.
 //
 // Confidence blends three independent views of "same diagnosis":
 //
@@ -63,40 +61,19 @@ type Decision struct {
 //     an LLM-free cross-check that catches reuse across workloads that
 //     happen to have nearby counter profiles but different issues;
 //   - judge score (weight 0.25): an LLM judge ranking the cached diagnosis
-//     against the null "no issues" report under the accuracy criterion,
-//     with the new trace's heuristic labels as ground truth.
+//     against judge.NullReport under the accuracy criterion, with the new
+//     trace's heuristic labels as ground truth.
 //
-// Gate errors (judge transport, malformed rankings) are returned so the
-// caller can fall through to a fresh diagnosis rather than guess.
-func (g *Gate) Evaluate(log *darshan.Log, candidateText string, sim float64) (Decision, error) {
-	truth := drishti.Analyze(darshan.Canonical(log)).Labels()
-
-	_, _, f1 := issue.F1(truth, llm.ClaimedLabels(candidateText))
-
-	model := g.Model
-	if model == "" {
-		model = llm.GPT4oMini
-	}
-	j := &judge.Judge{
-		Client:       g.Client,
-		Model:        model,
-		Permutations: 2,
-		Augment:      judge.All(),
-	}
-	entries := []judge.Entry{
-		{Tool: "cached-diagnosis", Text: candidateText},
-		{Tool: "baseline", Text: nullReport},
-	}
-	ranks, err := j.MeanRanks(entries, judge.Accuracy, truth)
+// The last two are judge.AgainstNull, the kernel eval.ScoreDiagnosis
+// scores the scenario matrix with. Gate errors (judge transport,
+// malformed rankings) are returned so the caller can fall through to a
+// fresh diagnosis rather than guess.
+func (g *Gate) EvaluateLabels(truth issue.Set, candidateText string, sim float64) (Decision, error) {
+	fit, err := judge.AgainstNull(g.Client, g.model(), truth, candidateText)
 	if err != nil {
 		return Decision{}, fmt.Errorf("semcache: gate: %w", err)
 	}
-	// With two candidates the mean rank of the cached diagnosis is in
-	// [1, 2]; map rank 1 (always beats the null report) to 1.0 and rank 2
-	// (always loses to it) to 0.0.
-	judgeScore := clamp01(2 - ranks[0])
-
-	conf := 0.5*sim + 0.25*f1 + 0.25*judgeScore
+	conf := 0.5*sim + 0.25*fit.LabelF1 + 0.25*fit.Judge
 	threshold := g.Threshold
 	if threshold <= 0 {
 		threshold = DefaultGateThreshold
@@ -104,48 +81,30 @@ func (g *Gate) Evaluate(log *darshan.Log, candidateText string, sim float64) (De
 	return Decision{
 		Reuse:      conf >= threshold,
 		Confidence: conf,
-		LabelF1:    f1,
-		JudgeScore: judgeScore,
+		LabelF1:    fit.LabelF1,
+		JudgeScore: fit.Judge,
 	}, nil
 }
 
 // ScoreDiagnosis rates how well a freshly produced diagnosis fits the
-// trace, on the gate's label-F1 and judge components only (no similarity
-// term — the diagnosis is OF this trace, there is no candidate distance).
-// The fleet's tier scheduler compares the score against its escalation
-// threshold: a cheap model whose answer already agrees with the heuristics
-// and beats the null report needs no frontier-model second opinion.
-func (g *Gate) ScoreDiagnosis(log *darshan.Log, diagnosisText string) (float64, error) {
-	truth := drishti.Analyze(darshan.Canonical(log)).Labels()
-	_, _, f1 := issue.F1(truth, llm.ClaimedLabels(diagnosisText))
-
-	model := g.Model
-	if model == "" {
-		model = llm.GPT4oMini
-	}
-	j := &judge.Judge{
-		Client:       g.Client,
-		Model:        model,
-		Permutations: 2,
-		Augment:      judge.All(),
-	}
-	entries := []judge.Entry{
-		{Tool: "diagnosis", Text: diagnosisText},
-		{Tool: "baseline", Text: nullReport},
-	}
-	ranks, err := j.MeanRanks(entries, judge.Accuracy, truth)
+// trace whose drishti labels are truth: judge.AgainstNull's even blend of
+// label F1 and judge verdict, with no similarity term — the diagnosis is
+// OF this trace, there is no candidate distance. The fleet's tier
+// scheduler compares the score against its escalation threshold: a cheap
+// model whose answer already agrees with the heuristics and beats the
+// null report needs no frontier-model second opinion.
+func (g *Gate) ScoreDiagnosis(truth issue.Set, diagnosisText string) (float64, error) {
+	fit, err := judge.AgainstNull(g.Client, g.model(), truth, diagnosisText)
 	if err != nil {
 		return 0, fmt.Errorf("semcache: score: %w", err)
 	}
-	return 0.5*f1 + 0.5*clamp01(2-ranks[0]), nil
+	return fit.Score(), nil
 }
 
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
+// model is the judging model, gpt-4o-mini-sim unless Model says otherwise.
+func (g *Gate) model() string {
+	if g.Model == "" {
+		return llm.GPT4oMini
 	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return g.Model
 }

@@ -301,7 +301,7 @@ func TestMuxClientRoundTrip(t *testing.T) {
 
 func TestMuxPrometheusExposition(t *testing.T) {
 	pool, srv := testMux(t, 64<<20)
-	job, err := pool.SubmitWith(testTrace(12), fleet.SubmitOpts{Lane: fleet.LaneBatch, Tenant: "acme"})
+	job, err := pool.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: testTrace(12)}, fleet.SubmitOpts{Lane: fleet.LaneBatch, Tenant: "acme"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -232,7 +233,7 @@ func (s *Store) Replay(p *fleet.Pool) (restored, resubmitted int, err error) {
 		}
 		// The tenant survives too, so per-tenant accounting stays honest
 		// across a bounce (the replayed job re-counts under its tenant).
-		if _, serr := p.SubmitWith(job.Log, fleet.SubmitOpts{Lane: lane, Tenant: job.Tenant}); serr != nil {
+		if _, serr := p.SubmitPreparsed(context.Background(), fleet.Preparsed{Log: job.Log}, fleet.SubmitOpts{Lane: lane, Tenant: job.Tenant}); serr != nil {
 			return restored, resubmitted, fmt.Errorf("store: replay %s: %w", job.ID, serr)
 		}
 		resubmitted++

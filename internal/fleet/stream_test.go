@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,17 +45,6 @@ func TestSubmitPreparsedSharesCacheWithSubmit(t *testing.T) {
 	}
 }
 
-func TestSubmitPreparsedValidates(t *testing.T) {
-	p := New(llm.NewSim(), testConfig(1))
-	defer p.Close()
-	if _, err := p.SubmitPreparsed(context.Background(), Preparsed{Log: testTrace(1)}, SubmitOpts{}); err == nil {
-		t.Error("preparsed submission without a content digest was accepted")
-	}
-	if _, err := p.SubmitPreparsed(context.Background(), Preparsed{ContentDigest: "abc"}, SubmitOpts{}); err == nil {
-		t.Error("preparsed submission without a log was accepted")
-	}
-}
-
 // TestTenantQuota: a tenant at its in-flight cap is refused with
 // ErrTenantQuota; other tenants and anonymous submissions are not; the
 // quota frees as jobs finish.
@@ -68,18 +59,18 @@ func TestTenantQuota(t *testing.T) {
 	defer close(release)
 
 	for i := 0; i < 2; i++ {
-		if _, err := p.SubmitWith(testTrace(10+i), SubmitOpts{Tenant: "acme"}); err != nil {
+		if _, err := submitOpts(p, testTrace(10+i), SubmitOpts{Tenant: "acme"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.SubmitWith(testTrace(12), SubmitOpts{Tenant: "acme"}); !errors.Is(err, ErrTenantQuota) {
+	if _, err := submitOpts(p, testTrace(12), SubmitOpts{Tenant: "acme"}); !errors.Is(err, ErrTenantQuota) {
 		t.Fatalf("over-quota submission = %v, want ErrTenantQuota", err)
 	}
 	// Another tenant and anonymous traffic are unaffected.
-	if _, err := p.SubmitWith(testTrace(13), SubmitOpts{Tenant: "globex"}); err != nil {
+	if _, err := submitOpts(p, testTrace(13), SubmitOpts{Tenant: "globex"}); err != nil {
 		t.Fatalf("other tenant refused: %v", err)
 	}
-	if _, err := p.SubmitWith(testTrace(14), SubmitOpts{}); err != nil {
+	if _, err := submitOpts(p, testTrace(14), SubmitOpts{}); err != nil {
 		t.Fatalf("anonymous submission refused: %v", err)
 	}
 	if got := p.Metrics().TenantsInflight["acme"]; got != 2 {
@@ -94,7 +85,7 @@ func TestTenantQuotaFreesOnCompletion(t *testing.T) {
 	p := New(llm.NewSim(), cfg)
 	defer p.Close()
 
-	j, err := p.SubmitWith(testTrace(20), SubmitOpts{Tenant: "acme"})
+	j, err := submitOpts(p, testTrace(20), SubmitOpts{Tenant: "acme"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +93,7 @@ func TestTenantQuotaFreesOnCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slot freed: next submission admitted.
-	if _, err := p.SubmitWith(testTrace(21), SubmitOpts{Tenant: "acme"}); err != nil {
+	if _, err := submitOpts(p, testTrace(21), SubmitOpts{Tenant: "acme"}); err != nil {
 		t.Fatalf("post-completion submission refused: %v", err)
 	}
 	p.Wait()
@@ -111,11 +102,11 @@ func TestTenantQuotaFreesOnCompletion(t *testing.T) {
 	}
 }
 
-// TestSubmitContextAbortsBackpressureWait: a canceled context frees a
+// TestSubmitPreparsedAbortsBackpressureWait: a canceled context frees a
 // submitter stuck on a full lane queue — the job goes terminal failed
 // (with its journal-covering event) instead of holding a goroutine for a
 // client that hung up.
-func TestSubmitContextAbortsBackpressureWait(t *testing.T) {
+func TestSubmitPreparsedAbortsBackpressureWait(t *testing.T) {
 	release := make(chan struct{})
 	cfg := testConfig(1)
 	cfg.QueueDepth = 1
@@ -135,7 +126,7 @@ func TestSubmitContextAbortsBackpressureWait(t *testing.T) {
 	done := make(chan error, 1)
 	var aborted *Job
 	go func() {
-		j, err := p.SubmitContext(ctx, testTrace(32), SubmitOpts{})
+		j, err := p.SubmitPreparsed(ctx, Preparsed{Log: testTrace(32)}, SubmitOpts{})
 		aborted = j
 		done <- err
 	}()
@@ -147,9 +138,112 @@ func TestSubmitContextAbortsBackpressureWait(t *testing.T) {
 			t.Fatalf("canceled submit returned %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("SubmitContext still blocked after cancel — backpressure wait ignores the context")
+		t.Fatal("SubmitPreparsed still blocked after cancel — backpressure wait ignores the context")
 	}
 	if aborted == nil || aborted.Status() != StatusFailed {
 		t.Fatalf("aborted job status = %v, want failed", aborted.Status())
+	}
+}
+
+// TestAbortedPrimaryFailsItsFollower: a duplicate that coalesced onto a
+// primary still parked on a full lane ends with it when the primary's
+// submitter hangs up — failed with the same wrapped cause, no longer
+// reporting a cache hit, one terminal event each — and the pool's books
+// balance once it is idle.
+func TestAbortedPrimaryFailsItsFollower(t *testing.T) {
+	release := make(chan struct{})
+	gate := &gatedClient{inner: llm.NewSim(), gate: release, started: make(chan struct{})}
+	var events eventLog
+	cfg := testConfig(1)
+	cfg.QueueDepth = 1
+	cfg.OnJobEvent = events.record
+	p := New(gate, cfg)
+	defer p.Close()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark()
+
+	// Park the worker on one job and fill the lane with another.
+	if _, err := submitOpts(p, testTrace(40), SubmitOpts{Tenant: "acme"}); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.started
+	if _, err := submitOpts(p, testTrace(41), SubmitOpts{Tenant: "acme"}); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	type submitted struct {
+		j   *Job
+		err error
+	}
+	parked := make(chan submitted, 1)
+	go func() {
+		j, err := p.SubmitPreparsed(ctx, Preparsed{Log: testTrace(42)}, SubmitOpts{Tenant: "acme"})
+		parked <- submitted{j, err}
+	}()
+	// The primary claims its digest before its submitted event fires, and
+	// fires it just before it parks on the lane.
+	deadline := time.Now().Add(2 * time.Second)
+	for len(p.Jobs()) < 3 || len(events.byJob(p.Jobs()[2].ID())) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the third submission never announced itself")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	follower, err := submitOpts(p, testTrace(42), SubmitOpts{Tenant: "globex"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !follower.Info().CacheHit {
+		t.Fatal("the duplicate did not coalesce onto the parked primary")
+	}
+	time.Sleep(20 * time.Millisecond) // let the primary reach the queue send
+	cancel()
+	var primary *Job
+	select {
+	case s := <-parked:
+		if !errors.Is(s.err, context.Canceled) {
+			t.Fatalf("canceled submit returned %v, want context.Canceled", s.err)
+		}
+		primary = s.j
+	case <-time.After(2 * time.Second):
+		t.Fatal("the parked primary was not released by its context")
+	}
+
+	for _, j := range []*Job{primary, follower} {
+		select {
+		case <-j.Done():
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s never reached a terminal state", j.ID())
+		}
+		_, err := j.Wait()
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "abandoned before reaching the queue") {
+			t.Errorf("%s failed with %v, want the wrapped cancellation", j.ID(), err)
+		}
+		var failed int
+		for _, ev := range events.byJob(j.ID()) {
+			if ev.Kind == EventFailed {
+				failed++
+			}
+		}
+		if failed != 1 {
+			t.Errorf("%s emitted %d failed events, want exactly 1", j.ID(), failed)
+		}
+	}
+	if follower.Info().CacheHit {
+		t.Error("a follower of an aborted primary still reports a cache hit")
+	}
+
+	unpark()
+	p.Wait()
+	m := p.Metrics()
+	if m.Submitted != m.Done+m.Failed {
+		t.Errorf("submitted %d != done %d + failed %d at idle", m.Submitted, m.Done, m.Failed)
+	}
+	if m.Failed != 2 {
+		t.Errorf("failed = %d, want the primary and its follower", m.Failed)
+	}
+	if len(m.TenantsInflight) != 0 {
+		t.Errorf("tenant in-flight at idle = %v, want none", m.TenantsInflight)
 	}
 }

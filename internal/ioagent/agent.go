@@ -73,9 +73,7 @@ type Agent struct {
 	opts       Options
 
 	mu      sync.Mutex
-	usage   llm.Usage
-	cost    float64
-	calls   int
+	total   ModelStats
 	byModel map[string]ModelStats
 }
 
@@ -85,6 +83,16 @@ type ModelStats struct {
 	Usage   llm.Usage
 	CostUSD float64
 	Calls   int
+}
+
+// Add accumulates o into m, field by field. Every per-model usage sum in
+// the system — an agent's, the fleet's judge calls', the pool-wide merge —
+// goes through here.
+func (m *ModelStats) Add(o ModelStats) {
+	m.Usage.PromptTokens += o.Usage.PromptTokens
+	m.Usage.CompletionTokens += o.Usage.CompletionTokens
+	m.CostUSD += o.CostUSD
+	m.Calls += o.Calls
 }
 
 // defaultIndex memoizes the built-in corpus index: chunk embedding is the
@@ -134,23 +142,13 @@ func (a *Agent) Index() *vectordb.Index { return a.index }
 func (a *Agent) addCost(resp llm.Response) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.addCostLocked(resp)
-}
-
-// addCostLocked requires a.mu held.
-func (a *Agent) addCostLocked(resp llm.Response) {
-	a.usage.PromptTokens += resp.Usage.PromptTokens
-	a.usage.CompletionTokens += resp.Usage.CompletionTokens
-	a.cost += resp.CostUSD
-	a.calls++
+	one := ModelStats{Usage: resp.Usage, CostUSD: resp.CostUSD, Calls: 1}
+	a.total.Add(one)
 	if a.byModel == nil {
 		a.byModel = make(map[string]ModelStats)
 	}
 	ms := a.byModel[resp.Model]
-	ms.Usage.PromptTokens += resp.Usage.PromptTokens
-	ms.Usage.CompletionTokens += resp.Usage.CompletionTokens
-	ms.CostUSD += resp.CostUSD
-	ms.Calls++
+	ms.Add(one)
 	a.byModel[resp.Model] = ms
 }
 
@@ -158,7 +156,7 @@ func (a *Agent) addCostLocked(resp llm.Response) {
 func (a *Agent) Stats() (usage llm.Usage, costUSD float64, calls int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.usage, a.cost, a.calls
+	return a.total.Usage, a.total.CostUSD, a.total.Calls
 }
 
 // StatsByModel breaks Stats down per model (the diagnosis model and the

@@ -205,6 +205,43 @@ func parseRanks(content string, names []string) ([]int, error) {
 	return ranks, nil
 }
 
+// NullReport is the fixed baseline AgainstNull ranks a diagnosis against:
+// the report that claims no issues at all. A diagnosis that names the
+// trace's real issues beats "nothing is wrong" decisively; one that claims
+// the wrong issues loses ground to it. Scoring every diagnosis against the
+// same null hypothesis puts the fleet's reuse gate, its tier self-check
+// and the scenario verdicts on one scale.
+const NullReport = "No significant I/O performance issues detected."
+
+// Fit is how well one diagnosis text fits a trace's ground-truth labels.
+type Fit struct {
+	// LabelF1 is the F1 of the labels the text claims against the truth.
+	LabelF1 float64
+	// Judge maps the text's mean accuracy rank against NullReport onto
+	// [0, 1]: rank 1 (always wins) scores 1.0, rank 2 (always loses) 0.0.
+	Judge float64
+}
+
+// Score blends the two views equally: 0.5·LabelF1 + 0.5·Judge.
+func (f Fit) Score() float64 { return 0.5*f.LabelF1 + 0.5*f.Judge }
+
+// AgainstNull scores text against truth: label agreement, and a two-
+// permutation, fully augmented accuracy ranking against NullReport by
+// model (empty means this package's default judge model).
+func AgainstNull(client llm.Client, model string, truth issue.Set, text string) (Fit, error) {
+	_, _, f1 := issue.F1(truth, llm.ClaimedLabels(text))
+	j := &Judge{Client: client, Model: model, Permutations: 2, Augment: All()}
+	entries := []Entry{
+		{Tool: "diagnosis", Text: text},
+		{Tool: "baseline", Text: NullReport},
+	}
+	ranks, err := j.MeanRanks(entries, Accuracy, truth)
+	if err != nil {
+		return Fit{}, err
+	}
+	return Fit{LabelF1: f1, Judge: min(max(2-ranks[0], 0), 1)}, nil
+}
+
 // Score converts a mean rank into the paper's per-sample score 4 - R.
 func Score(meanRank float64) float64 { return 4 - meanRank }
 

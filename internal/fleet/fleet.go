@@ -317,7 +317,7 @@ func (c Config) withDefaults() Config {
 		c.BreakerCooldown = 5 * time.Second
 	}
 	c.Agent = c.Agent.WithDefaults()
-	if (c.SemCache || len(c.TierModels) > 0) && c.GateModel == "" {
+	if (c.SemCache || len(c.TierModels) > 1) && c.GateModel == "" {
 		c.GateModel = llm.GPT4oMini
 	}
 	if c.SemCache {
@@ -519,9 +519,9 @@ type Pool struct {
 
 	// sem is the similarity index over diagnosed traces (nil unless
 	// Config.SemCache); gate judges reuse and tier self-checks (nil
-	// unless Config.SemCache or Config.TierModels). A pool with a gate
-	// derives features and labels once per fresh job; one without
-	// derives nothing.
+	// unless Config.SemCache or a Config.TierModels ladder of two or
+	// more rungs). A pool with a gate derives features and labels once
+	// per fresh job; one without derives nothing.
 	sem  *semcache.Index
 	gate *semcache.Gate
 	// tiers is the cheapest-first agent ladder (empty unless
@@ -589,7 +589,9 @@ func New(client llm.Client, cfg Config) *Pool {
 	p.m.queuedByLane = make(map[Lane]int64, len(Lanes))
 	p.cache.onInsert = cfg.OnCacheInsert
 	p.cache.onEvict = cfg.OnCacheEvict
-	if cfg.SemCache || len(cfg.TierModels) > 0 {
+	// A one-rung ladder accepts its only rung before any self-check, so
+	// only reuse or a ladder of two or more rungs reads the gate.
+	if cfg.SemCache || len(cfg.TierModels) > 1 {
 		gateClient := &recordingClient{inner: client, record: p.recordGateUsage}
 		p.gate = &semcache.Gate{
 			Client:    gateClient,

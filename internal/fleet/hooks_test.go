@@ -32,6 +32,25 @@ func (l *eventLog) byJob(id string) []Event {
 	return out
 }
 
+// waitTerminal returns job id's events once its terminal event is among
+// them, or what was recorded after 10 s. The pool emits a terminal event
+// after the job's Done closes, so Wait can return before it is recorded.
+func (l *eventLog) waitTerminal(id string) []Event {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		evs := l.byJob(id)
+		for _, ev := range evs {
+			if ev.Kind == EventDone || ev.Kind == EventFailed {
+				return evs
+			}
+		}
+		if time.Now().After(deadline) {
+			return evs
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestPoolJobEventLifecycle(t *testing.T) {
 	var log eventLog
 	cfg := testConfig(2)
@@ -47,7 +66,7 @@ func TestPoolJobEventLifecycle(t *testing.T) {
 	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	evs := log.byJob(j.ID())
+	evs := log.waitTerminal(j.ID())
 	if len(evs) != 2 || evs[0].Kind != EventSubmitted || evs[1].Kind != EventDone {
 		t.Fatalf("fresh job events = %+v, want submitted then done", kinds(evs))
 	}
@@ -89,7 +108,7 @@ func TestPoolJobEventFailure(t *testing.T) {
 	if _, err := j.Wait(); err == nil {
 		t.Fatal("job should fail")
 	}
-	evs := log.byJob(j.ID())
+	evs := log.waitTerminal(j.ID())
 	if len(evs) != 2 || evs[1].Kind != EventFailed {
 		t.Fatalf("failed job events = %v, want submitted then failed", kinds(evs))
 	}

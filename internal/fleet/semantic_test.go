@@ -318,7 +318,8 @@ func TestTierBudgetStopsEscalation(t *testing.T) {
 // TestDeriveOncePerFreshJob: a pool with a gate canonicalizes and runs
 // drishti once per fresh job — however many attempts, tier rungs and
 // gate calls the job makes — and never for an exact hit; a pool without
-// a gate derives nothing. A tier-only pool judges on the cheap gate
+// a gate derives nothing, and neither does a one-rung ladder, which
+// accepts its rung unchecked. A tier-only pool judges on the cheap gate
 // model, as a reuse pool does.
 func TestDeriveOncePerFreshJob(t *testing.T) {
 	var derived atomic.Int64
@@ -349,9 +350,31 @@ func TestDeriveOncePerFreshJob(t *testing.T) {
 	cfg := semConfig(1)
 	cfg.TierModels = []string{llm.GPT4oMini, llm.GPT4o}
 	cfg.TierThreshold = 1.1 // always self-check and escalate
-	run(New(&failFirstN{inner: llm.NewSim(), n: 1}, cfg), testTrace(1), testTrace(2), testTrace(1))
+	ladder := &rankCounter{inner: llm.NewSim()}
+	run(New(&failFirstN{inner: ladder, n: 1}, cfg), testTrace(1), testTrace(2), testTrace(1))
 	if n := derived.Load(); n != 2 {
 		t.Fatalf("two fresh jobs and one exact hit derived %d times, want 2", n)
+	}
+	if ladder.n.Load() == 0 {
+		t.Fatal("a self-checking ladder sent no judge prompt: the count below would prove nothing")
+	}
+
+	// A one-rung ladder accepts its rung unchecked: no gate, so nothing
+	// derived and no judge prompt sent.
+	derived.Store(0)
+	cfg = testConfig(1)
+	cfg.TierModels = []string{llm.GPT4oMini}
+	judged := &rankCounter{inner: llm.NewSim()}
+	one := New(judged, cfg)
+	if one.gate != nil {
+		t.Error("a one-rung ladder built a gate")
+	}
+	run(one, testTrace(1), testTrace(2))
+	if n := derived.Load(); n != 0 {
+		t.Errorf("a one-rung ladder derived %d times, want 0", n)
+	}
+	if n := judged.n.Load(); n != 0 {
+		t.Errorf("a one-rung ladder sent %d judge prompts, want 0", n)
 	}
 
 	cfg = testConfig(1)
@@ -361,4 +384,17 @@ func TestDeriveOncePerFreshJob(t *testing.T) {
 	if p.gate.Model != llm.GPT4oMini {
 		t.Errorf("tier-only pool judges on %q, want %q", p.gate.Model, llm.GPT4oMini)
 	}
+}
+
+// rankCounter counts the ranking (judge) prompts sent through it.
+type rankCounter struct {
+	inner llm.Client
+	n     atomic.Int64
+}
+
+func (c *rankCounter) Complete(req llm.Request) (llm.Response, error) {
+	if strings.HasPrefix(llm.JoinPrompt(req.Messages), "TASK: rank\n") {
+		c.n.Add(1)
+	}
+	return c.inner.Complete(req)
 }

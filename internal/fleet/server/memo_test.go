@@ -244,6 +244,11 @@ func TestResubmitAllocFence(t *testing.T) {
 	if decodeAllocs[1] < 4*decodeAllocs[0] {
 		t.Fatalf("the wide trace does not decode measurably heavier (%v): the fence would prove nothing", decodeAllocs)
 	}
+	if raceEnabled {
+		// Race instrumentation adds allocations that vary from run to
+		// run, so only a plain build compares the counts.
+		return
+	}
 	if allocs[1] > allocs[0]+2 {
 		t.Errorf("resubmission allocations grow with the trace: %.0f for the small one, %.0f for the wide one", allocs[0], allocs[1])
 	}

@@ -130,7 +130,11 @@ func ExtractFacts(text string) *FactSet {
 		return f
 	}
 
+	// curCandidate's body gathers in cand, a line at a time, into one
+	// buffer sized up front by candidateSize, where appending to a string
+	// would copy the whole body again for every line.
 	var curCandidate *Candidate
+	var cand strings.Builder
 	var curSummary *strings.Builder
 	var inTruth bool
 	var fragment strings.Builder
@@ -144,9 +148,10 @@ func ExtractFacts(text string) *FactSet {
 	}
 	flushCandidate := func() {
 		if curCandidate != nil {
-			curCandidate.Text = strings.TrimSpace(curCandidate.Text)
+			curCandidate.Text = strings.TrimSpace(cand.String())
 			f.Candidates = append(f.Candidates, *curCandidate)
 			curCandidate = nil
+			cand.Reset()
 		}
 	}
 
@@ -163,6 +168,7 @@ func ExtractFacts(text string) *FactSet {
 			flushSummary()
 			inTruth = false
 			curCandidate = &Candidate{Name: m[1]}
+			cand.Grow(candidateSize(lines[i+1:]))
 			continue
 		}
 		if m := matchPrefixed(summaryRe, "--- SUMMARY ", trimmed); m != nil {
@@ -177,7 +183,8 @@ func ExtractFacts(text string) *FactSet {
 			continue
 		}
 		if curCandidate != nil {
-			curCandidate.Text += line + "\n"
+			cand.WriteString(line)
+			cand.WriteByte('\n')
 			continue
 		}
 		if curSummary != nil {
@@ -300,6 +307,23 @@ func ExtractFacts(text string) *FactSet {
 		f.UsesMPI = true
 	}
 	return f
+}
+
+// candidateSize bounds the body of a candidate whose lines start at
+// lines[0]: their bytes and newlines up to the first line that could
+// close it (a section marker starts with "=== " or "--- "). Trimming
+// only shortens a line, so the bound holds unless a body line merely
+// looks like a marker, and then the buffer grows as usual.
+func candidateSize(lines []string) int {
+	n := 0
+	for _, l := range lines {
+		t := strings.TrimSpace(l)
+		if strings.HasPrefix(t, "=== ") || strings.HasPrefix(t, "--- ") {
+			break
+		}
+		n += len(l) + 1
+	}
+	return n
 }
 
 func (f *FactSet) addCounter(name string, val float64, file string, pos float64) {

@@ -33,6 +33,12 @@ func FuzzExtractFacts(f *testing.F) {
 	f.Add("=== CANDIDATE  ===\n=== CANDIDATE x\n  === CANDIDATE y ===  \nbody\n=== END CANDIDATES ===\n")
 	f.Add("TASK: merge\n--- SUMMARY x ---\n--- SUMMARY 12 ---\nISSUE: Small Write I/O Requests\n--- END SUMMARIES ---\n")
 	f.Add("FRAGMENT:\ntext\nEND FRAGMENT\n[SOURCE a-b_1]   body \"k\": 2\n[SOURCE ] none\n[SOURCE x y] none\n")
+	// Candidate bodies: trailing spaces and tabs, carriage returns, blank
+	// lines, two candidates back to back, a body line that looks like a
+	// marker, and a candidate the prompt never closes.
+	f.Add("TASK: rank\n=== CANDIDATE a ===\nISSUE: x  \n\tEvidence: y\t\n\nz \t \n=== CANDIDATE b ===\r\nw\r\n\r\n=== END CANDIDATES ===\n")
+	f.Add("=== CANDIDATE a ===\n=== CANDIDATE b ===\n\n\n=== CANDIDATE c ===\n--- not a marker ---\n=== x ===\nbody\n")
+	f.Add("TASK: rank\n=== CANDIDATE Tool-1 ===\n  \nISSUE: Small Write I/O Requests\nEvidence: 90% small  \n\n\t")
 	f.Add("POSIX\t-1\t7\tPOSIX_WRITES\t16\t/f\t/\tlustre\nMPI-IO 0 7 MPIIO_INDEP_WRITES 4 /f / lustre\nPOSIX is a word\nSTDIO\nLUSTRE -1 7 LUSTRE_OSTS 8 /f / lustre\n")
 
 	f.Fuzz(func(t *testing.T, text string) {

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -127,8 +128,26 @@ func ParseReport(text string) *Report {
 }
 
 // ClaimedLabels extracts the issue labels a diagnosis text claims, whether
-// structured (ISSUE: lines) or free-form prose mentioning label names.
+// structured (ISSUE: lines) or free-form prose mentioning label names. The
+// returned set is the caller's own.
 func ClaimedLabels(text string) issue.Set {
+	return maps.Clone(claimedLabels(text))
+}
+
+// labelTable memoises deriveClaimedLabels: the reuse gate and the tier
+// self-check read one cached diagnosis once for its label F1 and once per
+// judge permutation.
+var labelTable textTable[issue.Set]
+
+// claimedLabels is ClaimedLabels through labelTable. The set is shared
+// with every other caller asking about the same text: read it, never
+// write it.
+func claimedLabels(text string) issue.Set {
+	return labelTable.get(text, deriveClaimedLabels)
+}
+
+// deriveClaimedLabels is ClaimedLabels computed afresh.
+func deriveClaimedLabels(text string) issue.Set {
 	out := make(issue.Set)
 	for l := range ParseReport(text).Labels() {
 		if _, known := issue.Descriptions[l]; known {

@@ -3,13 +3,11 @@ package llm
 import (
 	"fmt"
 	"hash/fnv"
-	"hash/maphash"
 	"math"
 	"math/rand"
 	"regexp"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"ioagent/internal/embed"
 	"ioagent/internal/issue"
@@ -24,7 +22,7 @@ type SimLLM struct {
 	ExtraSeed int64
 
 	// vecs is the filter's text→vector table (see embed).
-	vecs [vecSlots]atomic.Pointer[vecEntry]
+	vecs textTable[embed.Vector]
 }
 
 // NewSim returns a simulated model client serving every catalog model.
@@ -648,46 +646,9 @@ func (s *SimLLM) filter(f *FactSet, spec ModelSpec, rng *rand.Rand) string {
 	return fmt.Sprintf("NO: the source discusses a different aspect of I/O than the fragment (similarity %.2f)", sim)
 }
 
-// vecSlots is the size of a SimLLM's text→vector table. The filter is
-// called once per retrieved source: its fragment text recurs ~15 times in
-// a row, and its source is one of the corpus's chunks (66 in the built-in
-// corpus) on every job. 512 direct-mapped slots hold those chunks and the
-// fragments in flight with few collisions; a slot costs 8 bytes empty and
-// ~2 KB filled, so the table is bounded near 1 MB.
-const vecSlots = 512
-
-// maxVecText is the longest text the table keeps; longer ones are
-// embedded on every call. Corpus chunks and fragment descriptions are
-// under a few KB; the cap keeps an unusual prompt from pinning a large
-// key.
-const maxVecText = 8 << 10
-
-type vecEntry struct {
-	text string
-	vec  embed.Vector
-}
-
-// vecSeed keys the table's slot hash. It is set once at init and only
-// read afterwards.
-var vecSeed = maphash.MakeSeed()
-
-// embed is embed.Embed through the table. A slot holds one immutable
-// entry, replaced whole on a miss; a hit counts only when the entry's
-// text equals the asked text, so a slot collision costs a recompute and
-// never a wrong vector. There is no eviction order and no invalidation
-// because Embed is a pure function of the text, and the key is cloned so
-// an entry never pins the prompt it was cut from.
+// embed is embed.Embed through the SimLLM's text table.
 func (s *SimLLM) embed(text string) embed.Vector {
-	if len(text) > maxVecText {
-		return embed.Embed(text)
-	}
-	slot := &s.vecs[maphash.String(vecSeed, text)%vecSlots]
-	if e := slot.Load(); e != nil && e.text == text {
-		return e.vec
-	}
-	e := &vecEntry{text: strings.Clone(text), vec: embed.Embed(text)}
-	slot.Store(e)
-	return e.vec
+	return s.vecs.get(text, embed.Embed)
 }
 
 // merge combines diagnosis summaries. Pairwise merges (within the model's

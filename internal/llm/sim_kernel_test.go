@@ -2,13 +2,11 @@ package llm
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"ioagent/internal/embed"
 )
@@ -112,16 +110,7 @@ func FuzzLazySourceMatchesMathRand(f *testing.F) {
 // TestVecTableCollision: two texts that share a slot each get their own
 // vector, however their lookups interleave.
 func TestVecTableCollision(t *testing.T) {
-	seen := make(map[uint64]string)
-	var a, b string
-	for i := 0; b == ""; i++ {
-		text := fmt.Sprintf("stripe width w%d confines traffic to one storage target", i)
-		slot := maphash.String(vecSeed, text) % vecSlots
-		if prev, ok := seen[slot]; ok {
-			a, b = prev, text
-		}
-		seen[slot] = text
-	}
+	a, b := collidingPair("stripe width confines traffic to one storage target", " on a wide file")
 	if embed.Embed(a) == embed.Embed(b) {
 		t.Fatalf("%q and %q embed alike; the test needs distinct vectors", a, b)
 	}
@@ -131,23 +120,17 @@ func TestVecTableCollision(t *testing.T) {
 			t.Fatalf("lookup %d of %q: vector differs from embed.Embed", i, text)
 		}
 	}
-	long := strings.Repeat("x ", maxVecText)
+	// An over-cap text is embedded and not kept; a miss keys its entry
+	// with a copy, never the prompt it was cut from.
+	s = NewSim()
+	long := strings.Repeat("x ", maxTableText)
 	if got := s.embed(long); got != embed.Embed(long) {
 		t.Fatal("an over-cap text: vector differs from embed.Embed")
 	}
-	for i := range s.vecs {
-		if e := s.vecs[i].Load(); e != nil && len(e.text) > maxVecText {
-			t.Fatalf("slot %d keeps a %d-byte text over the %d-byte cap", i, len(e.text), maxVecText)
-		}
-	}
-	// A miss keys its entry with a copy, never the prompt it was cut from.
 	prompt := "[SOURCE k] " + a + " tail\n"
 	sub := prompt[len("[SOURCE k] ") : len("[SOURCE k] ")+len(a)]
-	s = NewSim()
 	s.embed(sub)
-	if e := s.vecs[maphash.String(vecSeed, sub)%vecSlots].Load(); unsafe.StringData(e.text) == unsafe.StringData(sub) {
-		t.Fatal("a table entry shares the caller's string")
-	}
+	checkTableKeeps(t, &s.vecs, sub)
 }
 
 func filterPrompt(fragment, key, text string) string {
@@ -207,7 +190,7 @@ func TestFilterConcurrentMatchesReference(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < vecSlots+vecSlots/2; i++ {
+			for i := 0; i < tableSlots+tableSlots/2; i++ {
 				text := fmt.Sprintf("churn g%d i%d", g, i)
 				if s.embed(text) != embed.Embed(text) {
 					t.Errorf("churn text %q: vector differs from embed.Embed", text)

@@ -145,9 +145,10 @@ func hash01(s string) float64 {
 
 // accuracyScore measures how well the candidate's claimed issues match the
 // ground-truth labels (F1). Both structured reports and free-form prose
-// are scored via ClaimedLabels.
+// are scored via claimedLabels, whose table already holds the labels of
+// a candidate asked about before.
 func accuracyScore(text string, truth issue.Set) float64 {
-	_, _, f1 := issue.F1(truth, ClaimedLabels(text))
+	_, _, f1 := issue.F1(truth, claimedLabels(text))
 	return f1
 }
 
@@ -164,7 +165,7 @@ var recommendationMarkers = []string{
 // all help; burying few findings in a long report hurts (detail overload —
 // the effect that costs the frontier model on simple traces).
 func utilityScore(text string) float64 {
-	n := len(ClaimedLabels(text))
+	n := len(claimedLabels(text))
 	if n == 0 {
 		return 0.05
 	}
@@ -213,7 +214,7 @@ func interpretabilityScore(text string) float64 {
 	}
 	rep := ParseReport(text)
 	n := len(rep.Findings)
-	claimed := len(ClaimedLabels(text))
+	claimed := len(claimedLabels(text))
 	var score float64
 	if n > 0 {
 		score += 0.30 // structured findings with explicit issue headers

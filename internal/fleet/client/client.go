@@ -219,8 +219,8 @@ func (c *Client) Jobs(ctx context.Context) ([]api.JobInfo, error) {
 }
 
 // Diagnosis fetches the finished report for a terminal, successful job.
-// A still-running job yields api.CodeJobNotDone (not retried — poll the
-// job instead, or use WaitDiagnosis).
+// A still-running job yields api.CodeJobNotDone (not retried — poll this
+// call, as WaitDiagnosis does).
 func (c *Client) Diagnosis(ctx context.Context, id string) (api.Diagnosis, error) {
 	var d api.Diagnosis
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/diagnosis", nil, &d)
@@ -234,22 +234,26 @@ func (c *Client) Metrics(ctx context.Context) (api.Metrics, error) {
 	return m, err
 }
 
-// WaitDiagnosis polls job id until it reaches a terminal state and
-// returns its diagnosis. A failed job yields an *api.Error with
+// WaitDiagnosis reads job id's diagnosis, polling while the job is not
+// done. A failed job yields the daemon's *api.Error with
 // api.CodeDiagnosisFailed. Polling cadence is WithPollInterval; the
 // context bounds the total wait.
 func (c *Client) WaitDiagnosis(ctx context.Context, id string) (api.Diagnosis, error) {
+	return c.waitDiagnosis(ctx, id, c.Diagnosis)
+}
+
+// waitDiagnosis is the loop behind both WaitDiagnosis methods: it asks
+// read for the diagnosis straight away and sleeps c's poll interval only
+// while the answer is job_not_done, so a terminal job costs one request.
+// Every other outcome — the diagnosis, diagnosis_failed, job_not_found, a
+// transport error — is returned as it is. The poll interval paces the
+// loop whatever Retry-After a job_not_done carries: that hint times the
+// retry of refused work, not the progress of a running job.
+func (c *Client) waitDiagnosis(ctx context.Context, id string, read func(context.Context, string) (api.Diagnosis, error)) (api.Diagnosis, error) {
 	for {
-		info, err := c.Job(ctx, id)
-		if err != nil {
-			return api.Diagnosis{}, err
-		}
-		switch {
-		case info.Status == api.StatusFailed:
-			return api.Diagnosis{}, api.Errorf(api.CodeDiagnosisFailed,
-				"job %s failed after %d attempts", id, info.Attempts)
-		case info.Status.Terminal():
-			return c.Diagnosis(ctx, id)
+		d, err := read(ctx, id)
+		if api.ErrorCode(err) != api.CodeJobNotDone {
+			return d, err
 		}
 		if err := c.sleep(ctx, c.poll); err != nil {
 			return api.Diagnosis{}, err

@@ -181,41 +181,125 @@ func TestClientSendsVersionAndLane(t *testing.T) {
 	}
 }
 
-func TestWaitDiagnosisPollsToCompletion(t *testing.T) {
-	var polls atomic.Int64
-	srv := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
+// jobFake serves job-000001 the way the daemon does: GET /v1/jobs/{id}
+// reports its status, and GET /v1/jobs/{id}/diagnosis answers 409
+// job_not_done until the job is terminal, then 502 diagnosis_failed for a
+// failed job or the report for a done one. The job runs for its first
+// `running` requests, whatever their path; each job_not_done carries a
+// 1 s Retry-After, the hint the daemon and router put on refusals.
+type jobFake struct {
+	running  int64
+	failed   bool
+	requests atomic.Int64 // every request served
+	reads    atomic.Int64 // diagnosis reads among them
+}
+
+const failedMsg = "job job-000001 failed permanently after 3 attempts"
+
+func (f *jobFake) serve(t *testing.T) *httptest.Server {
+	return newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
+		status := api.StatusDone
+		if f.requests.Add(1) <= f.running {
+			status = api.StatusRunning
+		} else if f.failed {
+			status = api.StatusFailed
+		}
 		switch r.URL.Path {
 		case "/v1/jobs/job-000001":
-			status := api.StatusRunning
-			if polls.Add(1) >= 3 {
-				status = api.StatusDone
-			}
-			json.NewEncoder(w).Encode(api.JobInfo{ID: "job-000001", Status: status})
+			json.NewEncoder(w).Encode(api.JobInfo{ID: "job-000001", Status: status, Attempts: 3})
 		case "/v1/jobs/job-000001/diagnosis":
-			json.NewEncoder(w).Encode(api.Diagnosis{JobID: "job-000001", Text: "all small writes"})
+			f.reads.Add(1)
+			switch status {
+			case api.StatusRunning:
+				w.Header().Set(api.RetryAfterHeader, "1")
+				writeErr(w, api.Errorf(api.CodeJobNotDone, "job job-000001 is running; poll it and retry"))
+			case api.StatusFailed:
+				writeErr(w, api.Errorf(api.CodeDiagnosisFailed, failedMsg))
+			default:
+				json.NewEncoder(w).Encode(api.Diagnosis{JobID: "job-000001", Text: "all small writes"})
+			}
 		default:
 			writeErr(w, api.Errorf(api.CodeJobNotFound, "unknown job"))
 		}
 	})
-	c := New(srv.URL, WithPollInterval(time.Millisecond))
-	instantSleep(c)
-	d, err := c.WaitDiagnosis(context.Background(), "job-000001")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// testPoll is the poll interval of the waits under test.
+const testPoll = 7 * time.Millisecond
+
+// waitOn runs WaitDiagnosis on job-000001 through a Client or (mode
+// "cluster") a one-member Cluster over base, polling every testPoll, and
+// returns its answer with the sleeps it asked for, recorded, not taken.
+func waitOn(t *testing.T, mode, base string) (api.Diagnosis, []time.Duration, error) {
+	c := New(base, WithPollInterval(testPoll))
+	wait := c.WaitDiagnosis
+	if mode == "cluster" {
+		cl, err := NewCluster([]string{base}, WithPollInterval(testPoll))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, wait = cl.cur.Load().clients[base], cl.WaitDiagnosis
 	}
-	if d.Text != "all small writes" || polls.Load() < 3 {
-		t.Errorf("diagnosis = %+v after %d polls", d, polls.Load())
+	t.Cleanup(c.Close)
+	slept := instantSleep(c)
+	d, err := wait(context.Background(), "job-000001")
+	return d, *slept, err
+}
+
+// TestWaitDiagnosisPollsToCompletion: WaitDiagnosis reads the diagnosis
+// straight away, so a terminal job costs exactly one request, and a
+// running job costs one job_not_done read per poll — each followed by a
+// sleep of the poll interval, not the reply's 1 s Retry-After — plus the
+// read that returns the report. Client and Cluster behave the same.
+func TestWaitDiagnosisPollsToCompletion(t *testing.T) {
+	for _, running := range []int64{0, 3} {
+		for _, mode := range []string{"client", "cluster"} {
+			t.Run(fmt.Sprintf("%s/running=%d", mode, running), func(t *testing.T) {
+				f := &jobFake{running: running}
+				d, slept, err := waitOn(t, mode, f.serve(t).URL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Text != "all small writes" {
+					t.Errorf("diagnosis = %+v", d)
+				}
+				if f.requests.Load() != running+1 || f.reads.Load() != running+1 {
+					t.Errorf("%d requests (%d diagnosis reads), want %d diagnosis reads and nothing else",
+						f.requests.Load(), f.reads.Load(), running+1)
+				}
+				if int64(len(slept)) != running {
+					t.Fatalf("slept %v, want %d polls", slept, running)
+				}
+				for _, d := range slept {
+					if d != testPoll {
+						t.Errorf("slept %v, want every poll at the %v interval", slept, testPoll)
+						break
+					}
+				}
+			})
+		}
 	}
 }
 
+// TestWaitDiagnosisSurfacesJobFailure: a failed job's diagnosis_failed
+// envelope comes back as the daemon sent it, message and attempt count
+// included, after the polls the job spent running plus one read.
 func TestWaitDiagnosisSurfacesJobFailure(t *testing.T) {
-	srv := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(api.JobInfo{ID: "job-000001", Status: api.StatusFailed, Attempts: 3})
-	})
-	c := New(srv.URL, WithPollInterval(time.Millisecond))
-	_, err := c.WaitDiagnosis(context.Background(), "job-000001")
-	if api.ErrorCode(err) != api.CodeDiagnosisFailed {
-		t.Fatalf("err = %v, want diagnosis_failed", err)
+	for _, running := range []int64{0, 2} {
+		for _, mode := range []string{"client", "cluster"} {
+			t.Run(fmt.Sprintf("%s/running=%d", mode, running), func(t *testing.T) {
+				f := &jobFake{running: running, failed: true}
+				_, slept, err := waitOn(t, mode, f.serve(t).URL)
+				var ae *api.Error
+				if !errors.As(err, &ae) || ae.Code != api.CodeDiagnosisFailed || ae.Message != failedMsg {
+					t.Fatalf("err = %v, want diagnosis_failed %q", err, failedMsg)
+				}
+				if f.requests.Load() != running+1 || int64(len(slept)) != running {
+					t.Errorf("%d requests and sleeps %v, want %d requests after %d polls",
+						f.requests.Load(), slept, running+1, running)
+				}
+			})
+		}
 	}
 }
 

@@ -481,27 +481,12 @@ func (cl *Cluster) Jobs(ctx context.Context) ([]api.JobInfo, error) {
 	return out, nil
 }
 
-// WaitDiagnosis polls the owning node until the job is terminal and
-// returns its diagnosis, mirroring Client.WaitDiagnosis.
+// WaitDiagnosis reads the diagnosis from the node that owns the job,
+// polling while the job is not done, as Client.WaitDiagnosis does.
 func (cl *Cluster) WaitDiagnosis(ctx context.Context, id string) (api.Diagnosis, error) {
 	ms := cl.cur.Load()
-	proto := ms.clients[ms.members[0]] // poll cadence comes from the shared options
-	for {
-		info, err := cl.Job(ctx, id)
-		if err != nil {
-			return api.Diagnosis{}, err
-		}
-		switch {
-		case info.Status == api.StatusFailed:
-			return api.Diagnosis{}, api.Errorf(api.CodeDiagnosisFailed,
-				"job %s failed after %d attempts", id, info.Attempts)
-		case info.Status.Terminal():
-			return cl.Diagnosis(ctx, id)
-		}
-		if err := proto.sleep(ctx, proto.poll); err != nil {
-			return api.Diagnosis{}, err
-		}
-	}
+	// Poll cadence comes from the options shared by every member client.
+	return ms.clients[ms.members[0]].waitDiagnosis(ctx, id, cl.Diagnosis)
 }
 
 // SubmitAndWait is Submit followed by WaitDiagnosis on the accepted job.

@@ -35,12 +35,15 @@ func (l *eventLog) byJob(id string) []Event {
 // waitTerminal returns job id's events once its terminal event is among
 // them, or what was recorded after 10 s. The pool emits a terminal event
 // after the job's Done closes, so Wait can return before it is recorded.
+// A plain cache hit has no separate terminal event: its submitted event
+// already carries the terminal status, and counts as one.
 func (l *eventLog) waitTerminal(id string) []Event {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		evs := l.byJob(id)
 		for _, ev := range evs {
-			if ev.Kind == EventDone || ev.Kind == EventFailed {
+			terminal := ev.Job.Status == StatusDone || ev.Job.Status == StatusFailed
+			if ev.Kind == EventDone || ev.Kind == EventFailed || (ev.Kind == EventSubmitted && terminal) {
 				return evs
 			}
 		}
@@ -135,7 +138,7 @@ func TestPoolJobEventCoalesced(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-b.Done()
-	bevs := log.byJob(b.ID())
+	bevs := log.waitTerminal(b.ID())
 	// Coalesced while in flight: submitted(CacheHit) + done. Primary
 	// finished first: a single terminal submitted event (plain cache hit).
 	for _, ev := range bevs {

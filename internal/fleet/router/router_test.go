@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -498,9 +500,55 @@ func TestRouterRelaysOwnerBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterJobRelay polls a finished job and reads its diagnosis
-// through the router with the SDK, as the exact-hit path does: client →
-// router → one node and back.
+// TestRouterWaitDiagnosisOnHit: waiting on a cache hit through the router
+// costs the owning node one request, the diagnosis read: the SDK asks for
+// the diagnosis first and never polls the job.
+func TestRouterWaitDiagnosisOnHit(t *testing.T) {
+	daemon, err := url.Parse(fleettest.StartCluster(t, "n1")[0].URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(daemon)
+	var (
+		mu     sync.Mutex
+		served []string // method and path of each request reaching the node
+	)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		served = append(served, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		proxy.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	_, c, _ := startRouterCfg(t, []string{front.URL}, "", 0)
+	ctx := context.Background()
+
+	raw := routerTrace(t, 92)
+	if _, err := c.SubmitAndWait(ctx, api.SubmitRequest{Trace: raw}); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := c.Submit(ctx, api.SubmitRequest{Trace: raw})
+	if err != nil || !hit.CacheHit {
+		t.Fatalf("resubmit = %+v, %v; want a cache hit", hit, err)
+	}
+	mu.Lock()
+	served = nil
+	mu.Unlock()
+	d, err := c.WaitDiagnosis(ctx, hit.ID)
+	if err != nil || !d.CacheHit || d.Text == "" {
+		t.Fatalf("wait on the hit = %+v, %v", d, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := "GET /v1/jobs/" + hit.ID + "/diagnosis"; len(served) != 1 || served[0] != want {
+		t.Errorf("node served %q for the wait, want only %q", served, want)
+	}
+}
+
+// BenchmarkRouterJobRelay reads a finished job, its diagnosis, and waits
+// for that diagnosis through the router with the SDK — the wait is what
+// the exact-hit path does after its submit: client → router → one node
+// and back.
 func BenchmarkRouterJobRelay(b *testing.B) {
 	n := fleettest.Start(b, node.Config{Fleet: fleet.Config{NodeID: "n1"}})
 	rt, err := New(Config{Members: []string{n.URL()}})
@@ -532,6 +580,14 @@ func BenchmarkRouterJobRelay(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			if _, err := c.Diagnosis(ctx, info.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("wait", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := c.WaitDiagnosis(ctx, info.ID); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -382,7 +382,8 @@ func NewMux(cfg Config) http.Handler {
 			// The pipeline's error chain is server-side detail; the wire
 			// carries only the stable code.
 			log.Printf("iofleetd: diagnosis %s: %v", job.ID(), err)
-			WriteError(w, api.Errorf(api.CodeDiagnosisFailed, "job %s failed permanently", job.ID()))
+			WriteError(w, api.Errorf(api.CodeDiagnosisFailed,
+				"job %s failed permanently after %d attempts", job.ID(), job.Info().Attempts))
 			return
 		}
 		if WantsText(r) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -509,6 +510,58 @@ func TestMuxDoesNotLeakFailureDetail(t *testing.T) {
 	}
 	if strings.Contains(e.Message, "/secret/") {
 		t.Errorf("diagnosis error leaks internal detail: %q", e.Message)
+	}
+}
+
+// TestMuxDiagnosisFailedCountsAttempts: the diagnosis of a failed job is
+// a 502 diagnosis_failed envelope that carries the job's attempt count,
+// and the SDK's WaitDiagnosis hands that envelope back as it is, after
+// one request.
+func TestMuxDiagnosisFailedCountsAttempts(t *testing.T) {
+	pool := fleet.New(&alwaysDown{}, fleet.Config{
+		Workers: 1, MaxAttempts: 3, RetryDelay: time.Nanosecond,
+		Agent: ioagent.Options{Index: knowledge.BuildIndex()},
+	})
+	t.Cleanup(pool.Close)
+	var requests atomic.Int64
+	mux := NewMux(Config{Pool: pool})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	job, err := pool.Submit(testTrace(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(); err == nil {
+		t.Fatal("job against a dead backend should fail")
+	}
+	if got := job.Info().Attempts; got != 3 {
+		t.Fatalf("failed job made %d attempts, want MaxAttempts 3", got)
+	}
+	want := fmt.Sprintf("job %s failed permanently after 3 attempts", job.ID())
+
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + job.ID() + "/diagnosis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := apiError(t, resp)
+	if resp.StatusCode != http.StatusBadGateway || e.Code != api.CodeDiagnosisFailed || e.Message != want {
+		t.Errorf("failed diagnosis = %s %+v, want 502 diagnosis_failed %q", resp.Status, e, want)
+	}
+
+	requests.Store(0)
+	c := client.New(srv.URL)
+	t.Cleanup(c.Close)
+	_, err = c.WaitDiagnosis(context.Background(), job.ID())
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeDiagnosisFailed || ae.Message != want {
+		t.Errorf("WaitDiagnosis on a failed job = %v, want diagnosis_failed %q", err, want)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("WaitDiagnosis on a failed job sent %d requests, want 1", n)
 	}
 }
 

@@ -152,7 +152,7 @@ func (d *daemon) waitJobDone(t *testing.T, digest string, timeout time.Duration)
 			var infos []api.JobInfo
 			if json.NewDecoder(resp.Body).Decode(&infos) == nil {
 				for _, info := range infos {
-					if info.Digest == digest && info.Status.Terminal() {
+					if info.Digest == digest && (info.Status == api.StatusDone || info.Status == api.StatusFailed) {
 						resp.Body.Close()
 						return info
 					}

@@ -203,9 +203,6 @@ const (
 	StatusFailed  Status = "failed"
 )
 
-// Terminal reports whether the status is final.
-func (s Status) Terminal() bool { return s == StatusDone || s == StatusFailed }
-
 // MaxTenantLen bounds the Tenant identifier; longer values are refused
 // with CodeBadRequest so an attacker cannot inflate per-tenant metric
 // labels without bound.

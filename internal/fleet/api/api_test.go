@@ -114,13 +114,3 @@ func TestErrorEnvelopeJSONAndUnwrap(t *testing.T) {
 		t.Errorf("non-API error code = %q, want empty", got)
 	}
 }
-
-func TestStatusTerminal(t *testing.T) {
-	for s, want := range map[Status]bool{
-		StatusQueued: false, StatusRunning: false, StatusDone: true, StatusFailed: true,
-	} {
-		if s.Terminal() != want {
-			t.Errorf("%s.Terminal() = %v", s, !want)
-		}
-	}
-}

@@ -5,16 +5,18 @@ import (
 	"time"
 )
 
-// Per-endpoint backoff for the cluster's forward paths (buffered Submit
-// and the router's spool/stream path). Each member client already widens
-// its OWN retry delays by its recent failure rate, but that memory only
-// shapes retries inside one call: a fresh submission still walks the ring
-// from the owner, so while a member is down every request pays that
-// member's full retry schedule before failing over. The cluster-level
-// window remembers across calls — a member that just failed transiently
-// is deferred (tried last, never skipped) until its backoff deadline
-// passes, and the deadline widens with the endpoint's observed failure
-// rate and its consecutive-failure streak.
+// Per-endpoint backoff for the cluster's forward paths (buffered Submit,
+// the router's spool/stream path, and upload opens). Each member client
+// already widens its OWN retry delays by its recent failure rate, but
+// that memory only shapes retries inside one call: a fresh submission
+// still walks the ring from the owner, so while a member is down every
+// request pays that member's full retry schedule before failing over.
+// The endpoint window remembers across calls — a member that just failed
+// transiently is deferred (tried last, never skipped) until its backoff
+// deadline passes, and the deadline widens with the endpoint's observed
+// failure rate and its consecutive-failure streak. It lives on the
+// member's Client, so it survives roster swaps for members that stay and
+// goes with the client of a member that leaves.
 const (
 	// endpointBackoffBase is the deferral after a first transient
 	// failure; consecutive failures double it up to endpointBackoffMax.
@@ -24,6 +26,17 @@ const (
 	// rate widening).
 	endpointStreakCap = 5
 )
+
+// widen stretches a backoff delay by the recent failure rate — rate 0
+// leaves it untouched, a fully failing window quadruples it (1+3·rate) —
+// and caps it at limit. Client.nextDelay and endpointBackoff.observe
+// share this one shape.
+func widen(d time.Duration, rate float64, limit time.Duration) time.Duration {
+	if d = time.Duration(float64(d) * (1 + 3*rate)); d > limit {
+		d = limit
+	}
+	return d
+}
 
 // endpointBackoff is one member's cross-call failure memory. Safe for
 // concurrent use.
@@ -36,8 +49,7 @@ type endpointBackoff struct {
 
 // observe records one forward attempt's outcome. A success clears the
 // deferral immediately; a transient failure schedules one, doubling with
-// the streak and widening with the window's failure rate (mirroring
-// Client.nextDelay's 1+3·rate shape).
+// the streak and widening with the window's failure rate.
 func (b *endpointBackoff) observe(fail bool, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -52,12 +64,7 @@ func (b *endpointBackoff) observe(fail bool, now time.Time) {
 	if shift > endpointStreakCap {
 		shift = endpointStreakCap
 	}
-	d := endpointBackoffBase << shift
-	d = time.Duration(float64(d) * (1 + 3*b.window.rate()))
-	if d > endpointBackoffMax {
-		d = endpointBackoffMax
-	}
-	b.until = now.Add(d)
+	b.until = now.Add(widen(endpointBackoffBase<<shift, b.window.rate(), endpointBackoffMax))
 }
 
 // deferred reports whether the endpoint is inside its backoff window.
@@ -67,33 +74,16 @@ func (b *endpointBackoff) deferred(now time.Time) bool {
 	return now.Before(b.until)
 }
 
-// endpoint returns (creating on first use) the member's backoff state.
-// State is keyed by base URL outside the membership view, so it survives
-// roster swaps for members that stay.
-func (cl *Cluster) endpoint(member string) *endpointBackoff {
-	cl.backoffMu.Lock()
-	defer cl.backoffMu.Unlock()
-	if cl.backoff == nil {
-		cl.backoff = make(map[string]*endpointBackoff)
-	}
-	b := cl.backoff[member]
-	if b == nil {
-		b = &endpointBackoff{}
-		cl.backoff[member] = b
-	}
-	return b
-}
-
 // orderByBackoff stably partitions a failover order: members currently
 // deferred move behind the eligible ones. Nothing is ever dropped — when
 // the whole fleet is backing off, the original order stands and every
 // member is still tried (deferral shapes order, availability decides
 // outcomes).
-func (cl *Cluster) orderByBackoff(members []string) []string {
+func (ms *membership) orderByBackoff(members []string) []string {
 	now := time.Now()
 	var eligible, held []string
 	for _, m := range members {
-		if cl.endpoint(m).deferred(now) {
+		if ms.clients[m].backoff.deferred(now) {
 			held = append(held, m)
 		} else {
 			eligible = append(eligible, m)
@@ -103,13 +93,4 @@ func (cl *Cluster) orderByBackoff(members []string) []string {
 		return members
 	}
 	return append(eligible, held...)
-}
-
-// observeForward feeds one forward attempt's outcome into the member's
-// endpoint window. Only failover-class errors (transport, 5xx, retryable
-// taxonomy) count as failures: a 4xx says nothing about the member's
-// health, and quota_exceeded is the tenant's backpressure, not the
-// node's.
-func (cl *Cluster) observeForward(member string, err error) {
-	cl.endpoint(member).observe(err != nil && failover(err), time.Now())
 }

@@ -120,3 +120,53 @@ func TestClusterDefersFailingEndpoint(t *testing.T) {
 		t.Fatalf("expired deferral did not restore the member to the failover order (%d hits)", failHits.Load())
 	}
 }
+
+// TestClusterUploadOpenDefersFailingOwner: an upload open walks the same
+// backoff-ordered failover as a submission. After the digest's ring owner
+// answers draining, a second open inside the backoff window goes to the
+// healthy successor first and the owner sees no second request; once the
+// window has passed, the owner is tried first again.
+func TestClusterUploadOpenDefersFailingOwner(t *testing.T) {
+	var failHits, okHits atomic.Int64
+	failing := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
+		failHits.Add(1)
+		writeErr(w, api.Errorf(api.CodeDraining, "draining"))
+	})
+	healthy := newAPIServer(t, func(w http.ResponseWriter, r *http.Request) {
+		okHits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusCreated)
+		json.NewEncoder(w).Encode(api.UploadInfo{ID: "h-up-000001"})
+	})
+	cl, err := NewCluster([]string{failing.URL, healthy.URL}, WithRetry(1, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	digest := digestOwnedBy(t, cl, failing.URL)
+
+	ctx := context.Background()
+	open := func() {
+		t.Helper()
+		if _, err := cl.UploadOpen(ctx, StreamOpts{Digest: digest}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open()
+	if failHits.Load() != 1 || okHits.Load() != 1 {
+		t.Fatalf("first open hit fail/ok %d/%d times, want 1/1 (owner then successor)",
+			failHits.Load(), okHits.Load())
+	}
+	open()
+	if failHits.Load() != 1 || okHits.Load() != 2 {
+		t.Fatalf("second open hit fail/ok %d/%d times, want 1/2 (deferred owner not tried first)",
+			failHits.Load(), okHits.Load())
+	}
+	// One failure in a 1-sample window defers for 100ms × (1+3·1) = 400ms.
+	time.Sleep(500 * time.Millisecond)
+	open()
+	if failHits.Load() != 2 {
+		t.Fatalf("expired deferral did not restore the owner to the front (%d hits)", failHits.Load())
+	}
+}

@@ -68,23 +68,6 @@ func WithPollInterval(d time.Duration) Option {
 // ricocheting submissions forever. Plain SDK users never need it.
 func WithForwardedBy(id string) Option { return func(c *Client) { c.forwardedBy = id } }
 
-// WithBreaker arms a client-side circuit breaker mirroring the pool's:
-// after threshold consecutive retryable failures, calls fail fast with
-// ErrBreakerOpen — no dial, no retry budget — until cooldown elapses and
-// a half-open probe is admitted. Zero threshold disables (the default).
-// Cluster mode treats a member's open breaker as an immediate failover
-// signal, so a down node costs nothing once its breaker trips.
-func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *Client) {
-		if threshold > 0 {
-			if cooldown <= 0 {
-				cooldown = 5 * time.Second
-			}
-			c.brk = &clientBreaker{threshold: threshold, cooldown: cooldown, now: time.Now}
-		}
-	}
-}
-
 // WithRingReplicas sets the virtual-node count of the consistent-hash
 // ring in Cluster mode (default ring.DefaultReplicas). Every party that
 // must agree on digest ownership — all routers and all cluster-mode
@@ -98,12 +81,6 @@ func WithRingReplicas(n int) Option {
 	}
 }
 
-// ErrBreakerOpen is returned by calls refused fast because the client's
-// circuit breaker (WithBreaker) is open: the server produced too many
-// consecutive retryable failures and the cooldown has not elapsed.
-// Nothing was sent; retry later, or let cluster mode fail over.
-var ErrBreakerOpen = errors.New("client: circuit breaker open (server marked down); retry later")
-
 // Client talks to one iofleetd instance. It is safe for concurrent use.
 type Client struct {
 	base        string
@@ -113,8 +90,10 @@ type Client struct {
 	maxDelay    time.Duration
 	poll        time.Duration
 	forwardedBy string
-	brk         *clientBreaker // nil unless WithBreaker armed it
-	window      outcomeWindow  // recent-attempt outcomes for adaptive backoff
+	window      outcomeWindow // recent-attempt outcomes for adaptive backoff
+	// backoff is this member's cross-call failure memory in Cluster mode
+	// (see backoff.go); a single-node Client never reads it.
+	backoff endpointBackoff
 	// ringReplicas is only read by Cluster, which builds its ring from
 	// the options applied to its member clients.
 	ringReplicas int
@@ -165,22 +144,18 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // network errors, 5xx, api.CodeDraining — are retried with backoff; the
 // resubmit is safe because the daemon deduplicates by trace digest.
 func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
-	info, _, err := c.submitJSON(ctx, req)
+	path, err := submitPath("/v1/jobs", req.Lane, req.Tenant)
+	if err != nil {
+		return api.JobInfo{}, err
+	}
+	info, _, err := c.postJob(ctx, path, req.Trace)
 	return info, err
 }
 
-// submitJSON is Submit that also returns the reply as the daemon sent
-// it, for Cluster.SubmitJSON.
-func (c *Client) submitJSON(ctx context.Context, req api.SubmitRequest) (api.JobInfo, []byte, error) {
-	lane, err := validSubmit(req)
-	if err != nil {
-		return api.JobInfo{}, nil, err
-	}
-	path := "/v1/jobs?lane=" + url.QueryEscape(string(lane))
-	if req.Tenant != "" {
-		path += "&tenant=" + url.QueryEscape(req.Tenant)
-	}
-	data, err := c.fetch(ctx, http.MethodPost, path, req.Trace, nil)
+// postJob posts a buffered trace to a submitPath and returns the accepted
+// job along with the reply as the daemon sent it, for Cluster.SubmitJSON.
+func (c *Client) postJob(ctx context.Context, path string, trace []byte) (api.JobInfo, []byte, error) {
+	data, err := c.fetch(ctx, http.MethodPost, path, trace, nil)
 	if err != nil {
 		return api.JobInfo{}, nil, err
 	}
@@ -191,17 +166,22 @@ func (c *Client) submitJSON(ctx context.Context, req api.SubmitRequest) (api.Job
 	return info, data, nil
 }
 
-// validSubmit applies the client-side submission checks — a known lane,
-// a bounded tenant — and returns the defaulted lane.
-func validSubmit(req api.SubmitRequest) (api.Lane, error) {
-	lane := req.Lane.WithDefault()
-	if !lane.Valid() {
-		return "", api.Errorf(api.CodeBadRequest, "unknown lane %q", req.Lane)
+// submitPath applies the client-side submission checks — a known lane,
+// a bounded tenant — and returns endpoint with the ?lane=&tenant= query
+// that carries them. Every submission entry point (buffered, streamed,
+// upload open) goes through it before sending a byte.
+func submitPath(endpoint string, lane api.Lane, tenant string) (string, error) {
+	l := lane.WithDefault()
+	if !l.Valid() {
+		return "", api.Errorf(api.CodeBadRequest, "unknown lane %q", lane)
 	}
-	if len(req.Tenant) > api.MaxTenantLen {
+	if len(tenant) > api.MaxTenantLen {
 		return "", api.Errorf(api.CodeBadRequest, "tenant exceeds %d bytes", api.MaxTenantLen)
 	}
-	return lane, nil
+	if tenant == "" {
+		return endpoint + "?lane=" + url.QueryEscape(string(l)), nil
+	}
+	return endpoint + "?lane=" + url.QueryEscape(string(l)) + "&tenant=" + url.QueryEscape(tenant), nil
 }
 
 // Job fetches one job's current snapshot.
@@ -289,6 +269,21 @@ func (c *Client) doHeaders(ctx context.Context, method, path string, body []byte
 
 // fetch runs one logical call with retry — build request, send, read —
 // and returns the 2xx body bytes as the server sent them.
+func (c *Client) fetch(ctx context.Context, method, path string, body []byte, headers map[string]string) ([]byte, error) {
+	var data []byte
+	err := c.retry(ctx, func() (err error) {
+		data, err = c.once(ctx, method, path, body, headers)
+		return err
+	}, nil)
+	return data, err
+}
+
+// retry is the SDK's one retry loop: it runs attempt until it succeeds,
+// fails with a non-retryable error, or spends the WithRetry budget,
+// recording every outcome in the adaptive-backoff window. rewind, when
+// set, runs before each retry with the failure that prompted it; a
+// non-nil return ends the call with that error (a streamed body that
+// cannot be replayed stops there).
 //
 // The retry delay starts from the exponential base but is shaped by two
 // live signals: the transient-failure rate observed over this client's
@@ -296,35 +291,25 @@ func (c *Client) doHeaders(ctx context.Context, method, path string, body []byte
 // than a single blip), and a server-sent Retry-After floors it (the
 // server knows when the quota frees or the drain completes better than
 // any client-side formula).
-func (c *Client) fetch(ctx context.Context, method, path string, body []byte, headers map[string]string) ([]byte, error) {
-	if c.brk != nil && !c.brk.allow() {
-		return nil, ErrBreakerOpen
-	}
+func (c *Client) retry(ctx context.Context, attempt func() error, rewind func(last error) error) error {
 	delay := c.baseDelay
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		data, err := c.once(ctx, method, path, body, headers)
-		c.observe(err)
-		if err == nil || !retryable(err) || attempt >= c.maxAttempts {
-			return data, err
+	for n := 1; ; n++ {
+		err := attempt()
+		c.window.record(err != nil && retryable(err))
+		if err == nil || !retryable(err) || n >= c.maxAttempts {
+			return err
 		}
-		lastErr = err
+		if rewind != nil {
+			if rerr := rewind(err); rerr != nil {
+				return rerr
+			}
+		}
 		if serr := c.sleep(ctx, c.nextDelay(delay, err)); serr != nil {
-			return nil, fmt.Errorf("%w (last attempt: %w)", serr, lastErr)
+			return fmt.Errorf("%w (last attempt: %w)", serr, err)
 		}
 		if delay *= 2; delay > c.maxDelay {
 			delay = c.maxDelay
 		}
-	}
-}
-
-// observe feeds one attempt's outcome to the adaptive-backoff window and
-// the breaker (when armed).
-func (c *Client) observe(err error) {
-	fail := err != nil && retryable(err)
-	c.window.record(fail)
-	if c.brk != nil {
-		c.brk.record(fail)
 	}
 }
 
@@ -334,12 +319,7 @@ func (c *Client) observe(err error) {
 // hit a single blip, instead of every client doubling in lockstep — then
 // floored by any server-sent Retry-After hint.
 func (c *Client) nextDelay(base time.Duration, err error) time.Duration {
-	// rate 0 leaves the exponential schedule untouched; a fully failing
-	// window quadruples it (on top of the doubling).
-	d := time.Duration(float64(base) * (1 + 3*c.window.rate()))
-	if d > c.maxDelay {
-		d = c.maxDelay
-	}
+	d := widen(base, c.window.rate(), c.maxDelay)
 	if ra := retryAfterIn(err); ra > d {
 		d = ra // the server's own hint outranks the cap: it knows
 	}
@@ -547,62 +527,6 @@ func (w *outcomeWindow) rate() float64 {
 		return 0
 	}
 	return float64(w.fails) / float64(w.n)
-}
-
-// clientBreaker mirrors the pool's transient-failure breaker on the
-// client side: consecutive retryable failures trip it open, calls fail
-// fast with ErrBreakerOpen through the cooldown, then a half-open probe
-// is admitted — its outcome closes or re-arms the breaker.
-type clientBreaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-
-	mu          sync.Mutex
-	consecutive int
-	open        bool
-	openSince   time.Time
-	trips       int64
-}
-
-// allow reports whether a call may proceed: always while closed, and
-// once per cooldown while open (the half-open probe).
-func (b *clientBreaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
-		return true
-	}
-	return b.now().Sub(b.openSince) >= b.cooldown
-}
-
-// record feeds one attempt's outcome. A success closes the breaker; a
-// retryable failure counts toward the threshold and re-arms an open
-// breaker's cooldown (a failed half-open probe starts a fresh wait).
-func (b *clientBreaker) record(fail bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !fail {
-		b.consecutive = 0
-		b.open = false
-		return
-	}
-	b.consecutive++
-	if b.consecutive >= b.threshold {
-		if !b.open {
-			b.trips++
-		}
-		b.open = true
-		b.openSince = b.now()
-	}
-}
-
-// Trips reports how many times the breaker has opened (for tests and
-// metrics).
-func (b *clientBreaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }
 
 // retryable classifies one attempt's failure: transport errors, bare

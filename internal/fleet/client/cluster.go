@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -12,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ioagent/internal/fleet/api"
 	"ioagent/internal/fleet/ingest"
@@ -83,12 +83,6 @@ type Cluster struct {
 	// (learned from each member's Metrics.Node on first need).
 	nodeToMember map[string]string
 	unresolved   map[string]bool // members whose node id is still unknown
-
-	// backoff holds per-endpoint transient-failure memory for the forward
-	// paths (see backoff.go); keyed by member base URL so it survives
-	// roster swaps for members that stay.
-	backoffMu sync.Mutex
-	backoff   map[string]*endpointBackoff
 }
 
 // normalizeMembers canonicalizes a member URL list: trims whitespace and
@@ -144,12 +138,12 @@ func NewCluster(members []string, opts ...Option) (*Cluster, error) {
 
 // UpdateMembers swaps the cluster onto a new member list — typically a
 // live roster snapshot — and returns which members were added and
-// removed. Clients of surviving members are reused (their breakers, node
-// learnings, and connection pools carry over); new members get fresh
-// clients built from the construction options; removed members' clients
-// release their idle connections. An empty or unchanged list is a no-op.
-// In-flight calls finish on the view they loaded, so an update never
-// breaks a call midway.
+// removed. Clients of surviving members are reused (their backoff
+// windows, node learnings, and connection pools carry over); new members
+// get fresh clients built from the construction options; removed
+// members' clients release their idle connections. An empty or unchanged
+// list is a no-op. In-flight calls finish on the view they loaded, so an
+// update never breaks a call midway.
 func (cl *Cluster) UpdateMembers(members []string) (added, removed []string) {
 	bases, err := normalizeMembers(members)
 	if err != nil || len(bases) == 0 {
@@ -189,11 +183,6 @@ func (cl *Cluster) UpdateMembers(members []string) (added, removed []string) {
 		}
 		old.clients[base].Close()
 	}
-	cl.backoffMu.Lock()
-	for _, base := range removed {
-		delete(cl.backoff, base)
-	}
-	cl.backoffMu.Unlock()
 	return added, removed
 }
 
@@ -241,17 +230,57 @@ func (cl *Cluster) RouteDigest(digest string) []string {
 // failover reports whether an error from one member justifies trying the
 // next ring successor rather than surfacing to the caller. It is the
 // per-call retry classification — transport failures, bare 5xx, and
-// retryable taxonomy codes — plus the member's client breaker being
-// open (that member is known down; the successor is the whole point). A
-// 4xx (bad trace, version skew, ...) will be 4xx everywhere. One
-// retryable code deliberately does NOT fail over: quota_exceeded is the
-// tenant's own backpressure, and hopping to a successor would both dodge
-// the quota and trade a clear 429-with-Retry-After for node_down.
+// retryable taxonomy codes, among them a node's open breaker
+// (breaker_open) — so a 4xx (bad trace, version skew, ...), which will be
+// 4xx everywhere, surfaces at once. One retryable code deliberately does
+// NOT fail over: quota_exceeded is the tenant's own backpressure, and
+// hopping to a successor would both dodge the quota and trade a clear
+// 429-with-Retry-After for node_down.
 func failover(err error) bool {
-	if api.ErrorCode(err) == api.CodeQuotaExceeded {
-		return false
+	return retryable(err) && api.ErrorCode(err) != api.CodeQuotaExceeded
+}
+
+// walk is the cluster's one failover walk, behind SubmitJSON,
+// SubmitStream and UploadOpen. It tries targets in backoff order
+// (recently failed members last), feeds each member's endpoint window
+// with the outcome, and learns the node prefix of the ID try returns on
+// success. A non-failover error or a cancelled context ends the walk with
+// that error; a walk where every member failed over ends in node_down.
+// rewind, when set, runs before every member after the first with the
+// previous member's error; a non-nil return ends the walk with that
+// error.
+func (cl *Cluster) walk(ctx context.Context, ms *membership, targets []string, what string,
+	try func(*Client) (id string, err error), rewind func(last error) error) error {
+	var last error
+	for i, member := range ms.orderByBackoff(targets) {
+		if i > 0 && rewind != nil {
+			if err := rewind(last); err != nil {
+				return err
+			}
+		}
+		c := ms.clients[member]
+		id, err := try(c)
+		c.backoff.observe(err != nil && failover(err), time.Now())
+		if err == nil {
+			cl.learn(id, member)
+			return nil
+		}
+		if !failover(err) || ctx.Err() != nil {
+			return err
+		}
+		last = err
 	}
-	return failoverStream(err)
+	return api.Errorf(api.CodeNodeDown,
+		"no fleet node accepted the %s (%d tried; all down or draining)", what, len(targets))
+}
+
+// targets returns the failover order for a claimed digest — the ring
+// owner, then its successors — or, with no digest, the listing order.
+func (ms *membership) targets(digest string) []string {
+	if digest == "" {
+		return ms.members
+	}
+	return ms.ring.Successors(digest, len(ms.members))
 }
 
 // Submit sends one trace to the owner of its route key, walking ring
@@ -269,23 +298,18 @@ func (cl *Cluster) Submit(ctx context.Context, req api.SubmitRequest) (api.JobIn
 func (cl *Cluster) SubmitJSON(ctx context.Context, req api.SubmitRequest) (api.JobInfo, []byte, error) {
 	// Validate before keying: a submission every member would refuse must
 	// not cost the front door a decode first.
-	if _, err := validSubmit(req); err != nil {
+	path, err := submitPath("/v1/jobs", req.Lane, req.Tenant)
+	if err != nil {
 		return api.JobInfo{}, nil, err
 	}
 	ms := cl.cur.Load()
-	for _, member := range cl.orderByBackoff(ms.ring.Successors(cl.routeKey(req.Trace), len(ms.members))) {
-		info, data, err := ms.clients[member].submitJSON(ctx, req)
-		cl.observeForward(member, err)
-		if err == nil {
-			cl.learn(info.ID, member)
-			return info, data, nil
-		}
-		if !failover(err) || ctx.Err() != nil {
-			return api.JobInfo{}, nil, err
-		}
-	}
-	return api.JobInfo{}, nil, api.Errorf(api.CodeNodeDown,
-		"no fleet node accepted the submission (%d tried; all down or draining)", len(ms.members))
+	var info api.JobInfo
+	var data []byte
+	err = cl.walk(ctx, ms, ms.targets(cl.routeKey(req.Trace)), "submission", func(c *Client) (_ string, err error) {
+		info, data, err = c.postJob(ctx, path, req.Trace)
+		return info.ID, err
+	}, nil)
+	return info, data, err
 }
 
 // nodeFromID extracts the node prefix a -node-id daemon bakes into its
@@ -535,45 +559,29 @@ func (cl *Cluster) Metrics(ctx context.Context) (api.Metrics, error) {
 // lands on the digest-less route's first member — any daemon accepts any
 // trace; ownership only optimizes cache locality — and the response's
 // api.DigestHeader teaches the caller the digest to assert next time.
+//
+// The router's spool/forward path rides this walk, so the per-endpoint
+// backoff matters most here: a spooled stream must not pay a known-down
+// owner's full retry schedule on every submission.
 func (cl *Cluster) SubmitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
 	ms := cl.cur.Load()
-	targets := ms.members
-	if opts.Digest != "" {
-		targets = ms.ring.Successors(opts.Digest, len(ms.members))
-	}
-	// The router's spool/forward path rides this loop, so the per-endpoint
-	// backoff matters most here: a spooled stream must not pay a known-down
-	// owner's full retry schedule on every submission.
-	targets = cl.orderByBackoff(targets)
-	consumed := newCountingReader(body)
-	var lastErr error
-	for _, member := range targets {
-		if consumed.count() > 0 {
-			// A previous attempt shipped bytes; only a rewindable body can
-			// honestly be replayed at another member.
-			if err := consumed.rewind(); err != nil {
-				if lastErr == nil {
-					lastErr = err
-				}
-				return api.JobInfo{}, lastErr
-			}
-		}
+	consumed := &countingReader{r: body}
+	var info api.JobInfo
+	err := cl.walk(ctx, ms, ms.targets(opts.Digest), "stream", func(c *Client) (_ string, err error) {
 		// consumed preserves the body's io.Seeker (when it has one), so
 		// the member client's own per-node retry budget still applies to
 		// rewindable streams.
-		info, err := ms.clients[member].SubmitStream(ctx, consumed.reader(), opts)
-		cl.observeForward(member, err)
-		if err == nil {
-			cl.learn(info.ID, member)
-			return info, nil
+		info, err = c.SubmitStream(ctx, consumed.reader(), opts)
+		return info.ID, err
+	}, func(last error) error {
+		// A previous attempt shipped bytes; only a rewindable body can
+		// honestly be replayed at another member.
+		if consumed.n > 0 && !consumed.rewind() {
+			return last
 		}
-		if !failover(err) || ctx.Err() != nil {
-			return api.JobInfo{}, err
-		}
-		lastErr = err
-	}
-	return api.JobInfo{}, api.Errorf(api.CodeNodeDown,
-		"no fleet node accepted the stream (%d candidates tried; all down or draining)", len(targets))
+		return nil
+	})
+	return info, err
 }
 
 // countingReader tracks how many body bytes a stream attempt consumed,
@@ -585,17 +593,11 @@ type countingReader struct {
 	n int64
 }
 
-func newCountingReader(body io.Reader) *countingReader {
-	return &countingReader{r: body}
-}
-
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
 }
-
-func (c *countingReader) count() int64 { return c.n }
 
 // reader returns the value to hand downstream: a seek-preserving view
 // when the body can rewind, else the plain counter.
@@ -608,7 +610,7 @@ func (c *countingReader) reader() io.Reader {
 
 // seekCountingReader adds Seek to a countingReader over a rewindable
 // body, keeping the consumed-byte count honest across rewinds so the
-// cluster failover loop's bookkeeping stays correct even when the member
+// cluster failover walk's bookkeeping stays correct even when the member
 // client rewound internally.
 type seekCountingReader struct{ *countingReader }
 
@@ -620,18 +622,18 @@ func (s seekCountingReader) Seek(offset int64, whence int) (int64, error) {
 	return pos, err
 }
 
-// rewind resets a rewindable body to its start; non-rewindable bodies
-// report an error.
-func (c *countingReader) rewind() error {
+// rewind resets a rewindable body to its start and reports whether it
+// could.
+func (c *countingReader) rewind() bool {
 	s, ok := c.r.(io.Seeker)
 	if !ok {
-		return fmt.Errorf("client: stream partially shipped and not rewindable")
+		return false
 	}
 	if _, err := s.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("client: rewind stream for failover: %w", err)
+		return false
 	}
 	c.n = 0
-	return nil
+	return true
 }
 
 // UploadOpen opens a resumable upload session. A session with a claimed
@@ -641,26 +643,12 @@ func (c *countingReader) rewind() error {
 // session call routes by it.
 func (cl *Cluster) UploadOpen(ctx context.Context, opts StreamOpts) (api.UploadInfo, error) {
 	ms := cl.cur.Load()
-	targets := ms.members
-	if opts.Digest != "" {
-		targets = ms.ring.Successors(opts.Digest, len(ms.members))
-	}
-	var lastErr error = api.Errorf(api.CodeNodeDown, "no fleet node reachable (%d tried)", len(ms.members))
-	for _, member := range targets {
-		info, err := ms.clients[member].UploadOpen(ctx, opts)
-		if err == nil {
-			cl.learn(info.ID, member)
-			return info, nil
-		}
-		if !failover(err) || ctx.Err() != nil {
-			return api.UploadInfo{}, err
-		}
-		lastErr = err
-	}
-	if failover(lastErr) {
-		lastErr = api.Errorf(api.CodeNodeDown, "no fleet node accepted the upload (%d tried)", len(targets))
-	}
-	return api.UploadInfo{}, lastErr
+	var info api.UploadInfo
+	err := cl.walk(ctx, ms, ms.targets(opts.Digest), "upload", func(c *Client) (_ string, err error) {
+		info, err = c.UploadOpen(ctx, opts)
+		return info.ID, err
+	}, nil)
+	return info, err
 }
 
 // uploadLookup routes a session-scoped call to the member whose node

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,39 +40,25 @@ type StreamOpts struct {
 // transport or retryable failure is final and the caller decides whether
 // to re-produce the stream.
 func (c *Client) SubmitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
-	lane := opts.Lane.WithDefault()
-	if !lane.Valid() {
-		return api.JobInfo{}, api.Errorf(api.CodeBadRequest, "unknown lane %q", opts.Lane)
+	path, err := submitPath("/v1/jobs/stream", opts.Lane, opts.Tenant)
+	if err != nil {
+		return api.JobInfo{}, err
 	}
-	if len(opts.Tenant) > api.MaxTenantLen {
-		return api.JobInfo{}, api.Errorf(api.CodeBadRequest, "tenant exceeds %d bytes", api.MaxTenantLen)
-	}
-	if c.brk != nil && !c.brk.allow() {
-		return api.JobInfo{}, ErrBreakerOpen
-	}
-	path := "/v1/jobs/stream?lane=" + url.QueryEscape(string(lane))
-	if opts.Tenant != "" {
-		path += "&tenant=" + url.QueryEscape(opts.Tenant)
-	}
-
-	seeker, rewindable := body.(io.Seeker)
-	delay := c.baseDelay
-	for attempt := 1; ; attempt++ {
-		info, err := c.streamOnce(ctx, path, body, opts.Digest)
-		c.observe(err)
-		if err == nil || !retryable(err) || !rewindable || attempt >= c.maxAttempts {
-			return info, err
-		}
-		if _, serr := seeker.Seek(0, io.SeekStart); serr != nil {
-			return info, fmt.Errorf("client: rewind stream for retry: %w (after: %w)", serr, err)
-		}
-		if serr := c.sleep(ctx, c.nextDelay(delay, err)); serr != nil {
-			return info, fmt.Errorf("%w (last attempt: %w)", serr, err)
-		}
-		if delay *= 2; delay > c.maxDelay {
-			delay = c.maxDelay
+	rewind := func(last error) error { return last }
+	if seeker, ok := body.(io.Seeker); ok {
+		rewind = func(last error) error {
+			if _, err := seeker.Seek(0, io.SeekStart); err != nil {
+				return fmt.Errorf("client: rewind stream for retry: %w (after: %w)", err, last)
+			}
+			return nil
 		}
 	}
+	var info api.JobInfo
+	err = c.retry(ctx, func() (err error) {
+		info, err = c.streamOnce(ctx, path, body, opts.Digest)
+		return err
+	}, rewind)
+	return info, err
 }
 
 func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, digest string) (api.JobInfo, error) {
@@ -149,16 +134,12 @@ func (t *digestTee) Read(p []byte) (int, error) {
 // UploadOpen opens a resumable upload session on the daemon. A known
 // digest may be asserted for routing and end-to-end verification.
 func (c *Client) UploadOpen(ctx context.Context, opts StreamOpts) (api.UploadInfo, error) {
-	lane := opts.Lane.WithDefault()
-	if !lane.Valid() {
-		return api.UploadInfo{}, api.Errorf(api.CodeBadRequest, "unknown lane %q", opts.Lane)
-	}
-	path := "/v1/uploads?lane=" + url.QueryEscape(string(lane))
-	if opts.Tenant != "" {
-		path += "&tenant=" + url.QueryEscape(opts.Tenant)
+	path, err := submitPath("/v1/uploads", opts.Lane, opts.Tenant)
+	if err != nil {
+		return api.UploadInfo{}, err
 	}
 	var info api.UploadInfo
-	err := c.doHeaders(ctx, http.MethodPost, path, nil, map[string]string{api.DigestHeader: opts.Digest}, &info)
+	err = c.doHeaders(ctx, http.MethodPost, path, nil, map[string]string{api.DigestHeader: opts.Digest}, &info)
 	return info, err
 }
 
@@ -248,10 +229,4 @@ func submitChunked(ctx context.Context, u uploader, r io.Reader, chunkSize int, 
 		}
 	}
 	return u.UploadComplete(ctx, up.ID)
-}
-
-// failoverStream reports whether an error from one member justifies
-// retrying a stream elsewhere; breaker-open members fail over instantly.
-func failoverStream(err error) bool {
-	return retryable(err) || errors.Is(err, ErrBreakerOpen)
 }

@@ -548,7 +548,8 @@ func TestRouterWaitDiagnosisOnHit(t *testing.T) {
 // BenchmarkRouterJobRelay reads a finished job, its diagnosis, and waits
 // for that diagnosis through the router with the SDK — the wait is what
 // the exact-hit path does after its submit: client → router → one node
-// and back.
+// and back. The submit case resubmits the finished trace: an exact hit
+// that the router places and forwards through Cluster.SubmitJSON.
 func BenchmarkRouterJobRelay(b *testing.B) {
 	n := fleettest.Start(b, node.Config{Fleet: fleet.Config{NodeID: "n1"}})
 	rt, err := New(Config{Members: []string{n.URL()}})
@@ -561,13 +562,22 @@ func BenchmarkRouterJobRelay(b *testing.B) {
 	c := client.New(srv.URL, client.WithPollInterval(time.Millisecond))
 	b.Cleanup(c.Close)
 	ctx := context.Background()
-	info, err := c.Submit(ctx, api.SubmitRequest{Trace: routerTrace(b, 91)})
+	raw := routerTrace(b, 91)
+	info, err := c.Submit(ctx, api.SubmitRequest{Trace: raw})
 	if err != nil {
 		b.Fatal(err)
 	}
 	if _, err := c.WaitDiagnosis(ctx, info.ID); err != nil {
 		b.Fatal(err)
 	}
+	b.Run("submit", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if hit, err := c.Submit(ctx, api.SubmitRequest{Trace: raw}); err != nil || !hit.CacheHit {
+				b.Fatalf("resubmit = %+v, %v; want a cache hit", hit, err)
+			}
+		}
+	})
 	b.Run("job", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

@@ -126,8 +126,11 @@ const RetryAfterHeader = "Retry-After"
 // admission (GET /v1/sched, POST /v1/sched/tenants, the SchedStatus /
 // SchedClass / TenantClassRequest payloads), Metrics.Sched with the
 // SchedMetrics / SchedTenant shapes, and the slo_exceeded error code —
-// all additive.
-var Current = Version{Major: 1, Minor: 6}
+// all additive. Minor 7 added JobInfo.Text: a submission reply whose job
+// is already done carries its diagnosis, so a cache hit needs no second
+// request — additive, and clients of 1.6 servers read the diagnosis as
+// before.
+var Current = Version{Major: 1, Minor: 7}
 
 // CurrentHeader is Current in its VersionHeader form, rendered once:
 // every request the SDK sends and every response a server writes carries
@@ -253,6 +256,13 @@ type JobInfo struct {
 	// Error carries the failure's stable code for terminal failed jobs
 	// (empty otherwise). Free-text failure detail stays in server logs.
 	Error string `json:"error,omitempty"`
+	// Text is the finished diagnosis, set only on the reply of a
+	// submission (POST /v1/jobs, POST /v1/jobs/stream,
+	// POST /v1/uploads/{id}/complete) whose job was already done when the
+	// reply was written — an exact cache hit, or a duplicate of a job that
+	// had just finished. It is the Text GET /v1/jobs/{id}/diagnosis would
+	// serve. Job reads and listings never carry it. Added in 1.7.
+	Text string `json:"text,omitempty"`
 
 	SubmittedAt time.Time `json:"submitted_at"`
 	StartedAt   time.Time `json:"started_at,omitzero"`

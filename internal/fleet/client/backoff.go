@@ -78,14 +78,19 @@ func (b *endpointBackoff) deferred(now time.Time) bool {
 // deferred move behind the eligible ones. Nothing is ever dropped — when
 // the whole fleet is backing off, the original order stands and every
 // member is still tried (deferral shapes order, availability decides
-// outcomes).
+// outcomes). When no member is deferred, the normal case, members is
+// returned as it is, without allocating.
 func (ms *membership) orderByBackoff(members []string) []string {
 	now := time.Now()
 	var eligible, held []string
-	for _, m := range members {
-		if ms.clients[m].backoff.deferred(now) {
+	for i, m := range members {
+		switch {
+		case ms.clients[m].backoff.deferred(now):
+			if held == nil {
+				eligible = append(make([]string, 0, len(members)), members[:i]...)
+			}
 			held = append(held, m)
-		} else {
+		case held != nil:
 			eligible = append(eligible, m)
 		}
 	}

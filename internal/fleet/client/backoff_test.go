@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -168,5 +169,36 @@ func TestClusterUploadOpenDefersFailingOwner(t *testing.T) {
 	open()
 	if failHits.Load() != 2 {
 		t.Fatalf("expired deferral did not restore the owner to the front (%d hits)", failHits.Load())
+	}
+}
+
+// TestOrderByBackoffAllocFence: with no member deferred — every forward
+// of a healthy fleet — the failover order is the ring's own slice and
+// costs no allocation. A deferred member moves behind the eligible ones,
+// in order, and a fleet that is all deferred keeps the ring's order.
+func TestOrderByBackoffAllocFence(t *testing.T) {
+	members := []string{"http://a", "http://b", "http://c", "http://d"}
+	ms := &membership{members: members, clients: make(map[string]*Client)}
+	for _, m := range members {
+		ms.clients[m] = New(m)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ms.orderByBackoff(members) }); allocs != 0 {
+		t.Errorf("orderByBackoff with nothing deferred allocates %.0f objects, want 0", allocs)
+	}
+	if got := ms.orderByBackoff(members); &got[0] != &members[0] {
+		t.Error("orderByBackoff with nothing deferred copied the order")
+	}
+
+	now := time.Now()
+	ms.clients["http://b"].backoff.observe(true, now)
+	ms.clients["http://d"].backoff.observe(true, now)
+	want := []string{"http://a", "http://c", "http://b", "http://d"}
+	if got := ms.orderByBackoff(members); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("order with b and d deferred = %v, want %v", got, want)
+	}
+	ms.clients["http://a"].backoff.observe(true, now)
+	ms.clients["http://c"].backoff.observe(true, now)
+	if got := ms.orderByBackoff(members); fmt.Sprint(got) != fmt.Sprint(members) {
+		t.Errorf("order with every member deferred = %v, want the ring's %v", got, members)
 	}
 }

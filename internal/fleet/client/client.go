@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ioagent/internal/fleet/api"
@@ -97,6 +98,10 @@ type Client struct {
 	// ringReplicas is only read by Cluster, which builds its ring from
 	// the options applied to its member clients.
 	ringReplicas int
+	// done holds the diagnosis carried by the last submission reply whose
+	// job was already done, for the WaitDiagnosis that follows it (see
+	// remember). A Cluster's member clients never fill it.
+	done atomic.Pointer[api.Diagnosis]
 
 	// sleep is swapped out by tests to make backoff instantaneous.
 	sleep func(context.Context, time.Duration) error
@@ -140,30 +145,37 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // Submit sends one trace for diagnosis and returns the accepted job
-// record (which is already terminal for cache hits). Transient failures —
-// network errors, 5xx, api.CodeDraining — are retried with backoff; the
-// resubmit is safe because the daemon deduplicates by trace digest.
+// record (which is already terminal for cache hits, and then carries the
+// diagnosis in Text). Transient failures — network errors, 5xx,
+// api.CodeDraining — are retried with backoff; the resubmit is safe
+// because the daemon deduplicates by trace digest.
 func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
 	path, err := submitPath("/v1/jobs", req.Lane, req.Tenant)
 	if err != nil {
 		return api.JobInfo{}, err
 	}
-	info, _, err := c.postJob(ctx, path, req.Trace)
-	return info, err
+	var info api.JobInfo
+	err = c.do(ctx, http.MethodPost, path, req.Trace, &info)
+	return c.remember(info, err)
 }
 
-// postJob posts a buffered trace to a submitPath and returns the accepted
-// job along with the reply as the daemon sent it, for Cluster.SubmitJSON.
-func (c *Client) postJob(ctx context.Context, path string, trace []byte) (api.JobInfo, []byte, error) {
-	data, err := c.fetch(ctx, http.MethodPost, path, trace, nil)
-	if err != nil {
-		return api.JobInfo{}, nil, err
+// remember keeps the diagnosis a submission reply carries — the job was
+// done when the reply was written — for the WaitDiagnosis that usually
+// follows, and passes the reply through. A later done reply replaces it.
+func (c *Client) remember(info api.JobInfo, err error) (api.JobInfo, error) {
+	if err == nil && info.Status == api.StatusDone && info.Text != "" {
+		c.done.Store(&api.Diagnosis{
+			JobID:         info.ID,
+			Digest:        info.Digest,
+			Lane:          info.Lane,
+			CacheHit:      info.CacheHit,
+			SimilarityHit: info.SimilarityHit,
+			SourceDigest:  info.SourceDigest,
+			Confidence:    info.Confidence,
+			Text:          info.Text,
+		})
 	}
-	var info api.JobInfo
-	if err := decodeJSON(data, http.MethodPost, path, &info); err != nil {
-		return api.JobInfo{}, nil, err
-	}
-	return info, data, nil
+	return info, err
 }
 
 // submitPath applies the client-side submission checks — a known lane,
@@ -218,7 +230,16 @@ func (c *Client) Metrics(ctx context.Context) (api.Metrics, error) {
 // done. A failed job yields the daemon's *api.Error with
 // api.CodeDiagnosisFailed. Polling cadence is WithPollInterval; the
 // context bounds the total wait.
+//
+// When the last submission reply this client received was job id's and
+// already carried its diagnosis (a cache hit), the first wait on id
+// returns it without a request. Every other wait — another job, a second
+// wait on the same job, a caller that lost the race for it, a server
+// older than api 1.7 — reads the daemon.
 func (c *Client) WaitDiagnosis(ctx context.Context, id string) (api.Diagnosis, error) {
+	if d := c.done.Load(); d != nil && d.JobID == id && c.done.CompareAndSwap(d, nil) {
+		return *d, nil
+	}
 	return c.waitDiagnosis(ctx, id, c.Diagnosis)
 }
 

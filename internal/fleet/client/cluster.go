@@ -288,28 +288,40 @@ func (ms *membership) targets(digest string) []string {
 // ID carries the accepting node's prefix, which later routes Job and
 // Diagnosis calls back to it.
 func (cl *Cluster) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
-	info, _, err := cl.SubmitJSON(ctx, req)
+	var info api.JobInfo
+	data, err := cl.SubmitJSON(ctx, req)
+	if err == nil {
+		err = decodeJSON(data, http.MethodPost, "/v1/jobs", &info)
+	}
 	return info, err
 }
 
-// SubmitJSON is Submit that also returns the accepting node's reply as
-// the bytes it sent, so a relay (iofleet-router) can serve them without
-// encoding the job again.
-func (cl *Cluster) SubmitJSON(ctx context.Context, req api.SubmitRequest) (api.JobInfo, []byte, error) {
+// SubmitJSON is Submit returning the accepting node's reply (an
+// api.JobInfo document) as the bytes it sent, so a relay
+// (iofleet-router) can serve them without decoding the job, and the
+// diagnosis a hit's reply carries, only to encode them again. Of the
+// reply it reads only the job ID, to learn the node prefix.
+func (cl *Cluster) SubmitJSON(ctx context.Context, req api.SubmitRequest) ([]byte, error) {
 	// Validate before keying: a submission every member would refuse must
 	// not cost the front door a decode first.
 	path, err := submitPath("/v1/jobs", req.Lane, req.Tenant)
 	if err != nil {
-		return api.JobInfo{}, nil, err
+		return nil, err
 	}
 	ms := cl.cur.Load()
-	var info api.JobInfo
 	var data []byte
-	err = cl.walk(ctx, ms, ms.targets(cl.routeKey(req.Trace)), "submission", func(c *Client) (_ string, err error) {
-		info, data, err = c.postJob(ctx, path, req.Trace)
-		return info.ID, err
+	err = cl.walk(ctx, ms, ms.targets(cl.routeKey(req.Trace)), "submission", func(c *Client) (string, error) {
+		var err error
+		if data, err = c.fetch(ctx, http.MethodPost, path, req.Trace, nil); err != nil {
+			return "", err
+		}
+		var job struct {
+			ID string `json:"id"`
+		}
+		err = decodeJSON(data, http.MethodPost, path, &job)
+		return job.ID, err
 	}, nil)
-	return info, data, err
+	return data, err
 }
 
 // nodeFromID extracts the node prefix a -node-id daemon bakes into its
@@ -571,7 +583,7 @@ func (cl *Cluster) SubmitStream(ctx context.Context, body io.Reader, opts Stream
 		// consumed preserves the body's io.Seeker (when it has one), so
 		// the member client's own per-node retry budget still applies to
 		// rewindable streams.
-		info, err = c.SubmitStream(ctx, consumed.reader(), opts)
+		info, err = c.submitStream(ctx, consumed.reader(), opts)
 		return info.ID, err
 	}, func(last error) error {
 		// A previous attempt shipped bytes; only a rewindable body can
@@ -702,7 +714,7 @@ func (cl *Cluster) UploadComplete(ctx context.Context, id string) (api.JobInfo, 
 	var info api.JobInfo
 	err := cl.uploadLookup(ctx, id, func(c *Client) error {
 		var cerr error
-		info, cerr = c.UploadComplete(ctx, id)
+		info, cerr = c.uploadComplete(ctx, id)
 		return cerr
 	})
 	return info, err

@@ -40,6 +40,12 @@ type StreamOpts struct {
 // transport or retryable failure is final and the caller decides whether
 // to re-produce the stream.
 func (c *Client) SubmitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
+	return c.remember(c.submitStream(ctx, body, opts))
+}
+
+// submitStream is SubmitStream without remembering the reply's
+// diagnosis: Cluster forwards through it.
+func (c *Client) submitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
 	path, err := submitPath("/v1/jobs/stream", opts.Lane, opts.Tenant)
 	if err != nil {
 		return api.JobInfo{}, err
@@ -163,6 +169,12 @@ func (c *Client) UploadStatus(ctx context.Context, id string) (api.UploadInfo, e
 
 // UploadComplete finalizes the session into an accepted job.
 func (c *Client) UploadComplete(ctx context.Context, id string) (api.JobInfo, error) {
+	return c.remember(c.uploadComplete(ctx, id))
+}
+
+// uploadComplete is UploadComplete without remembering the reply's
+// diagnosis: Cluster forwards through it.
+func (c *Client) uploadComplete(ctx context.Context, id string) (api.JobInfo, error) {
 	var info api.JobInfo
 	err := c.do(ctx, http.MethodPost, "/v1/uploads/"+url.PathEscape(id)+"/complete", nil, &info)
 	return info, err

@@ -216,9 +216,10 @@ func (rt *Router) Handler() http.Handler {
 			server.WriteError(w, apiErr)
 			return
 		}
-		_, reply, err := rt.cluster.SubmitJSON(r.Context(), api.SubmitRequest{
-			Lane:   api.Lane(r.URL.Query().Get("lane")),
-			Tenant: r.URL.Query().Get("tenant"),
+		q := r.URL.Query()
+		reply, err := rt.cluster.SubmitJSON(r.Context(), api.SubmitRequest{
+			Lane:   api.Lane(q.Get("lane")),
+			Tenant: q.Get("tenant"),
 			Trace:  trace,
 		})
 		if err != nil {
@@ -232,11 +233,7 @@ func (rt *Router) Handler() http.Handler {
 	// the bytes pipe straight from the inbound request to the owning
 	// daemon. Without it, spool-then-route (spoolAndRoute).
 	handle("POST /v1/jobs/stream", func(w http.ResponseWriter, r *http.Request) {
-		opts := client.StreamOpts{
-			Lane:   api.Lane(r.URL.Query().Get("lane")),
-			Tenant: r.URL.Query().Get("tenant"),
-			Digest: r.Header.Get(api.DigestHeader),
-		}
+		opts := streamOpts(r)
 		if opts.Digest != "" {
 			if !darshan.ValidContentDigest(opts.Digest) {
 				server.WriteError(w, api.Errorf(api.CodeBadRequest,
@@ -259,11 +256,7 @@ func (rt *Router) Handler() http.Handler {
 	// locality for the eventual job), then follow the session ID's node
 	// prefix for every append/status/complete/abort.
 	handle("POST /v1/uploads", func(w http.ResponseWriter, r *http.Request) {
-		opts := client.StreamOpts{
-			Lane:   api.Lane(r.URL.Query().Get("lane")),
-			Tenant: r.URL.Query().Get("tenant"),
-			Digest: r.Header.Get(api.DigestHeader),
-		}
+		opts := streamOpts(r)
 		if opts.Digest != "" && !darshan.ValidContentDigest(opts.Digest) {
 			server.WriteError(w, api.Errorf(api.CodeBadRequest,
 				"malformed %s header (want 64 hex chars)", api.DigestHeader))
@@ -511,6 +504,18 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 		w.Header().Set(api.DigestHeader, opts.Digest)
 	}
 	server.WriteJSON(w, http.StatusAccepted, info)
+}
+
+// streamOpts reads a streamed submission's or upload's placement inputs:
+// the lane and tenant query parameters, parsed once, and any asserted
+// digest header.
+func streamOpts(r *http.Request) client.StreamOpts {
+	q := r.URL.Query()
+	return client.StreamOpts{
+		Lane:   api.Lane(q.Get("lane")),
+		Tenant: q.Get("tenant"),
+		Digest: r.Header.Get(api.DigestHeader),
+	}
 }
 
 // readBody slurps a bounded, length-declared request body (buffered

@@ -30,7 +30,12 @@ func TestCLIFrontDoor(t *testing.T) {
 		return path
 	}
 
-	dxtText, _ := scenario.ByName("shared-file-contention-dxt").Build()
+	var dxtText []byte
+	for _, sc := range scenario.Matrix() {
+		if sc.Name == "shared-file-contention-dxt" {
+			dxtText, _ = sc.Build()
+		}
+	}
 	if out, err := exec.Command(bin, write("trace.dxt.txt", dxtText)).CombinedOutput(); err != nil || len(out) == 0 {
 		t.Errorf("DXT trace: err=%v, output %q", err, out)
 	}

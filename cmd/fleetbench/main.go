@@ -194,34 +194,26 @@ func main() {
 	}
 	wg.Wait()
 
-	// Cluster-level metrics: sums across both daemons; p95 is the worse
-	// node's (a cluster is as slow as its slowest shard).
-	var submitted, exact, coalesced, semHits, rejects int64
-	var p95 time.Duration
+	// Cluster-level metrics: both daemons' documents merged as a router
+	// merges them, so the p95 is of the pooled jobs.
+	var snaps []api.Metrics
 	for _, pool := range pools {
-		m := pool.Metrics()
-		submitted += m.Submitted
-		exact += m.CacheHits
-		coalesced += m.Coalesced
-		semHits += m.SemCacheHits
-		rejects += m.SemCacheGateRejects
-		if m.LatencyP95 > p95 {
-			p95 = m.LatencyP95
-		}
-		for model, tm := range m.Tiers {
-			rep.TierJobs[model] += tm.Jobs
-		}
+		snaps = append(snaps, pool.Metrics())
 		for _, st := range pool.StatsByModel() {
 			rep.LLMCostUSD += st.CostUSD
 		}
 	}
-	rep.Submissions = submitted
-	rep.LatencyP95Ms = float64(p95) / float64(time.Millisecond)
-	if submitted > 0 {
-		rep.ExactHitRate = float64(exact+coalesced) / float64(submitted)
-		rep.SimilarityHitRate = float64(semHits) / float64(submitted)
-		rep.GateRejectRate = float64(rejects) / float64(submitted)
-		rep.CostPerDiagnosisUSD = rep.LLMCostUSD / float64(submitted)
+	m := api.MergeMetrics(snaps)
+	for model, tm := range m.Tiers {
+		rep.TierJobs[model] = tm.Jobs
+	}
+	rep.Submissions = m.Submitted
+	rep.LatencyP95Ms = float64(m.LatencyP95) / float64(time.Millisecond)
+	if m.Submitted > 0 {
+		rep.ExactHitRate = m.HitRate
+		rep.SimilarityHitRate = float64(m.SemCacheHits) / float64(m.Submitted)
+		rep.GateRejectRate = float64(m.SemCacheGateRejects) / float64(m.Submitted)
+		rep.CostPerDiagnosisUSD = rep.LLMCostUSD / float64(m.Submitted)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -175,21 +175,8 @@ func (l *Log) ModuleList() []ModuleID {
 	return out
 }
 
-// Record finds the record of module m for the given path and rank, creating
-// it if needed. Records are keyed by (RecordID, Rank).
-func (md *ModuleData) Record(path string, rank int) *FileRecord {
-	id := HashRecordID(path)
-	for _, r := range md.Records {
-		if r.RecordID == id && r.Rank == rank {
-			return r
-		}
-	}
-	r := NewFileRecord(path, rank)
-	md.Records = append(md.Records, r)
-	return r
-}
-
-// Find returns the record for (path, rank) or nil.
+// Find returns the record for (path, rank) or nil. Records are keyed by
+// (RecordID, Rank).
 func (md *ModuleData) Find(path string, rank int) *FileRecord {
 	id := HashRecordID(path)
 	for _, r := range md.Records {

@@ -132,25 +132,25 @@ const (
 var triggers = []trigger{
 	// --- Operation mix observations (informational) -----------------------
 	{"T01-read-heavy", func(a *analysis) *Hit {
-		if a.reads > 0 && a.reads > 4*maxf(a.writes, 1) {
+		if a.reads > 0 && a.reads > 4*max(a.writes, 1) {
 			return &Hit{Severity: Info, Message: fmt.Sprintf("Application is read operation intensive (%.0f reads vs %.0f writes)", a.reads, a.writes)}
 		}
 		return nil
 	}},
 	{"T02-write-heavy", func(a *analysis) *Hit {
-		if a.writes > 0 && a.writes > 4*maxf(a.reads, 1) {
+		if a.writes > 0 && a.writes > 4*max(a.reads, 1) {
 			return &Hit{Severity: Info, Message: fmt.Sprintf("Application is write operation intensive (%.0f writes vs %.0f reads)", a.writes, a.reads)}
 		}
 		return nil
 	}},
 	{"T03-read-volume", func(a *analysis) *Hit {
-		if a.bytesRead > 4*maxf(a.bytesWritten, 1) {
+		if a.bytesRead > 4*max(a.bytesWritten, 1) {
 			return &Hit{Severity: Info, Message: fmt.Sprintf("Application is read size intensive (%.1f MB read, %.1f MB written)", a.bytesRead/1e6, a.bytesWritten/1e6)}
 		}
 		return nil
 	}},
 	{"T04-write-volume", func(a *analysis) *Hit {
-		if a.bytesWritten > 4*maxf(a.bytesRead, 1) {
+		if a.bytesWritten > 4*max(a.bytesRead, 1) {
 			return &Hit{Severity: Info, Message: fmt.Sprintf("Application is write size intensive (%.1f MB written, %.1f MB read)", a.bytesWritten/1e6, a.bytesRead/1e6)}
 		}
 		return nil
@@ -218,7 +218,7 @@ var triggers = []trigger{
 		if n < 1 {
 			n = 1
 		}
-		if a.opens/n > thresholdManyFiles && a.metaTime/(maxf(a.metaTime+a.dataTime, 1e-9)) > 0.10 {
+		if a.opens/n > thresholdManyFiles && a.metaTime/(max(a.metaTime+a.dataTime, 1e-9)) > 0.10 {
 			return &Hit{Severity: Warn, Label: issue.HighMetadataLoad,
 				Message:        fmt.Sprintf("Application issues %.0f open operations per process (POSIX_OPENS=%.0f)", a.opens/n, a.opens),
 				Recommendation: "Consider opening files once and reusing the handles"}
@@ -524,11 +524,4 @@ func (r *Result) Summary() string {
 		fmt.Fprintf(&b, "%-4s %-24s %s\n", sev, h.TriggerID, h.Message)
 	}
 	return b.String()
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

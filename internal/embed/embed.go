@@ -35,18 +35,6 @@ var stopwords = map[string]bool{
 	"into": true, "over": true, "per": true, "we": true, "our": true,
 }
 
-// Tokenize lower-cases text and splits it into alphanumeric terms, dropping
-// stopwords and bare numbers (numeric values are trace-specific and would
-// pollute topical similarity).
-func Tokenize(text string) []string {
-	var tokens []string
-	tk := tokenizer{text: text}
-	for tk.next() {
-		tokens = append(tokens, string(tk.buf[tk.start:tk.end]))
-	}
-	return tokens
-}
-
 // FNV-64a, the term hash.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -56,7 +44,7 @@ const (
 // maxStopword is the byte length of the longest stopword.
 const maxStopword = 5
 
-// tokenizer is the one tokenizer behind Tokenize and Embed: a single pass
+// tokenizer is the one tokenizer behind Embed: a single pass
 // over text that lower-cases as it goes and hashes each token while
 // reading it. Kept tokens are laid out in buf joined by '_', so the bytes
 // of token i are buf[start:end] and the bytes of the bigram term

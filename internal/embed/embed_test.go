@@ -8,8 +8,20 @@ import (
 	"testing/quick"
 )
 
+// tokenize lists the terms Embed hashes: text lower-cased and split into
+// alphanumeric terms, stopwords and bare numbers dropped (numeric values
+// are trace-specific and would pollute topical similarity).
+func tokenize(text string) []string {
+	var tokens []string
+	tk := tokenizer{text: text}
+	for tk.next() {
+		tokens = append(tokens, string(tk.buf[tk.start:tk.end]))
+	}
+	return tokens
+}
+
 func TestTokenize(t *testing.T) {
-	toks := Tokenize("The application wrote 49152 small I/O requests to /scratch!")
+	toks := tokenize("The application wrote 49152 small I/O requests to /scratch!")
 	want := map[string]bool{"application": true, "wrote": true, "small": true,
 		"i": true, "o": true, "requests": true, "scratch": true}
 	for _, tok := range toks {

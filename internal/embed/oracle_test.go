@@ -9,7 +9,7 @@ import (
 	"unicode"
 )
 
-// The oracle: Tokenize and Embed exactly as they were before the kernel
+// The oracle: tokenize and Embed exactly as they were before the kernel
 // was rebuilt (a strings.Builder per token, a map and a string per term, a
 // fresh hash.Hash64 per term), kept verbatim so the kernel is checked
 // against it instead of trusted. Vectors are compared with ==: Embed's
@@ -109,13 +109,13 @@ func oracleNormalize(v Vector) Vector {
 // text in any token or any bit of the vector.
 func checkAgainstOracle(t *testing.T, text string) {
 	t.Helper()
-	got, want := Tokenize(text), oracleTokenize(text)
+	got, want := tokenize(text), oracleTokenize(text)
 	if len(got) != len(want) {
-		t.Fatalf("Tokenize(%q) = %q, oracle %q", text, got, want)
+		t.Fatalf("tokenize(%q) = %q, oracle %q", text, got, want)
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("Tokenize(%q)[%d] = %q, oracle %q", text, i, got[i], want[i])
+			t.Fatalf("tokenize(%q)[%d] = %q, oracle %q", text, i, got[i], want[i])
 		}
 	}
 	if gv, wv := Embed(text), oracleEmbed(text); gv != wv {

@@ -129,8 +129,14 @@ const RetryAfterHeader = "Retry-After"
 // all additive. Minor 7 added JobInfo.Text: a submission reply whose job
 // is already done carries its diagnosis, so a cache hit needs no second
 // request — additive, and clients of 1.6 servers read the diagnosis as
-// before.
-var Current = Version{Major: 1, Minor: 7}
+// before. Minor 8 added the latency histograms (Buckets) beside the
+// percentiles of Metrics, KnowledgeStatus and SchedTenant, summed across
+// nodes so a router's percentiles are of the pooled samples, and two
+// Prometheus histogram families — additive. A percentile now covers the
+// time since start, and is the upper edge of the bucket holding the
+// nearest-rank sample, capped at the maximum. A 1.7 node's percentiles
+// still merge as the largest.
+var Current = Version{Major: 1, Minor: 8}
 
 // CurrentHeader is Current in its VersionHeader form, rendered once:
 // every request the SDK sends and every response a server writes carries
@@ -433,8 +439,11 @@ type KnowledgeStatus struct {
 	RerankCalls   int64   `json:"rerank_calls"`
 	RerankErrors  int64   `json:"rerank_errors"`
 	RerankCostUSD float64 `json:"rerank_cost_usd"`
-	// RetrievalP95 is the node's 95th-percentile retrieval latency.
-	RetrievalP95 time.Duration `json:"retrieval_p95_ns"`
+	// RetrievalP95 is the node's 95th-percentile retrieval latency, read
+	// off RetrievalBuckets, which covers every retrieval since start.
+	// RetrievalBuckets added in 1.8.
+	RetrievalP95     time.Duration `json:"retrieval_p95_ns"`
+	RetrievalBuckets *Buckets      `json:"retrieval_buckets,omitempty"`
 }
 
 // KnowledgeSwapResponse is the body of a successful POST

@@ -1,9 +1,11 @@
 package api
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,7 +34,8 @@ type ModelMetrics struct {
 // from the result cache, Coalesced attached to an identical in-flight job
 // (zero LLM calls, counted whether or not that job succeeds), CacheMisses
 // ran the full pipeline; HitRate is (CacheHits+Coalesced)/Submitted.
-// Latencies cover recent successful completions (cache hits at ~0).
+// Latencies cover every successful completion since start (cache hits at
+// ~0); the percentiles are read off LatencyBuckets.
 type Metrics struct {
 	// Node is the answering daemon's -node-id (empty for an unnamed
 	// single daemon, and on a router's cluster-wide aggregate). Added
@@ -72,6 +75,10 @@ type Metrics struct {
 
 	LatencyP50 time.Duration `json:"latency_p50_ns"`
 	LatencyP95 time.Duration `json:"latency_p95_ns"`
+	// LatencyBuckets is the histogram LatencyP50 and LatencyP95 come
+	// from; a router sums it across nodes, so the cluster percentiles are
+	// of the pooled jobs. Added in 1.8.
+	LatencyBuckets *Buckets `json:"latency_buckets,omitempty"`
 
 	// Models breaks token and cost counters down per LLM model.
 	Models map[string]ModelMetrics `json:"models,omitempty"`
@@ -114,8 +121,9 @@ type Metrics struct {
 	// Sched reports the node's per-tenant fair scheduler: realized DRR
 	// dequeue shares, per-tenant queue depth and queue age, and SLO
 	// admission rejects. On a router's cluster-wide aggregate the counters
-	// are summed across reachable nodes and the age percentiles are the
-	// worst (maximum) observed on any node. Added in 1.6.
+	// and the age histograms are summed across reachable nodes, the median
+	// age is read off the summed histogram and the maximum age is the
+	// largest on any node. Added in 1.6.
 	Sched *SchedMetrics `json:"sched,omitempty"`
 }
 
@@ -152,10 +160,13 @@ type SchedTenant struct {
 	// submissions refused by SLO admission (slo_exceeded).
 	Dequeues int64 `json:"dequeues"`
 	Rejects  int64 `json:"rejects"`
-	// AgeP50 / AgeMax are queue-age percentiles over the tenant's recent
-	// dequeues: how long jobs waited between enqueue and worker pickup.
-	AgeP50 time.Duration `json:"age_p50_ns"`
-	AgeMax time.Duration `json:"age_max_ns"`
+	// AgeP50 / AgeMax are the median and maximum queue age over the
+	// tenant's dequeues since start: how long jobs waited between enqueue
+	// and worker pickup. AgeBuckets is the histogram they come from.
+	// AgeBuckets added in 1.8.
+	AgeP50     time.Duration `json:"age_p50_ns"`
+	AgeMax     time.Duration `json:"age_max_ns"`
+	AgeBuckets *Buckets      `json:"age_buckets,omitempty"`
 }
 
 // TierMetrics is one ladder model's share of fresh diagnoses and its
@@ -179,14 +190,15 @@ const MaxTenantLabels = 256
 type rule int
 
 const (
-	sum      rule = iota + 1 // counters, and gauges that add up across nodes
+	sum      rule = iota + 1 // counters, gauges that add up across nodes, histograms bucket for bucket
 	largest                  // max: the aggregate never understates a tail or a view
 	smallest                 // min: the value every node is guaranteed to have reached
 	or                       // a flag set on any node marks the aggregate
 	first                    // the first non-zero value met, in member order
+	pooled                   // a percentile read off its summed histogram (see MergeMetrics)
 )
 
-const counter, gauge = "counter", "gauge"
+const counter, gauge, histogram = "counter", "gauge", "histogram"
 
 // leaf declares one field of the document. path is the Go field path from
 // Metrics; pointer blocks and maps on the way are walked through. labels
@@ -225,12 +237,14 @@ var families = []family{
 	{"fleet_breaker_open", gauge, "1 while the transient-failure circuit breaker is failing work fast, else 0.", []leaf{{"BreakerOpen", "", or}}},
 	{"fleet_breaker_trips_total", counter, "Times the circuit breaker has tripped open.", []leaf{{"BreakerTrips", "", sum}}},
 	// Two plain gauges rather than one series with a `quantile` label:
-	// that label is reserved for TYPE summary, and these are point-in-time
-	// estimates over a sliding sample, not a true summary. largest is the
-	// worst node's percentile, not a cluster percentile; bucketed
-	// histograms would merge exactly by adding a rule here.
-	{"fleet_latency_p50_seconds", gauge, "Median submit-to-completion latency over recent successful jobs.", []leaf{{"LatencyP50", "", largest}}},
-	{"fleet_latency_p95_seconds", gauge, "95th-percentile submit-to-completion latency over recent successful jobs.", []leaf{{"LatencyP95", "", largest}}},
+	// that label is reserved for TYPE summary. Both are read off the
+	// histogram below, so a merged document's are the pooled jobs'
+	// percentiles, not the worst node's. A rate window over the histogram
+	// is the scraper's to take. The gauges' HELP lines predate 1.8 and are
+	// kept byte for byte: "recent" there now means since daemon start.
+	{"fleet_latency_p50_seconds", gauge, "Median submit-to-completion latency over recent successful jobs.", []leaf{{"LatencyP50", "", pooled}}},
+	{"fleet_latency_p95_seconds", gauge, "95th-percentile submit-to-completion latency over recent successful jobs.", []leaf{{"LatencyP95", "", pooled}}},
+	{"fleet_job_latency_seconds", histogram, "Submit-to-completion latency of successful jobs since daemon start (cache hits near 0); the le bounds are edges of the daemon's finer fixed histogram, whose buckets are at most 1/8 wide.", []leaf{{"LatencyBuckets", "", sum}}},
 	{"fleet_semcache_hits_total", counter, "Exact-cache misses served from a near-duplicate's cached diagnosis.", []leaf{{"SemCacheHits", "", sum}}},
 	{"fleet_semcache_misses_total", counter, "Exact-cache misses with no usable similarity candidate.", []leaf{{"SemCacheMisses", "", sum}}},
 	{"fleet_semcache_gate_rejects_total", counter, "Similarity candidates refused by the confidence gate.", []leaf{{"SemCacheGateRejects", "", sum}}},
@@ -247,7 +261,8 @@ var families = []family{
 	{"fleet_knowledge_rerank_calls_total", counter, "Rerank invocations between retrieval and reflection.", []leaf{{"Knowledge.RerankCalls", "", sum}}},
 	{"fleet_knowledge_rerank_errors_total", counter, "Rerank failures that fell back to vector order.", []leaf{{"Knowledge.RerankErrors", "", sum}}},
 	{"fleet_knowledge_rerank_cost_usd_total", counter, "Simulated rerank-judge spend in US dollars.", []leaf{{"Knowledge.RerankCostUSD", "", sum}}},
-	{"fleet_knowledge_retrieval_p95_seconds", gauge, "95th-percentile retrieval latency over recent knowledge queries.", []leaf{{"Knowledge.RetrievalP95", "", largest}}},
+	{"fleet_knowledge_retrieval_p95_seconds", gauge, "95th-percentile retrieval latency over recent knowledge queries.", []leaf{{"Knowledge.RetrievalP95", "", pooled}}},
+	{"fleet_knowledge_retrieval_seconds", histogram, "Knowledge retrieval latency (vector search plus rerank) since daemon start.", []leaf{{"Knowledge.RetrievalBuckets", "", sum}}},
 
 	{"fleet_handoff_roster_size", gauge, "Fleet members in this node's roster view (itself included).", []leaf{{"Handoff.RosterSize", "", largest}}},
 	{"fleet_handoff_roster_epoch", counter, "Membership-view version; increments on every observed change.", []leaf{{"Handoff.RosterEpoch", "", largest}}},
@@ -269,7 +284,9 @@ var families = []family{
 	{"fleet_sched_tenant_dequeues_total", counter, "Jobs handed to workers per tenant; inter-tenant ratios are the realized DRR shares.", []leaf{{"Sched.Tenants.Dequeues", "tenant=%q", sum}}},
 	{"fleet_sched_tenant_rejects_total", counter, "Submissions refused by SLO admission per tenant.", []leaf{{"Sched.Tenants.Rejects", "tenant=%q", sum}}},
 	{"fleet_sched_tenant_weight", gauge, "Effective DRR weight per tenant.", []leaf{{"Sched.Tenants.Weight", "tenant=%q", largest}}},
-	{"fleet_sched_tenant_queue_age_p50_seconds", gauge, "Median queue age over the tenant's recent dequeues.", []leaf{{"Sched.Tenants.AgeP50", "tenant=%q", largest}}},
+	// Queue age stays two gauges per tenant, so exposition cardinality
+	// does not grow with the histogram behind them.
+	{"fleet_sched_tenant_queue_age_p50_seconds", gauge, "Median queue age over the tenant's recent dequeues.", []leaf{{"Sched.Tenants.AgeP50", "tenant=%q", pooled}}},
 	{"fleet_sched_tenant_queue_age_max_seconds", gauge, "Maximum queue age over the tenant's recent dequeues.", []leaf{{"Sched.Tenants.AgeMax", "tenant=%q", largest}}},
 
 	{"fleet_tier_jobs_total", counter, "Fresh diagnoses produced per ladder model (escalated-past rungs included).", []leaf{{"Tiers.Jobs", "model=%q", sum}}},
@@ -282,10 +299,11 @@ var families = []family{
 	{"fleet_tenant_jobs_total", counter, "Jobs submitted per tenant (label cardinality capped server-side; the long tail aggregates under \"_other\").", []leaf{{"Tenants", "tenant=%q", sum}}},
 	{"fleet_tenant_inflight_jobs", gauge, "Jobs currently in the system per tenant (the -tenant-max-inflight quota counter).", []leaf{{"TenantsInflight", "tenant=%q", sum}}},
 
-	// Queued is exposed through its two lane series. Node and HitRate
-	// have no rule: the aggregate is no single node, and MergeMetrics
-	// recomputes the ratio from the merged counters.
-	{leaves: []leaf{{"Queued", "", sum}, {"Sched.Tenants.Class", "", first}}},
+	// Queued is exposed through its two lane series, and a tenant's age
+	// histogram through its two gauges. Node and HitRate have no rule:
+	// the aggregate is no single node, and MergeMetrics recomputes the
+	// ratio from the merged counters.
+	{leaves: []leaf{{"Queued", "", sum}, {"Sched.Tenants.Class", "", first}, {"Sched.Tenants.AgeBuckets", "", sum}}},
 }
 
 // rules indexes the table's merge rules by leaf path.
@@ -330,7 +348,10 @@ func walk(v reflect.Value, path, key string, fn func(key string, v reflect.Value
 // text/plain" — by single daemons for their own counters and by the
 // router for the cluster aggregate.
 func (m Metrics) WritePrometheus(w io.Writer) {
-	type sample struct{ key, labels, value string }
+	type sample struct {
+		key, labels string
+		v           reflect.Value
+	}
 	root := reflect.ValueOf(m)
 	for _, f := range families {
 		var samples []sample
@@ -341,7 +362,7 @@ func (m Metrics) WritePrometheus(w io.Writer) {
 				if strings.Contains(labels, "%q") {
 					labels = fmt.Sprintf(labels, key)
 				}
-				samples = append(samples, sample{key, labels, promValue(v)})
+				samples = append(samples, sample{key, labels, v})
 			})
 		}
 		if !exposed {
@@ -351,10 +372,14 @@ func (m Metrics) WritePrometheus(w io.Writer) {
 		sort.SliceStable(samples, func(i, j int) bool { return samples[i].key < samples[j].key })
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 		for _, s := range samples {
+			if f.kind == histogram {
+				s.v.Addr().Interface().(*Buckets).writeProm(w, f.name)
+				continue
+			}
 			if s.labels != "" {
 				s.labels = "{" + s.labels + "}"
 			}
-			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, s.value)
+			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, promValue(s.v))
 		}
 	}
 }
@@ -363,7 +388,7 @@ func (m Metrics) WritePrometheus(w io.Writer) {
 func promValue(v reflect.Value) string {
 	switch {
 	case v.Type() == reflect.TypeFor[time.Duration]():
-		return strconv.FormatFloat(time.Duration(v.Int()).Seconds(), 'g', -1, 64)
+		return seconds(time.Duration(v.Int()))
 	case v.Kind() == reflect.Bool:
 		if v.Bool() {
 			return "1"
@@ -383,7 +408,7 @@ func promValue(v reflect.Value) string {
 func MergeMetrics(nodes []Metrics) Metrics {
 	var agg Metrics
 	for i := range nodes {
-		mergeInto(reflect.ValueOf(&agg).Elem(), reflect.ValueOf(nodes[i]), "", i == 0)
+		mergeInto(reflect.ValueOf(&agg).Elem(), reflect.ValueOf(nodes[i]), "", i == 0, false)
 	}
 	if agg.Submitted > 0 {
 		agg.HitRate = float64(agg.CacheHits+agg.Coalesced) / float64(agg.Submitted)
@@ -394,21 +419,49 @@ func MergeMetrics(nodes []Metrics) Metrics {
 	// without bound as members are added. Re-apply the cap cluster-wide,
 	// folding the smallest counters into the same overflow bucket the
 	// nodes themselves use.
-	capTenantJobs(agg.Tenants)
+	capTenants(agg.Tenants, func(n int64) int64 { return n }, func(acc, n int64) int64 { return acc + n })
 	if agg.Sched != nil {
-		capSchedTenants(agg.Sched.Tenants)
+		capTenants(agg.Sched.Tenants, func(tm SchedTenant) int64 { return tm.Dequeues }, foldSchedTenant)
+	}
+	// A pooled percentile is read off the summed histogram. The fold left
+	// in it the largest value of the nodes that sent no histogram (api
+	// 1.7), so a mixed-version cluster never reports less than before.
+	agg.LatencyP50 = max(agg.LatencyP50, agg.LatencyBuckets.Quantile(0.50))
+	agg.LatencyP95 = max(agg.LatencyP95, agg.LatencyBuckets.Quantile(0.95))
+	if k := agg.Knowledge; k != nil {
+		k.RetrievalP95 = max(k.RetrievalP95, k.RetrievalBuckets.Quantile(0.95))
+	}
+	if agg.Sched != nil {
+		for t, row := range agg.Sched.Tenants {
+			row.AgeP50 = max(row.AgeP50, row.AgeBuckets.Quantile(0.50))
+			agg.Sched.Tenants[t] = row
+		}
 	}
 	return agg
 }
 
 // mergeInto folds src into dst, both the value at path. fresh marks a dst
 // that holds nothing yet: the first node, or a block or map entry this
-// node is the first to carry.
-func mergeInto(dst, src reflect.Value, path string, fresh bool) {
+// node is the first to carry. bare marks a src struct that has a
+// histogram field left nil, as an api 1.7 node sends it: its pooled
+// leaves fold by largest.
+func mergeInto(dst, src reflect.Value, path string, fresh, bare bool) {
+	if src.Type() == bucketsType {
+		if h := src.Interface().(*Buckets); h != nil {
+			dst.Set(reflect.ValueOf(dst.Interface().(*Buckets).Merge(h)))
+		}
+		return
+	}
 	switch src.Kind() {
 	case reflect.Struct:
+		bare = false
 		for i := 0; i < src.NumField(); i++ {
-			mergeInto(dst.Field(i), src.Field(i), strings.TrimPrefix(path+"."+src.Type().Field(i).Name, "."), fresh)
+			if f := src.Field(i); f.Type() == bucketsType && f.IsNil() {
+				bare = true
+			}
+		}
+		for i := 0; i < src.NumField(); i++ {
+			mergeInto(dst.Field(i), src.Field(i), strings.TrimPrefix(path+"."+src.Type().Field(i).Name, "."), fresh, bare)
 		}
 	case reflect.Pointer:
 		if src.IsNil() {
@@ -418,7 +471,7 @@ func mergeInto(dst, src reflect.Value, path string, fresh bool) {
 			dst.Set(reflect.New(dst.Type().Elem()))
 			fresh = true
 		}
-		mergeInto(dst.Elem(), src.Elem(), path, fresh)
+		mergeInto(dst.Elem(), src.Elem(), path, fresh, bare)
 	case reflect.Map:
 		for it := src.MapRange(); it.Next(); {
 			if dst.IsNil() {
@@ -430,7 +483,7 @@ func mergeInto(dst, src reflect.Value, path string, fresh bool) {
 			if old.IsValid() {
 				acc.Set(old)
 			}
-			mergeInto(acc, it.Value(), path, !old.IsValid())
+			mergeInto(acc, it.Value(), path, !old.IsValid(), bare)
 			dst.SetMapIndex(it.Key(), acc)
 		}
 	default:
@@ -448,6 +501,10 @@ func mergeInto(dst, src reflect.Value, path string, fresh bool) {
 			if less(dst, src) {
 				dst.Set(src)
 			}
+		case pooled:
+			if bare && less(dst, src) {
+				dst.Set(src)
+			}
 		case smallest:
 			if fresh || less(src, dst) {
 				dst.Set(src)
@@ -462,6 +519,8 @@ func mergeInto(dst, src reflect.Value, path string, fresh bool) {
 	}
 }
 
+var bucketsType = reflect.TypeFor[*Buckets]()
+
 func less(a, b reflect.Value) bool {
 	switch {
 	case a.CanInt():
@@ -472,72 +531,45 @@ func less(a, b reflect.Value) bool {
 	return a.Float() < b.Float()
 }
 
-// capTenantJobs bounds a summed tenant→count map in place: beyond the cap
-// the smallest counters (ties broken lexically, so the fold is
-// deterministic across routers) collapse into TenantOverflow.
-func capTenantJobs(tenants map[string]int64) {
-	over := overflowTenants(len(tenants), func(yield func(string, int64)) {
-		for t, n := range tenants {
-			yield(t, n)
+// capTenants bounds a summed tenant map in place: beyond the cap the
+// entries with the smallest count (ties broken lexically, so the fold is
+// deterministic across routers) fold into TenantOverflow, which itself is
+// never folded.
+func capTenants[V any](tenants map[string]V, count func(V) int64, fold func(acc, v V) V) {
+	if len(tenants) <= MaxTenantLabels {
+		return
+	}
+	keys := make([]string, 0, len(tenants))
+	for t := range tenants {
+		if t != TenantOverflow {
+			keys = append(keys, t)
 		}
+	}
+	if len(keys) <= MaxTenantLabels {
+		return
+	}
+	slices.SortFunc(keys, func(a, b string) int {
+		return cmp.Or(cmp.Compare(count(tenants[b]), count(tenants[a])), strings.Compare(a, b))
 	})
-	for _, t := range over {
-		tenants[TenantOverflow] += tenants[t]
+	for _, t := range keys[MaxTenantLabels:] {
+		tenants[TenantOverflow] = fold(tenants[TenantOverflow], tenants[t])
 		delete(tenants, t)
 	}
 }
 
-// capSchedTenants is capTenantJobs for the scheduler rows: folded rows sum
-// their counters into the overflow row (whose class/weight/age fields stay
-// zero — a synthetic bucket carries no single tenant's configuration).
-func capSchedTenants(tenants map[string]SchedTenant) {
-	over := overflowTenants(len(tenants), func(yield func(string, int64)) {
-		for t, tm := range tenants {
-			yield(t, tm.Dequeues)
-		}
-	})
-	for _, t := range over {
-		acc := tenants[TenantOverflow]
-		tm := tenants[t]
-		acc.Depth += tm.Depth
-		acc.Dequeues += tm.Dequeues
-		acc.Rejects += tm.Rejects
-		tenants[TenantOverflow] = acc
-		delete(tenants, t)
-	}
+// foldSchedTenant adds a scheduler row's counters and ages into the
+// overflow row, whose class and weight stay zero: a synthetic bucket
+// carries no single tenant's configuration.
+func foldSchedTenant(acc, tm SchedTenant) SchedTenant {
+	acc.Depth += tm.Depth
+	acc.Dequeues += tm.Dequeues
+	acc.Rejects += tm.Rejects
+	acc.AgeBuckets = acc.AgeBuckets.Merge(tm.AgeBuckets)
+	acc.AgeMax = max(acc.AgeMax, tm.AgeMax)
+	return acc
 }
 
-// overflowTenants selects which tenant labels to fold into the overflow
-// bucket: the smallest by count (ties lexically) beyond the cap. The
-// overflow key itself is never folded. n is the map's size; each collects
-// the (tenant, count) pairs.
-func overflowTenants(n int, each func(yield func(string, int64))) []string {
-	if n <= MaxTenantLabels {
-		return nil
-	}
-	type row struct {
-		tenant string
-		count  int64
-	}
-	rows := make([]row, 0, n)
-	each(func(tenant string, count int64) {
-		if tenant != TenantOverflow {
-			rows = append(rows, row{tenant, count})
-		}
-	})
-	keep := MaxTenantLabels
-	if len(rows) <= keep {
-		return nil
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].count != rows[j].count {
-			return rows[i].count > rows[j].count
-		}
-		return rows[i].tenant < rows[j].tenant
-	})
-	over := make([]string, 0, len(rows)-keep)
-	for _, r := range rows[keep:] {
-		over = append(over, r.tenant)
-	}
-	return over
+// seconds renders a duration as Prometheus seconds.
+func seconds(d time.Duration) string {
+	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
 }

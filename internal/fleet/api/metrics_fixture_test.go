@@ -112,3 +112,51 @@ func fixturePeer() Metrics {
 		},
 	}
 }
+
+// fixtureBucketsNode and fixtureBucketsPeer are fixtureNode and
+// fixturePeer as api 1.8 nodes send them: every distribution carries its
+// histogram, and each percentile is read off it.
+func fixtureBucketsNode() Metrics {
+	return withBuckets(fixtureNode(),
+		samples(time.Duration(0), 40, 1500*time.Microsecond, 55, 250*time.Millisecond, 10),
+		samples(time.Millisecond, 850, 2800*time.Microsecond, 50),
+		map[string]*Buckets{
+			"acme":         samples(5*time.Millisecond, 60, 40*time.Millisecond, 6),
+			"umbrella":     samples(900*time.Millisecond, 20, 3*time.Second, 8),
+			TenantOverflow: samples(time.Duration(0), 9),
+		})
+}
+
+func fixtureBucketsPeer() Metrics {
+	return withBuckets(fixturePeer(),
+		samples(2*time.Millisecond, 20, 90*time.Millisecond, 7),
+		samples(3100*time.Microsecond, 100),
+		map[string]*Buckets{
+			"acme":    samples(9*time.Millisecond, 4, 20*time.Millisecond, 1),
+			"initech": samples(30*time.Millisecond, 9, 60*time.Millisecond, 1),
+		})
+}
+
+// samples builds a histogram from (duration, repeat count) pairs.
+func samples(pairs ...any) *Buckets {
+	var h Histogram
+	for i := 0; i < len(pairs); i += 2 {
+		for range pairs[i+1].(int) {
+			h.Observe(pairs[i].(time.Duration))
+		}
+	}
+	return h.Snapshot()
+}
+
+func withBuckets(m Metrics, latency, retrieval *Buckets, ages map[string]*Buckets) Metrics {
+	m.LatencyBuckets = latency
+	m.LatencyP50, m.LatencyP95 = latency.Quantile(0.50), latency.Quantile(0.95)
+	m.Knowledge.RetrievalBuckets = retrieval
+	m.Knowledge.RetrievalP95 = retrieval.Quantile(0.95)
+	for tenant, b := range ages {
+		row := m.Sched.Tenants[tenant]
+		row.AgeBuckets, row.AgeP50, row.AgeMax = b, b.Quantile(0.50), b.Max
+		m.Sched.Tenants[tenant] = row
+	}
+	return m
+}

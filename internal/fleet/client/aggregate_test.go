@@ -64,24 +64,37 @@ func TestAggregateMetricsCapsTenantLabels(t *testing.T) {
 	}
 }
 
-// TestAggregateMetricsSumsSched covers the scheduler block: counters sum,
-// queue-age percentiles take the worst node, and a single FIFO or
-// admission-enforcing member marks the whole aggregate.
+// ages is a tenant row's queue-age histogram over samples, with the two
+// gauges a node reads off it.
+func ages(row api.SchedTenant, samples ...time.Duration) api.SchedTenant {
+	var h api.Histogram
+	for _, d := range samples {
+		h.Observe(d)
+	}
+	row.AgeBuckets = h.Snapshot()
+	row.AgeP50, row.AgeMax = row.AgeBuckets.Quantile(0.50), row.AgeBuckets.Max
+	return row
+}
+
+// TestAggregateMetricsSumsSched covers the scheduler block: counters and
+// queue-age histograms sum, the median age is the pooled dequeues' and the
+// maximum the largest, and a single FIFO or admission-enforcing member
+// marks the whole aggregate.
 func TestAggregateMetricsSumsSched(t *testing.T) {
+	ms := time.Millisecond
 	a := api.Metrics{Sched: &api.SchedMetrics{
 		Admission: true, Dequeues: 10, Rejects: 2,
 		Lanes: map[string]int64{"interactive": 3},
 		Tenants: map[string]api.SchedTenant{
-			"acme": {Class: "gold", Weight: 8, Depth: 1, Dequeues: 6, Rejects: 2,
-				AgeP50: 5 * time.Millisecond, AgeMax: 40 * time.Millisecond},
+			"acme": ages(api.SchedTenant{Class: "gold", Weight: 8, Depth: 1, Dequeues: 6, Rejects: 2},
+				5*ms, 5*ms, 5*ms, 5*ms, 5*ms, 40*ms),
 		},
 	}}
 	b := api.Metrics{Sched: &api.SchedMetrics{
 		FIFO: true, Dequeues: 4,
 		Lanes: map[string]int64{"interactive": 1, "batch": 2},
 		Tenants: map[string]api.SchedTenant{
-			"acme": {Weight: 1, Depth: 2, Dequeues: 4,
-				AgeP50: 9 * time.Millisecond, AgeMax: 20 * time.Millisecond},
+			"acme": ages(api.SchedTenant{Weight: 1, Depth: 2, Dequeues: 4}, 9*ms, 9*ms, 9*ms, 20*ms),
 		},
 	}}
 	c := api.Metrics{} // a node without the sched block (older minor)
@@ -107,8 +120,38 @@ func TestAggregateMetricsSumsSched(t *testing.T) {
 	if acme.Depth != 3 || acme.Dequeues != 10 || acme.Rejects != 2 {
 		t.Fatalf("acme counters = %+v", acme)
 	}
-	if acme.AgeP50 != 9*time.Millisecond || acme.AgeMax != 40*time.Millisecond {
-		t.Fatalf("acme ages = %v/%v, want worst-node 9ms/40ms", acme.AgeP50, acme.AgeMax)
+	// Pooled, the ten dequeues' median is a 5ms one; the worse node's
+	// median is 9ms.
+	if want := a.Sched.Tenants["acme"].AgeP50; acme.AgeP50 != want || acme.AgeMax != 40*ms || acme.AgeBuckets.Count() != 10 {
+		t.Fatalf("acme ages = %v/%v over %d, want the pooled %v/40ms over 10", acme.AgeP50, acme.AgeMax, acme.AgeBuckets.Count(), want)
+	}
+	if worse := b.Sched.Tenants["acme"].AgeP50; acme.AgeP50 >= worse {
+		t.Fatalf("pooled median %v is not below the worse node's %v", acme.AgeP50, worse)
+	}
+}
+
+// TestAggregateMetricsPoolsLatency: two nodes whose pooled job-latency p95
+// is not the worse node's. One slow job among ten sets the first node's
+// p95; among forty pooled jobs it is past the 95th percentile.
+func TestAggregateMetricsPoolsLatency(t *testing.T) {
+	node := func(samples ...time.Duration) api.Metrics {
+		var h api.Histogram
+		for _, d := range samples {
+			h.Observe(d)
+		}
+		b := h.Snapshot()
+		return api.Metrics{LatencyBuckets: b, LatencyP50: b.Quantile(0.50), LatencyP95: b.Quantile(0.95)}
+	}
+	var fast, slow []time.Duration
+	for range 30 {
+		fast = append(fast, 12*time.Millisecond)
+	}
+	slow = append(slow, fast[:9]...)
+	slow = append(slow, 3*time.Second)
+	a, b := node(slow...), node(fast...)
+	agg := api.MergeMetrics([]api.Metrics{a, b})
+	if worse := max(a.LatencyP95, b.LatencyP95); worse != 3*time.Second || agg.LatencyP95 >= 13*time.Millisecond || agg.LatencyP95 < 12*time.Millisecond {
+		t.Fatalf("pooled p95 = %v, want the bucket holding 12ms (the worse node's p95 is %v)", agg.LatencyP95, worse)
 	}
 }
 

@@ -154,9 +154,29 @@ func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo
 	if err != nil {
 		return api.JobInfo{}, err
 	}
+	data, err := c.fetch(ctx, http.MethodPost, path, req.Trace, nil)
+	return c.remember(decodeJob(data, err, path))
+}
+
+// decodeJob decodes a submission reply fetched from path, passing a fetch
+// error through.
+func decodeJob(data []byte, err error, path string) (api.JobInfo, error) {
 	var info api.JobInfo
-	err = c.do(ctx, http.MethodPost, path, req.Trace, &info)
-	return c.remember(info, err)
+	if err == nil {
+		err = decodeJSON(data, http.MethodPost, path, &info)
+	}
+	return info, err
+}
+
+// jobID reads only the ID of a submission reply fetched from path, which
+// is all a relay needs of it: a hit's diagnosis is not decoded and copied
+// on the way through.
+func jobID(data []byte, path string) (string, error) {
+	var job struct {
+		ID string `json:"id"`
+	}
+	err := decodeJSON(data, http.MethodPost, path, &job)
+	return job.ID, err
 }
 
 // remember keeps the diagnosis a submission reply carries — the job was

@@ -288,12 +288,8 @@ func (ms *membership) targets(digest string) []string {
 // ID carries the accepting node's prefix, which later routes Job and
 // Diagnosis calls back to it.
 func (cl *Cluster) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
-	var info api.JobInfo
 	data, err := cl.SubmitJSON(ctx, req)
-	if err == nil {
-		err = decodeJSON(data, http.MethodPost, "/v1/jobs", &info)
-	}
-	return info, err
+	return decodeJob(data, err, "/v1/jobs")
 }
 
 // SubmitJSON is Submit returning the accepting node's reply (an
@@ -315,11 +311,7 @@ func (cl *Cluster) SubmitJSON(ctx context.Context, req api.SubmitRequest) ([]byt
 		if data, err = c.fetch(ctx, http.MethodPost, path, req.Trace, nil); err != nil {
 			return "", err
 		}
-		var job struct {
-			ID string `json:"id"`
-		}
-		err = decodeJSON(data, http.MethodPost, path, &job)
-		return job.ID, err
+		return jobID(data, path)
 	}, nil)
 	return data, err
 }
@@ -576,15 +568,24 @@ func (cl *Cluster) Metrics(ctx context.Context) (api.Metrics, error) {
 // backoff matters most here: a spooled stream must not pay a known-down
 // owner's full retry schedule on every submission.
 func (cl *Cluster) SubmitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
+	data, err := cl.SubmitStreamJSON(ctx, body, opts)
+	return decodeJob(data, err, "/v1/jobs/stream")
+}
+
+// SubmitStreamJSON is SubmitStream returning the accepting node's reply
+// as the bytes it sent, as SubmitJSON does for buffered submissions.
+func (cl *Cluster) SubmitStreamJSON(ctx context.Context, body io.Reader, opts StreamOpts) ([]byte, error) {
 	ms := cl.cur.Load()
 	consumed := &countingReader{r: body}
-	var info api.JobInfo
+	var data []byte
 	err := cl.walk(ctx, ms, ms.targets(opts.Digest), "stream", func(c *Client) (_ string, err error) {
 		// consumed preserves the body's io.Seeker (when it has one), so
 		// the member client's own per-node retry budget still applies to
 		// rewindable streams.
-		info, err = c.submitStream(ctx, consumed.reader(), opts)
-		return info.ID, err
+		if data, err = c.submitStream(ctx, consumed.reader(), opts); err != nil {
+			return "", err
+		}
+		return jobID(data, "/v1/jobs/stream")
 	}, func(last error) error {
 		// A previous attempt shipped bytes; only a rewindable body can
 		// honestly be replayed at another member.
@@ -593,7 +594,7 @@ func (cl *Cluster) SubmitStream(ctx context.Context, body io.Reader, opts Stream
 		}
 		return nil
 	})
-	return info, err
+	return data, err
 }
 
 // countingReader tracks how many body bytes a stream attempt consumed,
@@ -711,13 +712,21 @@ func (cl *Cluster) UploadStatus(ctx context.Context, id string) (api.UploadInfo,
 // The returned job ID carries the same node prefix as the session, so
 // Job/Diagnosis lookups route without any extra learning.
 func (cl *Cluster) UploadComplete(ctx context.Context, id string) (api.JobInfo, error) {
-	var info api.JobInfo
-	err := cl.uploadLookup(ctx, id, func(c *Client) error {
-		var cerr error
-		info, cerr = c.uploadComplete(ctx, id)
-		return cerr
+	data, err := cl.UploadCompleteJSON(ctx, id)
+	return decodeJob(data, err, "/v1/uploads/{id}/complete")
+}
+
+// UploadCompleteJSON is UploadComplete returning the owning node's reply
+// as the bytes it sent, once it is known to be a job document.
+func (cl *Cluster) UploadCompleteJSON(ctx context.Context, id string) ([]byte, error) {
+	var data []byte
+	err := cl.uploadLookup(ctx, id, func(c *Client) (err error) {
+		if data, err = c.uploadComplete(ctx, id); err == nil {
+			_, err = jobID(data, "/v1/uploads/{id}/complete")
+		}
+		return err
 	})
-	return info, err
+	return data, err
 }
 
 // UploadAbort discards the session on its owning node.

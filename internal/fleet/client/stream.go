@@ -40,15 +40,17 @@ type StreamOpts struct {
 // transport or retryable failure is final and the caller decides whether
 // to re-produce the stream.
 func (c *Client) SubmitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
-	return c.remember(c.submitStream(ctx, body, opts))
+	data, err := c.submitStream(ctx, body, opts)
+	return c.remember(decodeJob(data, err, "/v1/jobs/stream"))
 }
 
-// submitStream is SubmitStream without remembering the reply's
-// diagnosis: Cluster forwards through it.
-func (c *Client) submitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
+// submitStream is SubmitStream returning the reply as the daemon sent it:
+// Cluster forwards through it, so a relay serves those bytes and no
+// member client remembers a diagnosis.
+func (c *Client) submitStream(ctx context.Context, body io.Reader, opts StreamOpts) ([]byte, error) {
 	path, err := submitPath("/v1/jobs/stream", opts.Lane, opts.Tenant)
 	if err != nil {
-		return api.JobInfo{}, err
+		return nil, err
 	}
 	rewind := func(last error) error { return last }
 	if seeker, ok := body.(io.Seeker); ok {
@@ -59,15 +61,15 @@ func (c *Client) submitStream(ctx context.Context, body io.Reader, opts StreamOp
 			return nil
 		}
 	}
-	var info api.JobInfo
+	var data []byte
 	err = c.retry(ctx, func() (err error) {
-		info, err = c.streamOnce(ctx, path, body, opts.Digest)
+		data, err = c.streamOnce(ctx, path, body, opts.Digest)
 		return err
 	}, rewind)
-	return info, err
+	return data, err
 }
 
-func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, digest string) (api.JobInfo, error) {
+func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, digest string) ([]byte, error) {
 	rd := body
 	var tee *digestTee
 	if digest == "" {
@@ -78,7 +80,7 @@ func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, di
 	}
 	req, err := c.newRequest(ctx, http.MethodPost, path, rd)
 	if err != nil {
-		return api.JobInfo{}, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.ContentLength = -1 // stream: chunked transfer encoding
@@ -92,17 +94,9 @@ func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, di
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return api.JobInfo{}, &transportError{err}
+		return nil, &transportError{err}
 	}
-	data, err := c.readResponse(resp)
-	if err != nil {
-		return api.JobInfo{}, err
-	}
-	var info api.JobInfo
-	if err := decodeJSON(data, http.MethodPost, path, &info); err != nil {
-		return api.JobInfo{}, err
-	}
-	return info, nil
+	return c.readResponse(resp)
 }
 
 // digestTee feeds the bytes it relays through an incremental parser and,
@@ -169,15 +163,14 @@ func (c *Client) UploadStatus(ctx context.Context, id string) (api.UploadInfo, e
 
 // UploadComplete finalizes the session into an accepted job.
 func (c *Client) UploadComplete(ctx context.Context, id string) (api.JobInfo, error) {
-	return c.remember(c.uploadComplete(ctx, id))
+	data, err := c.uploadComplete(ctx, id)
+	return c.remember(decodeJob(data, err, "/v1/uploads/{id}/complete"))
 }
 
-// uploadComplete is UploadComplete without remembering the reply's
-// diagnosis: Cluster forwards through it.
-func (c *Client) uploadComplete(ctx context.Context, id string) (api.JobInfo, error) {
-	var info api.JobInfo
-	err := c.do(ctx, http.MethodPost, "/v1/uploads/"+url.PathEscape(id)+"/complete", nil, &info)
-	return info, err
+// uploadComplete is UploadComplete returning the reply as the daemon sent
+// it, as submitStream does.
+func (c *Client) uploadComplete(ctx context.Context, id string) ([]byte, error) {
+	return c.fetch(ctx, http.MethodPost, "/v1/uploads/"+url.PathEscape(id)+"/complete", nil, nil)
 }
 
 // UploadAbort discards the session.

@@ -774,7 +774,7 @@ func (p *Pool) SubmitPreparsed(ctx context.Context, pp Preparsed, opts SubmitOpt
 		p.m.mu.Unlock()
 		now := p.cfg.now()
 		p.mu.Unlock()
-		p.m.recordLatency(0)
+		p.m.latency.Observe(0)
 		j.complete(res, nil, now)
 		p.jobWG.Done()
 		p.emit(EventSubmitted, j, nil)
@@ -1219,7 +1219,7 @@ func (p *Pool) settle(j *Job, ran bool, res *ioagent.Result, err error) {
 // returns from Wait, finds its quota already released.
 func (p *Pool) end(j *Job, res *ioagent.Result, err error, at time.Time, kind EventKind) {
 	if err == nil {
-		p.m.recordLatency(at.Sub(j.submitted))
+		p.m.latency.Observe(at.Sub(j.submitted))
 	}
 	p.m.releaseTenant(j.tenant)
 	j.complete(res, err, at)

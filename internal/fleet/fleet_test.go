@@ -102,23 +102,6 @@ func TestDigestDoesNotMutateLog(t *testing.T) {
 	}
 }
 
-func TestPercentileNearestRank(t *testing.T) {
-	samples := []time.Duration{time.Second, time.Second, 10 * time.Second}
-	if got := percentile(samples, 0.95); got != 10*time.Second {
-		t.Errorf("p95 of [1s 1s 10s] = %v, want the 10s tail sample", got)
-	}
-	if got := percentile(samples, 0.50); got != time.Second {
-		t.Errorf("p50 = %v, want 1s", got)
-	}
-	if got := percentile(nil, 0.95); got != 0 {
-		t.Errorf("empty sample p95 = %v, want 0", got)
-	}
-	one := []time.Duration{5 * time.Second}
-	if got := percentile(one, 0.01); got != 5*time.Second {
-		t.Errorf("single-sample p1 = %v, want the sample", got)
-	}
-}
-
 func TestPoolDiagnosesBatch(t *testing.T) {
 	p := New(llm.NewSim(), testConfig(4))
 	defer p.Close()

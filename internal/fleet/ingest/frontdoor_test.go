@@ -44,12 +44,20 @@ func oracleDigest(t testing.TB, l *darshan.Log) string {
 // darshan-parser text that answer matches the independent whole-body
 // darshan.ParseText.
 func FuzzParserChunking(f *testing.F) {
-	_, counterLog := scenario.ByName("shared-file-contention").Build()
+	var counterLog *darshan.Log
+	var dxtText []byte
+	for _, sc := range scenario.Matrix() {
+		switch sc.Name {
+		case "shared-file-contention":
+			_, counterLog = sc.Build()
+		case "shared-file-contention-dxt":
+			dxtText, _ = sc.Build()
+		}
+	}
 	text, err := darshan.TextString(counterLog)
 	if err != nil {
 		f.Fatal(err)
 	}
-	dxtText, _ := scenario.ByName("shared-file-contention-dxt").Build()
 	f.Add([]byte(text), uint16(1))
 	f.Add([]byte(text), uint16(7))
 	f.Add([]byte(text), uint16(4096))

@@ -126,13 +126,8 @@ type Plane struct {
 	retiredANN   atomic.Uint64
 	retiredExact atomic.Uint64
 
-	latMu  sync.Mutex
-	lat    []time.Duration
-	latIdx int
+	latency api.Histogram // retrieval latency, search plus rerank
 }
-
-// latencySampleCap bounds the retrieval-latency reservoir.
-const latencySampleCap = 1024
 
 // New builds a Plane serving Config.Seed as epoch 1.
 func New(cfg Config) *Plane {
@@ -199,7 +194,7 @@ func (p *Plane) Retrieve(query string, k int) []vectordb.Hit {
 		}
 	}
 	p.queries.Add(1)
-	p.observe(time.Since(start))
+	p.latency.Observe(time.Since(start))
 	return hits
 }
 
@@ -305,9 +300,9 @@ func (p *Plane) Doc(key string) (vectordb.Document, bool) {
 	return d, ok
 }
 
-// Metrics returns a snapshot of plane health. Query counters cover all
-// epochs served; RetrievalP95 spans vector search plus rerank over the
-// most recent retrievals.
+// Metrics returns a snapshot of plane health. Query counters and the
+// retrieval latency cover all epochs served; RetrievalP95 spans vector
+// search plus rerank.
 func (p *Plane) Metrics() api.KnowledgeStatus {
 	ep := p.cur.Load()
 	st := ep.index.Stats()
@@ -327,35 +322,9 @@ func (p *Plane) Metrics() api.KnowledgeStatus {
 	if cr, ok := p.cfg.Reranker.(interface{ CostUSD() float64 }); ok {
 		m.RerankCostUSD = cr.CostUSD()
 	}
-	m.RetrievalP95 = p.latencyP95()
+	m.RetrievalBuckets = p.latency.Snapshot()
+	m.RetrievalP95 = m.RetrievalBuckets.Quantile(0.95)
 	return m
-}
-
-func (p *Plane) observe(d time.Duration) {
-	p.latMu.Lock()
-	defer p.latMu.Unlock()
-	if len(p.lat) < latencySampleCap {
-		p.lat = append(p.lat, d)
-		return
-	}
-	p.lat[p.latIdx] = d
-	p.latIdx = (p.latIdx + 1) % latencySampleCap
-}
-
-func (p *Plane) latencyP95() time.Duration {
-	p.latMu.Lock()
-	defer p.latMu.Unlock()
-	if len(p.lat) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(p.lat))
-	copy(sorted, p.lat)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := (len(sorted)*95 + 99) / 100
-	if i > 0 {
-		i--
-	}
-	return sorted[i]
 }
 
 // State is the serializable form of a Plane: the promoted epoch plus any

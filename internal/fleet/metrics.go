@@ -2,18 +2,10 @@ package fleet
 
 import (
 	"maps"
-	"math"
-	"slices"
 	"sync"
-	"time"
 
 	"ioagent/internal/fleet/api"
 )
-
-// latencySampleCap bounds the reservoir of completed-job latencies kept for
-// percentile estimation; beyond it the buffer behaves as a ring holding the
-// most recent completions.
-const latencySampleCap = 4096
 
 // metrics is the pool's mutable counters behind api.Metrics.
 type metrics struct {
@@ -48,8 +40,9 @@ type metrics struct {
 	// deleted at zero so the map never outgrows actual concurrency.
 	tenantInflight map[string]int64
 
-	latencies []time.Duration
-	latIdx    int
+	// latency is every successful job's submit-to-done time. It takes no
+	// lock: neither a completion nor a scrape holds mu for it.
+	latency api.Histogram
 }
 
 // holdTenantLocked charges one in-flight job to the tenant. Caller holds
@@ -112,33 +105,6 @@ func (m *metrics) countTierJob(model string) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) recordLatency(d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.latencies) < latencySampleCap {
-		m.latencies = append(m.latencies, d)
-		return
-	}
-	m.latencies[m.latIdx] = d
-	m.latIdx = (m.latIdx + 1) % latencySampleCap
-}
-
-// percentile returns the p-quantile (0..1) of sorted by the nearest-rank
-// method (ceil(p*n)), which never hides the tail sample at small n.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 func (m *metrics) snapshot(workers, cacheLen int) api.Metrics {
 	m.mu.Lock()
 	s := api.Metrics{
@@ -171,17 +137,14 @@ func (m *metrics) snapshot(workers, cacheLen int) api.Metrics {
 	if len(m.tenantInflight) > 0 {
 		s.TenantsInflight = maps.Clone(m.tenantInflight)
 	}
-	// Every submit and completion takes m.mu: copy the reservoir under it,
-	// sort the copy after letting go.
-	sorted := slices.Clone(m.latencies)
 	m.mu.Unlock()
 
 	s.Queued = s.QueuedInteractive + s.QueuedBatch
 	if s.Submitted > 0 {
 		s.HitRate = float64(s.CacheHits+s.Coalesced) / float64(s.Submitted)
 	}
-	slices.Sort(sorted)
-	s.LatencyP50 = percentile(sorted, 0.50)
-	s.LatencyP95 = percentile(sorted, 0.95)
+	s.LatencyBuckets = m.latency.Snapshot()
+	s.LatencyP50 = s.LatencyBuckets.Quantile(0.50)
+	s.LatencyP95 = s.LatencyBuckets.Quantile(0.95)
 	return s
 }

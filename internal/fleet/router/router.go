@@ -240,14 +240,14 @@ func (rt *Router) Handler() http.Handler {
 					"malformed %s header (want 64 hex chars)", api.DigestHeader))
 				return
 			}
-			info, err := rt.cluster.SubmitStream(r.Context(),
+			reply, err := rt.cluster.SubmitStreamJSON(r.Context(),
 				http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody), opts)
 			if err != nil {
 				rt.writeErr(w, "stream submit", err)
 				return
 			}
 			w.Header().Set(api.DigestHeader, opts.Digest)
-			server.WriteJSON(w, http.StatusAccepted, info)
+			server.WriteRawJSON(w, http.StatusAccepted, reply)
 			return
 		}
 		rt.spoolAndRoute(w, r, opts)
@@ -306,12 +306,12 @@ func (rt *Router) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	handle("POST /v1/uploads/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		info, err := rt.cluster.UploadComplete(r.Context(), r.PathValue("id"))
+		reply, err := rt.cluster.UploadCompleteJSON(r.Context(), r.PathValue("id"))
 		if err != nil {
 			rt.writeErr(w, "complete upload", err)
 			return
 		}
-		server.WriteJSON(w, http.StatusAccepted, info)
+		server.WriteRawJSON(w, http.StatusAccepted, reply)
 	})
 	handle("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		infos, err := rt.cluster.Jobs(r.Context())
@@ -495,7 +495,7 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 	}
 	// A section of the spool is rewindable, so failover and per-node
 	// retries replay it from the start.
-	info, err := rt.cluster.SubmitStream(r.Context(), io.NewSectionReader(f, 0, n), opts)
+	reply, err := rt.cluster.SubmitStreamJSON(r.Context(), io.NewSectionReader(f, 0, n), opts)
 	if err != nil {
 		rt.writeErr(w, "stream submit (spooled)", err)
 		return
@@ -503,7 +503,7 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 	if opts.Digest != "" {
 		w.Header().Set(api.DigestHeader, opts.Digest)
 	}
-	server.WriteJSON(w, http.StatusAccepted, info)
+	server.WriteRawJSON(w, http.StatusAccepted, reply)
 }
 
 // streamOpts reads a streamed submission's or upload's placement inputs:

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -477,38 +479,70 @@ func TestRouterRelaysOwnerBytes(t *testing.T) {
 
 	// A resubmission is a cache hit, terminal on acceptance: the router's
 	// 202 body is the owner's own submit reply, which is its snapshot of
-	// the new job plus the diagnosis the job was answered with.
+	// the new job plus the diagnosis the job was answered with. That holds
+	// for every submission endpoint: buffered, streamed with a digest
+	// header, streamed and spooled, and an upload's complete.
+	checkReply := func(what string, resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hit api.JobInfo
+		if err := json.Unmarshal(reply, &hit); err != nil || resp.StatusCode != http.StatusAccepted || !hit.CacheHit {
+			t.Fatalf("%s via router = %d %q (%v), want a 202 cache hit", what, resp.StatusCode, reply, err)
+		}
+		_, _, snapshot := rawGet(t, owner.URL()+"/v1/jobs/"+hit.ID, "")
+		_, _, hitDiag := rawGet(t, owner.URL()+"/v1/jobs/"+hit.ID+"/diagnosis", "")
+		var ownerReply api.JobInfo
+		var d api.Diagnosis
+		if err := errors.Join(json.Unmarshal(snapshot, &ownerReply), json.Unmarshal(hitDiag, &d)); err != nil {
+			t.Fatal(err)
+		}
+		ownerReply.Text = d.Text
+		want, err := json.Marshal(ownerReply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(reply, want) {
+			t.Errorf("%s reply via router = %q, owner's submit reply is %q", what, reply, want)
+		}
+		if bytes.Contains(snapshot, []byte(`"text"`)) {
+			t.Errorf("owner's job snapshot carries the diagnosis: %q", snapshot)
+		}
+	}
 	resp, err := http.Post(base+"/v1/jobs", "application/octet-stream", bytes.NewReader(raw))
+	checkReply("buffered submit", resp, err)
+
+	log, err := darshan.Decode(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	digest, err := darshan.ContentDigest(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hit api.JobInfo
-	if err := json.Unmarshal(reply, &hit); err != nil || resp.StatusCode != http.StatusAccepted || !hit.CacheHit {
-		t.Fatalf("resubmit via router = %d %q (%v), want a 202 cache hit", resp.StatusCode, reply, err)
-	}
-	_, _, snapshot := rawGet(t, owner.URL()+"/v1/jobs/"+hit.ID, "")
-	_, _, hitDiag := rawGet(t, owner.URL()+"/v1/jobs/"+hit.ID+"/diagnosis", "")
-	var ownerReply api.JobInfo
-	var d api.Diagnosis
-	if err := errors.Join(json.Unmarshal(snapshot, &ownerReply), json.Unmarshal(hitDiag, &d)); err != nil {
-		t.Fatal(err)
-	}
-	ownerReply.Text = d.Text
-	want, err := json.Marshal(ownerReply)
+	req, _ := http.NewRequest(http.MethodPost, base+"/v1/jobs/stream", bytes.NewReader(raw))
+	req.Header.Set(api.DigestHeader, digest)
+	resp, err = http.DefaultClient.Do(req)
+	checkReply("stream with digest header", resp, err)
+	// No digest and a body of unknown length: the router spools it.
+	resp, err = http.Post(base+"/v1/jobs/stream", "application/octet-stream", io.MultiReader(bytes.NewReader(raw)))
+	checkReply("spooled stream", resp, err)
+
+	up, err := c.UploadOpen(ctx, client.StreamOpts{Digest: digest})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want = append(want, '\n'); !bytes.Equal(reply, want) {
-		t.Errorf("submit reply via router = %q, owner's submit reply is %q", reply, want)
+	if _, err := c.UploadAppend(ctx, up.ID, 0, raw); err != nil {
+		t.Fatal(err)
 	}
-	if bytes.Contains(snapshot, []byte(`"text"`)) {
-		t.Errorf("owner's job snapshot carries the diagnosis: %q", snapshot)
-	}
+	resp, err = http.Post(base+"/v1/uploads/"+up.ID+"/complete", "", nil)
+	checkReply("upload complete", resp, err)
 
 	status, _, body := rawGet(t, base+"/v1/jobs/zz-job-000001", "")
 	var e api.Error
@@ -640,4 +674,57 @@ func BenchmarkRouterJobRelay(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRouterMetricsPoolLatency: the router's /metrics percentiles are of
+// the jobs of every node pooled, within one histogram bucket (at most 1/8
+// wide) of the nearest-rank sample of their submit-to-done latencies.
+func TestRouterMetricsPoolLatency(t *testing.T) {
+	nodes := fleettest.StartCluster(t, "n1", "n2")
+	_, c, _ := startRouter(t, nodes)
+	ctx := context.Background()
+
+	var lat []time.Duration
+	owners := make(map[string]bool)
+	for seed := 0; seed < 16; seed++ {
+		info, err := c.Submit(ctx, api.SubmitRequest{Trace: routerTrace(t, 200+seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WaitDiagnosis(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+		if info, err = c.Job(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+		d := info.FinishedAt.Sub(info.SubmittedAt)
+		if info.CacheHit {
+			d = 0 // a hit records no latency
+		}
+		lat = append(lat, d)
+		node, _, _ := strings.Cut(info.ID, "-job-")
+		owners[node] = true
+	}
+	if len(owners) != 2 {
+		t.Fatalf("jobs landed on %v, want both nodes", owners)
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.LatencyBuckets.Count(); n != int64(len(lat)) {
+		t.Fatalf("aggregate histogram holds %d jobs, want %d", n, len(lat))
+	}
+	slices.Sort(lat)
+	for _, q := range []struct {
+		p   float64
+		got time.Duration
+	}{{0.50, m.LatencyP50}, {0.95, m.LatencyP95}} {
+		want := lat[int(math.Ceil(q.p*float64(len(lat))))-1]
+		// One bucket either way, and a microsecond for the wall clock the
+		// job record carries against the monotonic one the pool reads.
+		if q.got < want*8/9-time.Microsecond || q.got > want*81/64+time.Microsecond {
+			t.Errorf("p%v = %v, nearest-rank job latency %v (pooled over %v)", q.p*100, q.got, want, lat)
+		}
+	}
 }

@@ -6,18 +6,13 @@ import (
 	"ioagent/internal/fleet/api"
 )
 
-// ageWindow bounds the per-tenant reservoir of recent dequeue ages the
-// p50/max come from; beyond it the buffer behaves as a ring.
-const ageWindow = 128
-
 // tenantStats is the mutable per-tenant counter set. Guarded by the
 // scheduler's mu.
 type tenantStats struct {
 	depth    int64
 	dequeues int64
 	rejects  int64
-	ages     []time.Duration
-	ageIdx   int
+	ages     api.Histogram // queue age of every dequeue
 }
 
 // schedStats aggregates the per-tenant series under the label cap.
@@ -65,12 +60,7 @@ func (st *schedStats) dequeued(tenant string, age time.Duration) {
 	}
 	ts.depth--
 	ts.dequeues++
-	if len(ts.ages) < ageWindow {
-		ts.ages = append(ts.ages, age)
-		return
-	}
-	ts.ages[ts.ageIdx] = age
-	ts.ageIdx = (ts.ageIdx + 1) % ageWindow
+	ts.ages.Observe(age)
 }
 
 func (st *schedStats) rejected(tenant string) {
@@ -106,28 +96,10 @@ func (s *Scheduler[T]) Metrics() api.SchedMetrics {
 				Dequeues: ts.dequeues,
 				Rejects:  ts.rejects,
 			}
-			tm.AgeP50, tm.AgeMax = agePercentiles(ts.ages)
+			tm.AgeBuckets = ts.ages.Snapshot()
+			tm.AgeP50, tm.AgeMax = tm.AgeBuckets.Quantile(0.50), tm.AgeBuckets.Max
 			m.Tenants[tenant] = tm
 		}
 	}
 	return m
-}
-
-// agePercentiles computes the p50 and max of the (unsorted) age ring
-// without mutating it.
-func agePercentiles(ages []time.Duration) (p50, max time.Duration) {
-	n := len(ages)
-	if n == 0 {
-		return 0, 0
-	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, ages)
-	// Insertion sort: the window is ≤ ageWindow entries.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	i := (n - 1) / 2
-	return sorted[i], sorted[n-1]
 }

@@ -87,7 +87,7 @@ func Derive(log *darshan.Log) Derived {
 			fmt.Sprintf("dxteventsm%d", magnitude(float64(len(t.Events)))),
 			fmt.Sprintf("dxtburstsm%d", magnitude(float64(len(t.Bursts(0.050, 8))))),
 			fmt.Sprintf("dxtstragglerx%d", int(ratio)),
-			fmt.Sprintf("dxtreadmixp%d", int(10*float64(reads)/float64(maxInt(len(t.Events), 1)))))
+			fmt.Sprintf("dxtreadmixp%d", int(10*float64(reads)/float64(max(len(t.Events), 1)))))
 	}
 
 	// Module mix, in canonical module order.
@@ -149,13 +149,6 @@ func modalityToken(c *darshan.Log) string {
 	return "modalitydarshan"
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // counterToken renders one summed counter as a single embeddable token,
 // e.g. "posixposixwritesm4" for ~10^4 POSIX_WRITES.
 func counterToken(module, counter string, sum float64) string {
@@ -177,7 +170,7 @@ func magnitude(v float64) int {
 }
 
 // sanitize lowercases s and strips everything but letters and digits so the
-// result survives embed.Tokenize as one token.
+// result survives the embedding tokenizer as one token.
 func sanitize(s string) string {
 	var b strings.Builder
 	for _, r := range strings.ToLower(s) {

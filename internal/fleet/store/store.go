@@ -409,14 +409,6 @@ func (s *Store) cover(rec record) {
 	}
 }
 
-// pendingCount returns the number of journaled jobs not yet covered by a
-// terminal record.
-func (s *Store) pendingCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pendingRaw)
-}
-
 // Checkpoint persists a consistent cut of pool state: the result cache is
 // snapshotted (if it changed since the last checkpoint, or force is set)
 // and the journal is compacted down to the still-pending submissions.

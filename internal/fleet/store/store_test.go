@@ -668,3 +668,11 @@ func TestParseFsyncMode(t *testing.T) {
 		t.Error("OpenKnowledge accepted fsync mode \"alway\"")
 	}
 }
+
+// pendingCount returns the number of journaled jobs not yet covered by a
+// terminal record.
+func (s *Store) pendingCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pendingRaw)
+}

@@ -22,7 +22,9 @@ func problemLog() *darshan.Log {
 			f.WriteAt(rank, base+i*32768, 32768) // 32 KiB writes
 		}
 	}
-	iosim.ConfigRead(s, "/scratch/run.cfg")
+	cfg := s.Open("/scratch/run.cfg", 0, iosim.STDIO, nil) // rank 0 reads a config file
+	cfg.ReadAt(0, 0, 2048)
+	cfg.Close(0)
 	return s.Finalize()
 }
 
@@ -120,8 +122,14 @@ func TestModuleCSV(t *testing.T) {
 	if !strings.Contains(csv, "POSIX_WRITES") {
 		t.Error("CSV missing counters")
 	}
-	if got := SplitModules(log); len(got) != 4 {
-		t.Errorf("SplitModules returned %d modules, want 4", len(got))
+	var tables int
+	for _, m := range log.ModuleList() {
+		if ModuleCSV(log, m) != "" {
+			tables++
+		}
+	}
+	if tables != 4 {
+		t.Errorf("%d modules have a CSV table, want 4", tables)
 	}
 }
 
@@ -247,8 +255,8 @@ func TestChatSession(t *testing.T) {
 	if !strings.Contains(answer, "lfs setstripe") {
 		t.Errorf("answer should include a concrete striping command:\n%s", answer)
 	}
-	if len(sess.History()) != 2 {
-		t.Errorf("history = %d messages, want 2", len(sess.History()))
+	if len(sess.history) != 2 {
+		t.Errorf("history = %d messages, want 2", len(sess.history))
 	}
 }
 

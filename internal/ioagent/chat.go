@@ -44,8 +44,3 @@ func (s *Session) Ask(question string) (string, error) {
 	)
 	return resp.Content, nil
 }
-
-// History returns the conversation so far.
-func (s *Session) History() []llm.Message {
-	return append([]llm.Message(nil), s.history...)
-}

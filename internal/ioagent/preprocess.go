@@ -34,17 +34,6 @@ func ModuleCSV(log *darshan.Log, m darshan.ModuleID) string {
 	return b.String()
 }
 
-// SplitModules returns the per-module CSV tables for every populated module.
-func SplitModules(log *darshan.Log) map[darshan.ModuleID]string {
-	out := make(map[darshan.ModuleID]string)
-	for _, m := range log.ModuleList() {
-		if csv := ModuleCSV(log, m); csv != "" {
-			out[m] = csv
-		}
-	}
-	return out
-}
-
 // Fragment is one categorized JSON summary fragment (Table I cell).
 type Fragment struct {
 	Module   darshan.ModuleID

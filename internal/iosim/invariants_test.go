@@ -61,7 +61,7 @@ func TestByteConservation(t *testing.T) {
 			t.Fatalf("seed %d: totals (%d,%d), want (%d,%d)", seed, gotRead, gotWrote, read, wrote)
 		}
 		var ost int64
-		for _, b := range sim.OSTBytes() {
+		for _, b := range sim.ostBytes {
 			ost += b
 		}
 		if ost != read+wrote {

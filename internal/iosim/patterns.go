@@ -16,7 +16,7 @@ func WriteShared(s *Sim, path string, iface Iface, layout *Layout, total, xfer i
 	perRank := total / int64(n)
 	if iface == MPIColl {
 		for off := int64(0); off < perRank; off += xfer {
-			sz := min64(xfer, perRank-off)
+			sz := min(xfer, perRank-off)
 			f.CollectiveWrite(off*int64(n), sz)
 		}
 		return f
@@ -24,7 +24,7 @@ func WriteShared(s *Sim, path string, iface Iface, layout *Layout, total, xfer i
 	for rank := 0; rank < n; rank++ {
 		base := int64(rank) * perRank
 		for off := int64(0); off < perRank; off += xfer {
-			sz := min64(xfer, perRank-off)
+			sz := min(xfer, perRank-off)
 			f.WriteAt(rank, base+off, sz)
 		}
 	}
@@ -39,7 +39,7 @@ func FilePerProcessWrite(s *Sim, pathPattern string, iface Iface, layout *Layout
 	for rank := 0; rank < s.NProcs(); rank++ {
 		f := s.Open(fmt.Sprintf(pathPattern, rank), rank, iface, layout)
 		for off := int64(0); off < perRank; off += xfer {
-			f.WriteAt(rank, off, min64(xfer, perRank-off))
+			f.WriteAt(rank, off, min(xfer, perRank-off))
 		}
 		files[rank] = f
 	}
@@ -52,7 +52,7 @@ func FilePerProcessRead(s *Sim, pathPattern string, iface Iface, layout *Layout,
 	for rank := 0; rank < s.NProcs(); rank++ {
 		f := s.Open(fmt.Sprintf(pathPattern, rank), rank, iface, layout)
 		for off := int64(0); off < perRank; off += xfer {
-			f.ReadAt(rank, off, min64(xfer, perRank-off))
+			f.ReadAt(rank, off, min(xfer, perRank-off))
 		}
 		files[rank] = f
 	}
@@ -102,19 +102,4 @@ func MetadataStorm(s *Sim, dir string, filesPerRank, statsPerFile int) {
 			f.Close(rank)
 		}
 	}
-}
-
-// ConfigRead models the benign STDIO usage every job has: rank 0 reads a
-// small configuration file through the buffered layer.
-func ConfigRead(s *Sim, path string) {
-	f := s.Open(path, 0, STDIO, nil)
-	f.ReadAt(0, 0, 2048)
-	f.Close(0)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

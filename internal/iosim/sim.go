@@ -120,18 +120,6 @@ func (s *Sim) recordDXT(module string, rank int, file string, kind opKind, off, 
 // NProcs returns the number of simulated processes.
 func (s *Sim) NProcs() int { return s.cfg.NProcs }
 
-// FS returns the file-system configuration in effect.
-func (s *Sim) FS() LustreConfig { return s.cfg.FS }
-
-// OSTBytes returns a copy of the per-OST byte counters accumulated so far
-// (ground truth for server-usage tests; Darshan itself records only the OST
-// list per file).
-func (s *Sim) OSTBytes() []int64 {
-	out := make([]int64, len(s.ostBytes))
-	copy(out, s.ostBytes)
-	return out
-}
-
 // mountFor resolves the mount table entry for a path.
 func (s *Sim) mountFor(path string) darshan.Mount {
 	if strings.HasPrefix(path, s.cfg.FS.MountPoint) {

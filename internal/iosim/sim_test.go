@@ -287,7 +287,7 @@ func TestOSTByteAccounting(t *testing.T) {
 	lay := &Layout{StripeSize: 1 << 20, StripeWidth: 2, StripeOffset: 0}
 	f := s.Open("/scratch/w2.dat", 0, POSIX, lay)
 	f.WriteAt(0, 0, 4<<20) // 4 stripes alternate between OST 0 and 1
-	bytes := s.OSTBytes()
+	bytes := s.ostBytes
 	if bytes[0] != 2<<20 || bytes[1] != 2<<20 {
 		t.Errorf("OST bytes = %v, want 2MiB on OSTs 0 and 1", bytes)
 	}
@@ -337,7 +337,9 @@ func TestFinalizeLogRoundTrips(t *testing.T) {
 	s := newTestSim(4)
 	WriteShared(s, "/scratch/a.dat", MPIColl, nil, 8<<20, 1<<20)
 	FilePerProcessWrite(s, "/scratch/fpp.%d.dat", POSIX, nil, 1<<20, 1<<16)
-	ConfigRead(s, "/scratch/run.cfg")
+	cfg := s.Open("/scratch/run.cfg", 0, STDIO, nil) // rank 0 reads a config file
+	cfg.ReadAt(0, 0, 2048)
+	cfg.Close(0)
 	log := s.Finalize()
 
 	if err := log.Validate(); err != nil {

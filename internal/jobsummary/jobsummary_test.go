@@ -15,7 +15,9 @@ func testLog() *darshan.Log {
 		f.WriteAt(rank, int64(rank)*(4<<20), 4<<20)
 	}
 	f.Close()
-	iosim.ConfigRead(s, "/scratch/run.cfg")
+	cfg := s.Open("/scratch/run.cfg", 0, iosim.STDIO, nil) // rank 0 reads a config file
+	cfg.ReadAt(0, 0, 2048)
+	cfg.Close(0)
 	return s.Finalize()
 }
 

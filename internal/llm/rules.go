@@ -398,7 +398,7 @@ func (v *View) StripePicture() (largeNarrow float64, coverage float64, width, si
 		if o, hasO := fc["LUSTRE_OSTS"]; hasO {
 			totalOSTs = o
 		}
-		extent := maxf(fc["POSIX_MAX_BYTE_WRITTEN"], fc["POSIX_MAX_BYTE_READ"]) + 1
+		extent := max(fc["POSIX_MAX_BYTE_WRITTEN"], fc["POSIX_MAX_BYTE_READ"]) + 1
 		if sw <= 1 && extent > 4*fc["LUSTRE_STRIPE_SIZE"] && fc["LUSTRE_STRIPE_SIZE"] > 0 {
 			largeNarrow++
 		}
@@ -582,7 +582,7 @@ func runRules(v *View) []ruleHit {
 		case largeNarrow > 0:
 			add(issue.ServerImbalance, fmt.Sprintf(
 				"%.0f large file(s) use a stripe count of %.0f with a %.0f KiB stripe size, confining their traffic to a single storage target while %.0f OSTs are available%s",
-				largeNarrow, maxf(width, 1), size/1024, osts, accessHint))
+				largeNarrow, max(width, 1), size/1024, osts, accessHint))
 		case coverage > 0 && coverage < 0.25 && osts >= 8 && bigVolume:
 			add(issue.ServerImbalance, fmt.Sprintf(
 				"the job's files cover only %.0f%% of the %.0f available OSTs, leaving most storage servers idle", coverage*100, osts))
@@ -625,13 +625,6 @@ func labelOrder(l issue.Label) int {
 		}
 	}
 	return len(issue.All)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // matchSources selects retrieved sources relevant to a label by topic

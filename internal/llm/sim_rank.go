@@ -176,9 +176,9 @@ func utilityScore(text string) float64 {
 		advice += strings.Count(text, m)
 	}
 	var score float64
-	score += 0.20 * minf(1, float64(advice)/float64(n)) // advice per finding
-	score += 0.20 * minf(1, float64(digits)/45)         // absolute evidence depth
-	score += 0.20 * minf(1, float64(n)/4)               // issue coverage
+	score += 0.20 * min(1, float64(advice)/float64(n)) // advice per finding
+	score += 0.20 * min(1, float64(digits)/45)         // absolute evidence depth
+	score += 0.20 * min(1, float64(n)/4)               // issue coverage
 	if strings.Contains(text, "References:") {
 		score += 0.15 // grounded, citable advice
 	}
@@ -223,7 +223,7 @@ func interpretabilityScore(text string) float64 {
 	}
 	// Jargon density: raw counter names are opaque to domain scientists.
 	jargon := len(jargonRe.FindAllString(text, -1))
-	score -= minf(0.30, 3*float64(jargon)/float64(words))
+	score -= min(0.30, 3*float64(jargon)/float64(words))
 	// Explanatory evidence in full sentences (14+ words reads as a real
 	// explanation; clipped clauses do not).
 	withEvidence := 0
@@ -250,13 +250,6 @@ func interpretabilityScore(text string) float64 {
 		}
 	}
 	return clamp01(score)
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func clamp01(x float64) float64 {

@@ -27,17 +27,11 @@ func CountTokens(text string) int {
 // dropped.
 const truncMarker = "[... context truncated ...]"
 
-// TruncateMiddle enforces a context window of max tokens over text,
-// modeling the lost-in-the-middle effect: when the text exceeds the window,
-// the head and tail survive and the middle is dropped. Truncation operates
-// on whole lines. It returns the surviving text and whether truncation
-// occurred.
-func TruncateMiddle(text string, max int) (string, bool) {
-	return truncateMiddle(text, CountTokens(text), max)
-}
-
-// truncateMiddle is TruncateMiddle for a caller that has already counted
-// text's tokens.
+// truncateMiddle enforces a context window of max tokens over text, whose
+// token count the caller has already taken, modeling the lost-in-the-middle
+// effect: when the text exceeds the window, the head and tail survive and
+// the middle is dropped. Truncation operates on whole lines. It returns
+// the surviving text and whether truncation occurred.
 func truncateMiddle(text string, tokens, max int) (string, bool) {
 	if tokens <= max {
 		return text, false

@@ -137,17 +137,6 @@ func Matrix() []Scenario {
 	}
 }
 
-// ByName returns the named scenario; it panics on unknown names (the
-// matrix is a compile-time artifact, a typo is a programming error).
-func ByName(name string) Scenario {
-	for _, sc := range Matrix() {
-		if sc.Name == name {
-			return sc
-		}
-	}
-	panic("scenario: unknown scenario " + name)
-}
-
 // renderDarshan encodes the simulated log in the binary rendering.
 func renderDarshan(s *iosim.Sim) ([]byte, *darshan.Log) {
 	l := s.Finalize()

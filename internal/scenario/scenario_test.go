@@ -108,8 +108,8 @@ func TestMatrixLabels(t *testing.T) {
 // workload's data-path labels. This pins the modality contract
 // ARCHITECTURE.md layer 10 documents.
 func TestMatrixModalityContract(t *testing.T) {
-	darshanSide := ByName("metadata-storm").Expected
-	dxtSide := ByName("metadata-storm-dxt").Expected
+	darshanSide := byName(t, "metadata-storm").Expected
+	dxtSide := byName(t, "metadata-storm-dxt").Expected
 	if !darshanSide[issue.HighMetadataLoad] {
 		t.Fatal("darshan metadata storm must expect High Metadata Load")
 	}
@@ -196,6 +196,17 @@ func TestDXTRenderingCanonicalDigest(t *testing.T) {
 			}
 		})
 	}
+}
+
+func byName(t *testing.T, name string) Scenario {
+	t.Helper()
+	for _, sc := range Matrix() {
+		if sc.Name == name {
+			return sc
+		}
+	}
+	t.Fatalf("no scenario %q in the matrix", name)
+	return Scenario{}
 }
 
 func setsEqual(a, b issue.Set) bool {

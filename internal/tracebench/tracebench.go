@@ -82,12 +82,3 @@ func LabelCounts(traces []*Trace) map[issue.Label]map[string]int {
 	}
 	return out
 }
-
-// TotalIssues counts all labeled issues across the suite.
-func TotalIssues(traces []*Trace) int {
-	n := 0
-	for _, t := range traces {
-		n += len(t.Labels)
-	}
-	return n
-}

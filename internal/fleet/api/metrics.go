@@ -240,10 +240,9 @@ var families = []family{
 	// that label is reserved for TYPE summary. Both are read off the
 	// histogram below, so a merged document's are the pooled jobs'
 	// percentiles, not the worst node's. A rate window over the histogram
-	// is the scraper's to take. The gauges' HELP lines predate 1.8 and are
-	// kept byte for byte: "recent" there now means since daemon start.
-	{"fleet_latency_p50_seconds", gauge, "Median submit-to-completion latency over recent successful jobs.", []leaf{{"LatencyP50", "", pooled}}},
-	{"fleet_latency_p95_seconds", gauge, "95th-percentile submit-to-completion latency over recent successful jobs.", []leaf{{"LatencyP95", "", pooled}}},
+	// is the scraper's to take.
+	{"fleet_latency_p50_seconds", gauge, "Median submit-to-completion latency of successful jobs since daemon start.", []leaf{{"LatencyP50", "", pooled}}},
+	{"fleet_latency_p95_seconds", gauge, "95th-percentile submit-to-completion latency of successful jobs since daemon start.", []leaf{{"LatencyP95", "", pooled}}},
 	{"fleet_job_latency_seconds", histogram, "Submit-to-completion latency of successful jobs since daemon start (cache hits near 0); the le bounds are edges of the daemon's finer fixed histogram, whose buckets are at most 1/8 wide.", []leaf{{"LatencyBuckets", "", sum}}},
 	{"fleet_semcache_hits_total", counter, "Exact-cache misses served from a near-duplicate's cached diagnosis.", []leaf{{"SemCacheHits", "", sum}}},
 	{"fleet_semcache_misses_total", counter, "Exact-cache misses with no usable similarity candidate.", []leaf{{"SemCacheMisses", "", sum}}},
@@ -261,7 +260,7 @@ var families = []family{
 	{"fleet_knowledge_rerank_calls_total", counter, "Rerank invocations between retrieval and reflection.", []leaf{{"Knowledge.RerankCalls", "", sum}}},
 	{"fleet_knowledge_rerank_errors_total", counter, "Rerank failures that fell back to vector order.", []leaf{{"Knowledge.RerankErrors", "", sum}}},
 	{"fleet_knowledge_rerank_cost_usd_total", counter, "Simulated rerank-judge spend in US dollars.", []leaf{{"Knowledge.RerankCostUSD", "", sum}}},
-	{"fleet_knowledge_retrieval_p95_seconds", gauge, "95th-percentile retrieval latency over recent knowledge queries.", []leaf{{"Knowledge.RetrievalP95", "", pooled}}},
+	{"fleet_knowledge_retrieval_p95_seconds", gauge, "95th-percentile retrieval latency of knowledge queries since daemon start.", []leaf{{"Knowledge.RetrievalP95", "", pooled}}},
 	{"fleet_knowledge_retrieval_seconds", histogram, "Knowledge retrieval latency (vector search plus rerank) since daemon start.", []leaf{{"Knowledge.RetrievalBuckets", "", sum}}},
 
 	{"fleet_handoff_roster_size", gauge, "Fleet members in this node's roster view (itself included).", []leaf{{"Handoff.RosterSize", "", largest}}},
@@ -286,8 +285,8 @@ var families = []family{
 	{"fleet_sched_tenant_weight", gauge, "Effective DRR weight per tenant.", []leaf{{"Sched.Tenants.Weight", "tenant=%q", largest}}},
 	// Queue age stays two gauges per tenant, so exposition cardinality
 	// does not grow with the histogram behind them.
-	{"fleet_sched_tenant_queue_age_p50_seconds", gauge, "Median queue age over the tenant's recent dequeues.", []leaf{{"Sched.Tenants.AgeP50", "tenant=%q", pooled}}},
-	{"fleet_sched_tenant_queue_age_max_seconds", gauge, "Maximum queue age over the tenant's recent dequeues.", []leaf{{"Sched.Tenants.AgeMax", "tenant=%q", largest}}},
+	{"fleet_sched_tenant_queue_age_p50_seconds", gauge, "Median queue age of the tenant's dequeues since daemon start.", []leaf{{"Sched.Tenants.AgeP50", "tenant=%q", pooled}}},
+	{"fleet_sched_tenant_queue_age_max_seconds", gauge, "Maximum queue age of the tenant's dequeues since daemon start.", []leaf{{"Sched.Tenants.AgeMax", "tenant=%q", largest}}},
 
 	{"fleet_tier_jobs_total", counter, "Fresh diagnoses produced per ladder model (escalated-past rungs included).", []leaf{{"Tiers.Jobs", "model=%q", sum}}},
 	{"fleet_tier_cost_usd_total", counter, "Simulated API spend per ladder model in US dollars.", []leaf{{"Tiers.CostUSD", "model=%q", sum}}},

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/bufpool"
 )
 
 // Option customizes a Client.
@@ -154,29 +155,33 @@ func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo
 	if err != nil {
 		return api.JobInfo{}, err
 	}
-	data, err := c.fetch(ctx, http.MethodPost, path, req.Trace, nil)
-	return c.remember(decodeJob(data, err, path))
-}
-
-// decodeJob decodes a submission reply fetched from path, passing a fetch
-// error through.
-func decodeJob(data []byte, err error, path string) (api.JobInfo, error) {
 	var info api.JobInfo
-	if err == nil {
-		err = decodeJSON(data, http.MethodPost, path, &info)
-	}
-	return info, err
+	err = c.fetch(ctx, http.MethodPost, path, bufpool.Wrap(req.Trace), nil, decodeJob(path, &info))
+	return c.remember(info, err)
 }
 
-// jobID reads only the ID of a submission reply fetched from path, which
-// is all a relay needs of it: a hit's diagnosis is not decoded and copied
-// on the way through.
-func jobID(data []byte, path string) (string, error) {
-	var job struct {
-		ID string `json:"id"`
+// decodeJob is the use of a fetched submission reply that decodes it
+// into info, naming path on failure.
+func decodeJob(path string, info *api.JobInfo) func(reply []byte) error {
+	return func(reply []byte) error {
+		return decodeJSON(reply, http.MethodPost, path, info)
 	}
-	err := decodeJSON(data, http.MethodPost, path, &job)
-	return job.ID, err
+}
+
+// relayJob is use behind a read of only the ID of a submission reply
+// fetched from path, stored in id, which is all a relay needs of it: a
+// hit's diagnosis is not decoded and copied on the way through.
+func relayJob(path string, id *string, use func(reply []byte) error) func(reply []byte) error {
+	return func(reply []byte) error {
+		var job struct {
+			ID string `json:"id"`
+		}
+		if err := decodeJSON(reply, http.MethodPost, path, &job); err != nil {
+			return err
+		}
+		*id = job.ID
+		return use(reply)
+	}
 }
 
 // remember keeps the diagnosis a submission reply carries — the job was
@@ -301,22 +306,33 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // doHeaders is do with extra per-call request headers (empty values are
 // skipped).
 func (c *Client) doHeaders(ctx context.Context, method, path string, body []byte, headers map[string]string, out any) error {
-	data, err := c.fetch(ctx, method, path, body, headers)
-	if err != nil || out == nil {
-		return err
+	var held *bufpool.Buf
+	if body != nil {
+		held = bufpool.Wrap(body)
 	}
-	return decodeJSON(data, method, path, out)
+	return c.fetch(ctx, method, path, held, headers, func(data []byte) error {
+		if out == nil {
+			return nil
+		}
+		return decodeJSON(data, method, path, out)
+	})
 }
 
 // fetch runs one logical call with retry — build request, send, read —
-// and returns the 2xx body bytes as the server sent them.
-func (c *Client) fetch(ctx context.Context, method, path string, body []byte, headers map[string]string) ([]byte, error) {
-	var data []byte
+// and lends the 2xx body, as the server sent it, to use. The body's
+// buffer is recycled when use returns, so use must copy out whatever it
+// keeps. body, when not nil, is held by the caller for the whole call.
+func (c *Client) fetch(ctx context.Context, method, path string, body *bufpool.Buf, headers map[string]string, use func(data []byte) error) error {
+	var reply *bufpool.Buf
 	err := c.retry(ctx, func() (err error) {
-		data, err = c.once(ctx, method, path, body, headers)
+		reply, err = c.once(ctx, method, path, body, headers)
 		return err
 	}, nil)
-	return data, err
+	if err != nil {
+		return err
+	}
+	defer reply.Release()
+	return use(reply.B)
 }
 
 // retry is the SDK's one retry loop: it runs attempt until it succeeds,
@@ -369,14 +385,34 @@ func (c *Client) nextDelay(base time.Duration, err error) time.Duration {
 
 // once performs a single HTTP round trip, enforcing version compatibility
 // and mapping error bodies onto *api.Error.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, headers map[string]string) ([]byte, error) {
+//
+// A pooled body is sent as a bufpool.Body: it holds the buffer until the
+// transport closes it, which may be after the round trip returns, and
+// its Replay is the request's GetBody, so the transport's own resend and
+// a redirect read the same held bytes. Any other body is the caller's
+// memory and goes as a bytes.Reader, which net/http sends with its
+// headers in one write.
+func (c *Client) once(ctx context.Context, method, path string, body *bufpool.Buf, headers map[string]string) (*bufpool.Buf, error) {
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	var held *bufpool.Body
+	switch {
+	case body == nil:
+	case body.Pooled() && len(body.B) > 0:
+		held = body.NewBody()
+		rd = held
+	default:
+		rd = bytes.NewReader(body.B)
 	}
 	req, err := c.newRequest(ctx, method, path, rd)
 	if err != nil {
+		if held != nil {
+			held.Close()
+		}
 		return nil, err
+	}
+	if held != nil {
+		req.ContentLength = int64(len(body.B))
+		req.GetBody = held.Replay
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
@@ -412,8 +448,9 @@ const maxResponse = 64 << 20
 
 // readResponse consumes and closes the response body, enforcing the
 // version handshake and mapping error envelopes onto *api.Error. It
-// returns a 2xx body as the server sent it.
-func (c *Client) readResponse(resp *http.Response) ([]byte, error) {
+// returns a 2xx body as the server sent it, in a buffer the caller holds
+// and releases; only 2xx bodies are pooled.
+func (c *Client) readResponse(resp *http.Response) (*bufpool.Buf, error) {
 	defer resp.Body.Close()
 
 	// Version skew check before trusting any payload: an incompatible
@@ -429,11 +466,11 @@ func (c *Client) readResponse(resp *http.Response) ([]byte, error) {
 		}
 	}
 
-	data, err := readBody(resp)
-	if err != nil {
-		return nil, err
-	}
 	if resp.StatusCode >= 400 {
+		data, err := readAll(resp.Body)
+		if err != nil {
+			return nil, err
+		}
 		var outErr error
 		var apiErr api.Error
 		if json.Unmarshal(data, &apiErr) == nil && apiErr.Code != "" {
@@ -460,27 +497,38 @@ func (c *Client) readResponse(resp *http.Response) ([]byte, error) {
 		return nil, api.Errorf(api.CodeUnsupportedVersion,
 			"server sent no %s header; it does not speak the versioned fleet api", api.VersionHeader)
 	}
-	return data, nil
+	return readBody(resp)
 }
 
-// readBody reads a response body of up to maxResponse bytes. A declared
-// Content-Length sizes one exact read; a body cut short of it is a
-// transport failure, and one declared over the cap is refused unread.
-// Without a length (chunked replies) the body is read to EOF, bounded.
-func readBody(resp *http.Response) ([]byte, error) {
+// readBody reads a 2xx response body of up to maxResponse bytes. A
+// declared Content-Length sizes one exact read into a pooled buffer; a
+// body cut short of it is a transport failure, and one declared over the
+// cap is refused unread. Without a length (chunked replies) the body is
+// read to EOF, bounded, into an unpooled Buf.
+func readBody(resp *http.Response) (*bufpool.Buf, error) {
 	n := resp.ContentLength
 	if n > maxResponse {
 		return nil, fmt.Errorf("client: response too large: %d bytes declared, limit %d", n, maxResponse)
 	}
 	if n < 0 {
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
+		data, err := readAll(resp.Body)
 		if err != nil {
-			return nil, &transportError{err}
+			return nil, err
 		}
-		return data, nil
+		return bufpool.Wrap(data), nil
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, data); err != nil {
+	buf := bufpool.Get(int(n))
+	if _, err := io.ReadFull(resp.Body, buf.B); err != nil {
+		buf.Release()
+		return nil, &transportError{err}
+	}
+	return buf, nil
+}
+
+// readAll reads a body of unknown length to EOF, bounded by maxResponse.
+func readAll(body io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, maxResponse))
+	if err != nil {
 		return nil, &transportError{err}
 	}
 	return data, nil

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/bufpool"
 	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/fleet/ring"
 )
@@ -288,32 +289,35 @@ func (ms *membership) targets(digest string) []string {
 // ID carries the accepting node's prefix, which later routes Job and
 // Diagnosis calls back to it.
 func (cl *Cluster) Submit(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
-	data, err := cl.SubmitJSON(ctx, req)
-	return decodeJob(data, err, "/v1/jobs")
+	var info api.JobInfo
+	err := cl.SubmitJSON(ctx, req.Lane, req.Tenant, bufpool.Wrap(req.Trace), decodeJob("/v1/jobs", &info))
+	return info, err
 }
 
-// SubmitJSON is Submit returning the accepting node's reply (an
-// api.JobInfo document) as the bytes it sent, so a relay
-// (iofleet-router) can serve them without decoding the job, and the
-// diagnosis a hit's reply carries, only to encode them again. Of the
-// reply it reads only the job ID, to learn the node prefix.
-func (cl *Cluster) SubmitJSON(ctx context.Context, req api.SubmitRequest) ([]byte, error) {
+// SubmitJSON is Submit for a relay (iofleet-router): the trace is in
+// body, a buffer the caller holds until SubmitJSON returns, and the
+// accepting node's reply (an api.JobInfo document) is lent to use as the
+// bytes it sent, so the relay can serve them without decoding the job,
+// and the diagnosis a hit's reply carries, only to encode them again.
+// The reply is valid only until use returns. Of it SubmitJSON reads only
+// the job ID, to learn the node prefix.
+//
+// Every request body built over the trace — each retry, each failover
+// member, the transport's own resend — holds body itself until the
+// transport closes it, so the caller may release its hold as soon as
+// SubmitJSON returns, without waiting for those closes.
+func (cl *Cluster) SubmitJSON(ctx context.Context, lane api.Lane, tenant string, body *bufpool.Buf, use func(reply []byte) error) error {
 	// Validate before keying: a submission every member would refuse must
 	// not cost the front door a decode first.
-	path, err := submitPath("/v1/jobs", req.Lane, req.Tenant)
+	path, err := submitPath("/v1/jobs", lane, tenant)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ms := cl.cur.Load()
-	var data []byte
-	err = cl.walk(ctx, ms, ms.targets(cl.routeKey(req.Trace)), "submission", func(c *Client) (string, error) {
-		var err error
-		if data, err = c.fetch(ctx, http.MethodPost, path, req.Trace, nil); err != nil {
-			return "", err
-		}
-		return jobID(data, path)
+	return cl.walk(ctx, ms, ms.targets(cl.routeKey(body.B)), "submission", func(c *Client) (id string, err error) {
+		err = c.fetch(ctx, http.MethodPost, path, body, nil, relayJob(path, &id, use))
+		return id, err
 	}, nil)
-	return data, err
 }
 
 // nodeFromID extracts the node prefix a -node-id daemon bakes into its
@@ -383,58 +387,60 @@ func (cl *Cluster) memberForNode(ctx context.Context, ms *membership, node strin
 
 // lookup fetches a job-scoped resource — path suffix under
 // /v1/jobs/{id} — from the member that owns the job ID, or fans out
-// across members for IDs without a node prefix, and returns the owner's
-// reply as it sent it. An unreachable owning member maps to
+// across members for IDs without a node prefix, and lends the owner's
+// reply, as it sent it, to use (see Client.fetch). An unreachable owning member maps to
 // api.CodeJobNotFound: the job's state is gone with the node (or will
 // replay under a fresh ID when it comes back), and "not found" is the
 // code that tells callers to use the recovery path — resubmit the same
 // bytes, which is idempotent by digest.
-func (cl *Cluster) lookup(ctx context.Context, id, suffix string) ([]byte, error) {
+func (cl *Cluster) lookup(ctx context.Context, id, suffix string, use func(reply []byte) error) error {
 	path := "/v1/jobs/" + url.PathEscape(id) + suffix
 	ms := cl.cur.Load()
 	if node := nodeFromID(id); node != "" {
 		c, ok := cl.memberForNode(ctx, ms, node)
 		if !ok {
-			return nil, api.Errorf(api.CodeJobNotFound,
+			return api.Errorf(api.CodeJobNotFound,
 				"job %s belongs to node %q, which is not a reachable cluster member; resubmit the trace (idempotent)", id, node)
 		}
-		data, err := c.fetch(ctx, http.MethodGet, path, nil, nil)
+		err := c.fetch(ctx, http.MethodGet, path, nil, nil, use)
 		if err != nil && failover(err) && ctx.Err() == nil {
-			return nil, api.Errorf(api.CodeJobNotFound,
+			return api.Errorf(api.CodeJobNotFound,
 				"job %s is on node %q, which is unreachable; resubmit the trace (idempotent)", id, node)
 		}
-		return data, err
+		return err
 	}
 	// Prefix-less ID (unnamed daemon): ask everyone.
 	var lastErr error = api.Errorf(api.CodeJobNotFound, "unknown job %q on every cluster member", id)
 	for _, member := range ms.members {
-		data, err := ms.clients[member].fetch(ctx, http.MethodGet, path, nil, nil)
+		err := ms.clients[member].fetch(ctx, http.MethodGet, path, nil, nil, use)
 		if err == nil {
-			return data, nil
+			return nil
 		}
 		if api.ErrorCode(err) == api.CodeJobNotFound || failover(err) {
 			lastErr = err
 			continue
 		}
-		return nil, err
+		return err
 	}
 	if failover(lastErr) {
-		return nil, api.Errorf(api.CodeJobNotFound,
+		return api.Errorf(api.CodeJobNotFound,
 			"job %s not found on any reachable member; resubmit the trace (idempotent)", id)
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // JobJSON fetches one job's snapshot (an api.JobInfo document) from the
-// node that owns its ID, as the bytes that node sent.
-func (cl *Cluster) JobJSON(ctx context.Context, id string) ([]byte, error) {
-	return cl.lookup(ctx, id, "")
+// node that owns its ID and lends use the bytes that node sent, valid
+// only until use returns.
+func (cl *Cluster) JobJSON(ctx context.Context, id string, use func(reply []byte) error) error {
+	return cl.lookup(ctx, id, "", use)
 }
 
 // DiagnosisJSON fetches the finished report (an api.Diagnosis document)
-// from the node that owns the job, as the bytes that node sent.
-func (cl *Cluster) DiagnosisJSON(ctx context.Context, id string) ([]byte, error) {
-	return cl.lookup(ctx, id, "/diagnosis")
+// from the node that owns the job and lends use the bytes that node
+// sent, valid only until use returns.
+func (cl *Cluster) DiagnosisJSON(ctx context.Context, id string, use func(reply []byte) error) error {
+	return cl.lookup(ctx, id, "/diagnosis", use)
 }
 
 // Job fetches one job's snapshot from the node that owns its ID.
@@ -453,11 +459,9 @@ func (cl *Cluster) Diagnosis(ctx context.Context, id string) (api.Diagnosis, err
 
 // lookupInto is lookup decoded into out.
 func (cl *Cluster) lookupInto(ctx context.Context, id, suffix string, out any) error {
-	data, err := cl.lookup(ctx, id, suffix)
-	if err != nil {
-		return err
-	}
-	return decodeJSON(data, http.MethodGet, "/v1/jobs/"+id+suffix, out)
+	return cl.lookup(ctx, id, suffix, func(reply []byte) error {
+		return decodeJSON(reply, http.MethodGet, "/v1/jobs/"+id+suffix, out)
+	})
 }
 
 // fanOut calls fn once per member of one membership view concurrently and
@@ -568,24 +572,23 @@ func (cl *Cluster) Metrics(ctx context.Context) (api.Metrics, error) {
 // backoff matters most here: a spooled stream must not pay a known-down
 // owner's full retry schedule on every submission.
 func (cl *Cluster) SubmitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
-	data, err := cl.SubmitStreamJSON(ctx, body, opts)
-	return decodeJob(data, err, "/v1/jobs/stream")
+	var info api.JobInfo
+	err := cl.SubmitStreamJSON(ctx, body, opts, decodeJob("/v1/jobs/stream", &info))
+	return info, err
 }
 
-// SubmitStreamJSON is SubmitStream returning the accepting node's reply
-// as the bytes it sent, as SubmitJSON does for buffered submissions.
-func (cl *Cluster) SubmitStreamJSON(ctx context.Context, body io.Reader, opts StreamOpts) ([]byte, error) {
+// SubmitStreamJSON is SubmitStream lending the accepting node's reply,
+// as the bytes it sent, to use, as SubmitJSON does for buffered
+// submissions.
+func (cl *Cluster) SubmitStreamJSON(ctx context.Context, body io.Reader, opts StreamOpts, use func(reply []byte) error) error {
 	ms := cl.cur.Load()
 	consumed := &countingReader{r: body}
-	var data []byte
-	err := cl.walk(ctx, ms, ms.targets(opts.Digest), "stream", func(c *Client) (_ string, err error) {
+	return cl.walk(ctx, ms, ms.targets(opts.Digest), "stream", func(c *Client) (id string, err error) {
 		// consumed preserves the body's io.Seeker (when it has one), so
 		// the member client's own per-node retry budget still applies to
 		// rewindable streams.
-		if data, err = c.submitStream(ctx, consumed.reader(), opts); err != nil {
-			return "", err
-		}
-		return jobID(data, "/v1/jobs/stream")
+		err = c.submitStream(ctx, consumed.reader(), opts, relayJob("/v1/jobs/stream", &id, use))
+		return id, err
 	}, func(last error) error {
 		// A previous attempt shipped bytes; only a rewindable body can
 		// honestly be replayed at another member.
@@ -594,7 +597,6 @@ func (cl *Cluster) SubmitStreamJSON(ctx context.Context, body io.Reader, opts St
 		}
 		return nil
 	})
-	return data, err
 }
 
 // countingReader tracks how many body bytes a stream attempt consumed,
@@ -712,21 +714,18 @@ func (cl *Cluster) UploadStatus(ctx context.Context, id string) (api.UploadInfo,
 // The returned job ID carries the same node prefix as the session, so
 // Job/Diagnosis lookups route without any extra learning.
 func (cl *Cluster) UploadComplete(ctx context.Context, id string) (api.JobInfo, error) {
-	data, err := cl.UploadCompleteJSON(ctx, id)
-	return decodeJob(data, err, "/v1/uploads/{id}/complete")
+	var info api.JobInfo
+	err := cl.UploadCompleteJSON(ctx, id, decodeJob("/v1/uploads/{id}/complete", &info))
+	return info, err
 }
 
-// UploadCompleteJSON is UploadComplete returning the owning node's reply
-// as the bytes it sent, once it is known to be a job document.
-func (cl *Cluster) UploadCompleteJSON(ctx context.Context, id string) ([]byte, error) {
-	var data []byte
-	err := cl.uploadLookup(ctx, id, func(c *Client) (err error) {
-		if data, err = c.uploadComplete(ctx, id); err == nil {
-			_, err = jobID(data, "/v1/uploads/{id}/complete")
-		}
-		return err
+// UploadCompleteJSON is UploadComplete lending the owning node's reply,
+// as the bytes it sent, to use once it is known to be a job document.
+func (cl *Cluster) UploadCompleteJSON(ctx context.Context, id string, use func(reply []byte) error) error {
+	var jobID string // the session ID already routes; the job's needs no learning
+	return cl.uploadLookup(ctx, id, func(c *Client) error {
+		return c.uploadComplete(ctx, id, relayJob("/v1/uploads/{id}/complete", &jobID, use))
 	})
-	return data, err
 }
 
 // UploadAbort discards the session on its owning node.

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/bufpool"
 	"ioagent/internal/fleet/ingest"
 )
 
@@ -40,17 +41,18 @@ type StreamOpts struct {
 // transport or retryable failure is final and the caller decides whether
 // to re-produce the stream.
 func (c *Client) SubmitStream(ctx context.Context, body io.Reader, opts StreamOpts) (api.JobInfo, error) {
-	data, err := c.submitStream(ctx, body, opts)
-	return c.remember(decodeJob(data, err, "/v1/jobs/stream"))
+	var info api.JobInfo
+	err := c.submitStream(ctx, body, opts, decodeJob("/v1/jobs/stream", &info))
+	return c.remember(info, err)
 }
 
-// submitStream is SubmitStream returning the reply as the daemon sent it:
-// Cluster forwards through it, so a relay serves those bytes and no
-// member client remembers a diagnosis.
-func (c *Client) submitStream(ctx context.Context, body io.Reader, opts StreamOpts) ([]byte, error) {
+// submitStream is SubmitStream lending the reply, as the daemon sent it,
+// to use (see fetch): Cluster forwards through it, so a relay serves
+// those bytes and no member client remembers a diagnosis.
+func (c *Client) submitStream(ctx context.Context, body io.Reader, opts StreamOpts, use func(reply []byte) error) error {
 	path, err := submitPath("/v1/jobs/stream", opts.Lane, opts.Tenant)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rewind := func(last error) error { return last }
 	if seeker, ok := body.(io.Seeker); ok {
@@ -61,15 +63,19 @@ func (c *Client) submitStream(ctx context.Context, body io.Reader, opts StreamOp
 			return nil
 		}
 	}
-	var data []byte
+	var reply *bufpool.Buf
 	err = c.retry(ctx, func() (err error) {
-		data, err = c.streamOnce(ctx, path, body, opts.Digest)
+		reply, err = c.streamOnce(ctx, path, body, opts.Digest)
 		return err
 	}, rewind)
-	return data, err
+	if err != nil {
+		return err
+	}
+	defer reply.Release()
+	return use(reply.B)
 }
 
-func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, digest string) ([]byte, error) {
+func (c *Client) streamOnce(ctx context.Context, path string, body io.Reader, digest string) (*bufpool.Buf, error) {
 	rd := body
 	var tee *digestTee
 	if digest == "" {
@@ -163,14 +169,15 @@ func (c *Client) UploadStatus(ctx context.Context, id string) (api.UploadInfo, e
 
 // UploadComplete finalizes the session into an accepted job.
 func (c *Client) UploadComplete(ctx context.Context, id string) (api.JobInfo, error) {
-	data, err := c.uploadComplete(ctx, id)
-	return c.remember(decodeJob(data, err, "/v1/uploads/{id}/complete"))
+	var info api.JobInfo
+	err := c.uploadComplete(ctx, id, decodeJob("/v1/uploads/{id}/complete", &info))
+	return c.remember(info, err)
 }
 
-// uploadComplete is UploadComplete returning the reply as the daemon sent
-// it, as submitStream does.
-func (c *Client) uploadComplete(ctx context.Context, id string) ([]byte, error) {
-	return c.fetch(ctx, http.MethodPost, "/v1/uploads/"+url.PathEscape(id)+"/complete", nil, nil)
+// uploadComplete is UploadComplete lending the reply, as the daemon sent
+// it, to use, as submitStream does.
+func (c *Client) uploadComplete(ctx context.Context, id string, use func(reply []byte) error) error {
+	return c.fetch(ctx, http.MethodPost, "/v1/uploads/"+url.PathEscape(id)+"/complete", nil, nil, use)
 }
 
 // UploadAbort discards the session.

@@ -315,3 +315,37 @@ func TestLazyLogDigestSettledWhileDecoding(t *testing.T) {
 		t.Errorf("%d pipelines ran, want only the claiming primary's", m.CacheMisses)
 	}
 }
+
+// TestSubmitPreparsedDecodeBodyLifetime pins what lets a serving layer
+// recycle the body behind a Preparsed as soon as SubmitPreparsed returns:
+// Decode runs only inside SubmitPreparsed, never later from the queue or
+// a worker, whether the job runs, coalesces or hits the cache.
+func TestSubmitPreparsedDecodeBodyLifetime(t *testing.T) {
+	p := New(llm.NewSim(), testConfig(2))
+	defer p.Close()
+	ctx := context.Background()
+	var late atomic.Int64
+	for round := 0; round < 2; round++ { // first runs, then cache hits
+		for seed := 1; seed <= 3; seed++ {
+			for dup := 0; dup < 2; dup++ { // the second coalesces or hits
+				lt := newLazyTrace(t, seed)
+				decode := lt.pp.Decode
+				var returned atomic.Bool
+				lt.pp.Decode = func() (*darshan.Log, error) {
+					if returned.Load() {
+						late.Add(1)
+					}
+					return decode()
+				}
+				if _, err := p.SubmitPreparsed(ctx, lt.pp, SubmitOpts{}); err != nil {
+					t.Fatal(err)
+				}
+				returned.Store(true)
+			}
+		}
+		p.Wait()
+	}
+	if n := late.Load(); n != 0 {
+		t.Errorf("Decode ran %d times after SubmitPreparsed returned", n)
+	}
+}

@@ -58,6 +58,7 @@ import (
 
 	"ioagent/internal/darshan"
 	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/bufpool"
 	"ioagent/internal/fleet/client"
 	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/fleet/server"
@@ -216,17 +217,15 @@ func (rt *Router) Handler() http.Handler {
 			server.WriteError(w, apiErr)
 			return
 		}
+		// The forwards hold the trace themselves for as long as the
+		// transport has their bodies, so this hold ends with the handler
+		// and the reply never waits on them.
+		defer trace.Release()
 		q := r.URL.Query()
-		reply, err := rt.cluster.SubmitJSON(r.Context(), api.SubmitRequest{
-			Lane:   api.Lane(q.Get("lane")),
-			Tenant: q.Get("tenant"),
-			Trace:  trace,
-		})
+		err := rt.cluster.SubmitJSON(r.Context(), api.Lane(q.Get("lane")), q.Get("tenant"), trace, accepted(w, ""))
 		if err != nil {
 			rt.writeErr(w, "submit", err)
-			return
 		}
-		server.WriteRawJSON(w, http.StatusAccepted, reply)
 	})
 	// Streaming submission. With the api.DigestHeader header the router
 	// never reads the body at all: placement comes from the header, and
@@ -240,14 +239,11 @@ func (rt *Router) Handler() http.Handler {
 					"malformed %s header (want 64 hex chars)", api.DigestHeader))
 				return
 			}
-			reply, err := rt.cluster.SubmitStreamJSON(r.Context(),
-				http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody), opts)
+			err := rt.cluster.SubmitStreamJSON(r.Context(),
+				http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody), opts, accepted(w, opts.Digest))
 			if err != nil {
 				rt.writeErr(w, "stream submit", err)
-				return
 			}
-			w.Header().Set(api.DigestHeader, opts.Digest)
-			server.WriteRawJSON(w, http.StatusAccepted, reply)
 			return
 		}
 		rt.spoolAndRoute(w, r, opts)
@@ -282,7 +278,7 @@ func (rt *Router) Handler() http.Handler {
 			server.WriteError(w, apiErr)
 			return
 		}
-		info, err := rt.cluster.UploadAppend(r.Context(), r.PathValue("id"), offset, chunk)
+		info, err := rt.cluster.UploadAppend(r.Context(), r.PathValue("id"), offset, chunk.B)
 		if err != nil {
 			rt.writeErr(w, "append upload", err)
 			return
@@ -306,12 +302,9 @@ func (rt *Router) Handler() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	handle("POST /v1/uploads/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		reply, err := rt.cluster.UploadCompleteJSON(r.Context(), r.PathValue("id"))
-		if err != nil {
+		if err := rt.cluster.UploadCompleteJSON(r.Context(), r.PathValue("id"), accepted(w, "")); err != nil {
 			rt.writeErr(w, "complete upload", err)
-			return
 		}
-		server.WriteRawJSON(w, http.StatusAccepted, reply)
 	})
 	handle("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		infos, err := rt.cluster.Jobs(r.Context())
@@ -325,13 +318,15 @@ func (rt *Router) Handler() http.Handler {
 		server.WriteJSON(w, http.StatusOK, infos)
 	})
 	handle("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		reply, err := rt.cluster.JobJSON(r.Context(), r.PathValue("id"))
-		rt.relay(w, "job", reply, err)
+		if err := rt.cluster.JobJSON(r.Context(), r.PathValue("id"), relay(w)); err != nil {
+			rt.writeErr(w, "job", err)
+		}
 	})
 	handle("GET /v1/jobs/{id}/diagnosis", func(w http.ResponseWriter, r *http.Request) {
 		if !server.WantsText(r) {
-			reply, err := rt.cluster.DiagnosisJSON(r.Context(), r.PathValue("id"))
-			rt.relay(w, "diagnosis", reply, err)
+			if err := rt.cluster.DiagnosisJSON(r.Context(), r.PathValue("id"), relay(w)); err != nil {
+				rt.writeErr(w, "diagnosis", err)
+			}
 			return
 		}
 		diag, err := rt.cluster.Diagnosis(r.Context(), r.PathValue("id"))
@@ -347,14 +342,9 @@ func (rt *Router) Handler() http.Handler {
 	// status aggregates, and search scatter-gathers across shards. The
 	// router stays stateless: the corpus lives on the daemons.
 	handle("POST /v1/knowledge/docs", func(w http.ResponseWriter, r *http.Request) {
-		body, apiErr := readBody(w, r, rt.cfg.MaxBody)
-		if apiErr != nil {
-			server.WriteError(w, apiErr)
-			return
-		}
 		var req api.KnowledgeUpsertRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			server.WriteError(w, api.Errorf(api.CodeBadRequest, "malformed JSON body: %v", err))
+		if apiErr := readJSON(w, r, rt.cfg.MaxBody, &req); apiErr != nil {
+			server.WriteError(w, apiErr)
 			return
 		}
 		if err := rt.cluster.KnowledgeUpsert(r.Context(), req); err != nil {
@@ -385,14 +375,9 @@ func (rt *Router) Handler() http.Handler {
 		server.WriteJSON(w, http.StatusOK, ks)
 	})
 	handle("POST /v1/knowledge/search", func(w http.ResponseWriter, r *http.Request) {
-		body, apiErr := readBody(w, r, rt.cfg.MaxBody)
-		if apiErr != nil {
-			server.WriteError(w, apiErr)
-			return
-		}
 		var req api.KnowledgeSearchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			server.WriteError(w, api.Errorf(api.CodeBadRequest, "malformed JSON body: %v", err))
+		if apiErr := readJSON(w, r, rt.cfg.MaxBody, &req); apiErr != nil {
+			server.WriteError(w, apiErr)
 			return
 		}
 		resp, err := rt.cluster.KnowledgeSearch(r.Context(), req)
@@ -495,15 +480,10 @@ func (rt *Router) spoolAndRoute(w http.ResponseWriter, r *http.Request, opts cli
 	}
 	// A section of the spool is rewindable, so failover and per-node
 	// retries replay it from the start.
-	reply, err := rt.cluster.SubmitStreamJSON(r.Context(), io.NewSectionReader(f, 0, n), opts)
+	err = rt.cluster.SubmitStreamJSON(r.Context(), io.NewSectionReader(f, 0, n), opts, accepted(w, opts.Digest))
 	if err != nil {
 		rt.writeErr(w, "stream submit (spooled)", err)
-		return
 	}
-	if opts.Digest != "" {
-		w.Header().Set(api.DigestHeader, opts.Digest)
-	}
-	server.WriteRawJSON(w, http.StatusAccepted, reply)
 }
 
 // streamOpts reads a streamed submission's or upload's placement inputs:
@@ -521,24 +501,52 @@ func streamOpts(r *http.Request) client.StreamOpts {
 // readBody slurps a bounded, length-declared request body (buffered
 // submissions, knowledge documents) through the daemons' own
 // server.ReadBody, so an overrun is the same trace_too_large envelope a
-// daemon serves. Validation stays with the owning daemon (bad_trace);
-// the router only runs the front door where placement requires it
-// (Cluster.Submit's route key, spoolAndRoute).
-func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, *api.Error) {
+// daemon serves. The caller releases the buffer. Validation stays with
+// the owning daemon (bad_trace); the router only runs the front door
+// where placement requires it (Cluster.Submit's route key,
+// spoolAndRoute).
+func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) (*bufpool.Buf, *api.Error) {
 	return server.ReadBody(w, r, maxBody, r.ContentLength, "trace body", "router")
 }
 
-// relay serves a single-owner read: the owning node's JSON reply byte for
-// byte, once it is known to be one JSON document, or the failure.
-func (rt *Router) relay(w http.ResponseWriter, op string, reply []byte, err error) {
-	if err == nil && !json.Valid(reply) {
-		err = fmt.Errorf("owning node sent a reply that is not valid JSON")
+// readJSON reads a bounded JSON request body into v and releases the
+// buffer: json.Unmarshal keeps no slice of it.
+func readJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) *api.Error {
+	body, apiErr := readBody(w, r, maxBody)
+	if apiErr != nil {
+		return apiErr
 	}
-	if err != nil {
-		rt.writeErr(w, op, err)
-		return
+	defer body.Release()
+	if err := json.Unmarshal(body.B, v); err != nil {
+		return api.Errorf(api.CodeBadRequest, "malformed JSON body: %v", err)
 	}
-	server.WriteRawJSON(w, http.StatusOK, reply)
+	return nil
+}
+
+// accepted serves a submission's 202 with the accepting node's reply, as
+// the SDK lends it, byte for byte, echoing the digest that placed it
+// when there was one.
+func accepted(w http.ResponseWriter, digest string) func(reply []byte) error {
+	return func(reply []byte) error {
+		if digest != "" {
+			w.Header().Set(api.DigestHeader, digest)
+		}
+		server.WriteRawJSON(w, http.StatusAccepted, reply)
+		return nil
+	}
+}
+
+// relay serves a single-owner read with the reply the SDK lends it: the
+// owning node's JSON bytes, byte for byte, once they are known to be one
+// JSON document.
+func relay(w http.ResponseWriter) func(reply []byte) error {
+	return func(reply []byte) error {
+		if !json.Valid(reply) {
+			return errors.New("owning node sent a reply that is not valid JSON")
+		}
+		server.WriteRawJSON(w, http.StatusOK, reply)
+		return nil
+	}
 }
 
 // writeErr maps a cluster-call failure onto the wire: api errors pass

@@ -24,6 +24,7 @@ import (
 	"ioagent/internal/fleet/client"
 	"ioagent/internal/fleet/fleettest"
 	"ioagent/internal/fleet/node"
+	"ioagent/internal/fleet/server"
 	"ioagent/internal/iosim"
 	"ioagent/internal/llm"
 )
@@ -548,6 +549,98 @@ func TestRouterRelaysOwnerBytes(t *testing.T) {
 	var e api.Error
 	if err := json.Unmarshal(body, &e); err != nil || status != http.StatusNotFound || e.Code != api.CodeJobNotFound {
 		t.Errorf("unknown node prefix = %d %q, want 404 job_not_found", status, body)
+	}
+
+	// An owner whose replies carry a field this router's api.JobInfo does
+	// not know: a relay that decoded and encoded them again would drop
+	// it, and one that served a reply buffer after releasing it could
+	// serve another reply's bytes. Every submission shape relays the
+	// owner's reply byte for byte.
+	owner2 := fakeOwner(t)
+	_, _, base2 := startRouterCfg(t, []string{owner2.URL}, "", 0)
+	for _, shape := range []struct {
+		name, path string
+		header     string
+		body       io.Reader
+	}{
+		{"buffered submit", "/v1/jobs", "", bytes.NewReader(raw)},
+		{"stream with digest header", "/v1/jobs/stream", digest, bytes.NewReader(raw)},
+		{"spooled stream", "/v1/jobs/stream", "", io.MultiReader(bytes.NewReader(raw))},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, base2+shape.path, shape.body)
+		if shape.header != "" {
+			req.Header.Set(api.DigestHeader, shape.header)
+		}
+		checkFakeReply(t, shape.name, owner2.reply(shape.path))(http.DefaultClient.Do(req))
+	}
+	req, _ = http.NewRequest(http.MethodPost, base2+"/v1/uploads", nil)
+	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open upload via router = %v, %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+	req, _ = http.NewRequest(http.MethodPatch, base2+"/v1/uploads/fk-up-000001", bytes.NewReader(raw))
+	req.Header.Set(api.UploadOffsetHeader, "0")
+	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("append upload via router = %v, %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+	checkFakeReply(t, "upload complete", owner2.reply("/v1/uploads/{id}/complete"))(
+		http.Post(base2+"/v1/uploads/fk-up-000001/complete", "", nil))
+}
+
+// fakeOwnerServer is a member that accepts every submission shape with a
+// fixed reply per endpoint, each carrying a field api.JobInfo does not
+// have.
+type fakeOwnerServer struct {
+	*httptest.Server
+	replies map[string][]byte
+}
+
+func (f *fakeOwnerServer) reply(path string) []byte { return f.replies[path] }
+
+func fakeOwner(t *testing.T) *fakeOwnerServer {
+	t.Helper()
+	f := &fakeOwnerServer{replies: map[string][]byte{}}
+	for i, path := range []string{"/v1/jobs", "/v1/jobs/stream", "/v1/uploads/{id}/complete"} {
+		f.replies[path] = fmt.Appendf(nil, `{"id":"fk-job-%06d","status":"done","cache_hit":true,"text":"diagnosis %d","zz_future":{"kept":[%d,"x"]}}`+"\n", i+1, i+1, i+1)
+	}
+	mux := http.NewServeMux()
+	submit := func(path string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			server.WriteRawJSON(w, http.StatusAccepted, f.replies[path])
+		}
+	}
+	mux.HandleFunc("POST /v1/jobs", submit("/v1/jobs"))
+	mux.HandleFunc("POST /v1/jobs/stream", submit("/v1/jobs/stream"))
+	mux.HandleFunc("POST /v1/uploads/{id}/complete", submit("/v1/uploads/{id}/complete"))
+	mux.HandleFunc("POST /v1/uploads", func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSON(w, http.StatusCreated, api.UploadInfo{ID: "fk-up-000001", Lane: api.LaneInteractive})
+	})
+	mux.HandleFunc("PATCH /v1/uploads/{id}", func(w http.ResponseWriter, r *http.Request) {
+		n, _ := io.Copy(io.Discard, r.Body)
+		server.WriteJSON(w, http.StatusOK, api.UploadInfo{ID: r.PathValue("id"), Offset: n, Lane: api.LaneInteractive})
+	})
+	f.Server = httptest.NewServer(server.WithVersion("fk", mux.ServeHTTP))
+	t.Cleanup(f.Close)
+	return f
+}
+
+// checkFakeReply asserts that a submission via the router was answered
+// 202 with want, the owner's reply, byte for byte.
+func checkFakeReply(t *testing.T, what string, want []byte) func(*http.Response, error) {
+	return func(resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted || !bytes.Equal(got, want) {
+			t.Errorf("%s via router = %d %q (%v), the owner sent %q", what, resp.StatusCode, got, err, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -15,6 +16,7 @@ import (
 	"ioagent/internal/darshan"
 	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/bufpool"
 	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/fleet/store"
 	"ioagent/internal/ioagent"
@@ -152,29 +154,67 @@ func TestMemoisedBytesStillVerifyAndRefuse(t *testing.T) {
 }
 
 // TestReadBody: the one bounded read sizes its buffer from the declared
-// length, takes an undeclared (chunked) body all the same, reserves no
-// more than the bound for a length that lies, and words its refusals per
-// caller.
+// length, once, and recycles it, takes an undeclared (chunked) body all
+// the same, reserves no more than the bound for a length that lies, and
+// words its refusals per caller.
 func TestReadBody(t *testing.T) {
 	const maxBody = 1 << 20
 	payload := bytes.Repeat([]byte("x"), 300<<10)
-	read := func(body io.Reader, declared int64) ([]byte, *api.Error) {
+	readLimit := func(body io.Reader, declared, limit int64) (*bufpool.Buf, *api.Error) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", body)
-		return ReadBody(httptest.NewRecorder(), r, maxBody, declared, "upload chunk", "router")
+		return ReadBody(httptest.NewRecorder(), r, limit, declared, "upload chunk", "router")
+	}
+	read := func(body io.Reader, declared int64) ([]byte, *api.Error) {
+		buf, apiErr := readLimit(body, declared, maxBody)
+		if apiErr != nil {
+			return nil, apiErr
+		}
+		return buf.B, nil
+	}
+	// allocated is the bytes the heap handed out while f ran n times, per run.
+	allocated := func(n int, f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 	}
 
 	got, apiErr := read(bytes.NewReader(payload), int64(len(payload)))
 	if apiErr != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("declared body: %d bytes, err %v", len(got), apiErr)
 	}
-	if extra := cap(got) - len(payload); extra < 0 || extra > bytes.MinRead {
-		t.Errorf("declared body landed in a buffer of %d for %d bytes: not sized from Content-Length", cap(got), len(payload))
-	}
 	if got, apiErr = read(&slowChunkReader{data: payload, chunk: 4096}, -1); apiErr != nil || !bytes.Equal(got, payload) {
 		t.Errorf("undeclared body: %d bytes, err %v", len(got), apiErr)
 	}
 	if got, apiErr = read(bytes.NewReader(payload), 1<<40); apiErr != nil || !bytes.Equal(got, payload) || cap(got) > maxBody+bytes.MinRead {
 		t.Errorf("lying Content-Length: %d bytes in a buffer of %d, err %v; want the body, within the bound", len(got), cap(got), apiErr)
+	}
+	if !raceEnabled { // race builds drop a share of sync.Pool puts on purpose
+		// A body too large to pool lands in one buffer of its declared
+		// size, not one grown from 512 B.
+		large := bytes.Repeat([]byte("y"), 3<<20)
+		if n := allocated(3, func() {
+			buf, apiErr := readLimit(bytes.NewReader(large), int64(len(large)), 4<<20)
+			if apiErr != nil || !bytes.Equal(buf.B, large) {
+				t.Fatalf("declared large body: err %v", apiErr)
+			}
+			buf.Release()
+		}); n > uint64(len(large))*5/4 {
+			t.Errorf("a declared %d-byte body allocated %d bytes: not sized from Content-Length", len(large), n)
+		}
+		// A released buffer serves the next read.
+		if n := allocated(10, func() {
+			buf, apiErr := readLimit(bytes.NewReader(payload), int64(len(payload)), maxBody)
+			if apiErr != nil {
+				t.Fatal(apiErr)
+			}
+			buf.Release()
+		}); n > uint64(len(payload))/4 {
+			t.Errorf("a declared %d-byte body allocated %d bytes per read once warm: its buffer is not recycled", len(payload), n)
+		}
 	}
 
 	_, apiErr = read(bytes.NewReader(make([]byte, maxBody+1)), maxBody+1)
@@ -255,6 +295,55 @@ func TestResubmitAllocFence(t *testing.T) {
 	const limit = 80
 	if allocs[1] > limit {
 		t.Errorf("a resubmission allocates %.0f objects, fence is %d", allocs[1], limit)
+	}
+}
+
+// TestBufferedResubmitBytesAllocFence: what a warm hit resubmission
+// allocates does not grow with the trace. The node reads a buffered body
+// into a recycled buffer, so resubmitting a 64 KiB trace allocates at
+// most 16 KiB per submission more than resubmitting a 1 KiB one (a fresh
+// body buffer would be 64 KiB on its own).
+func TestBufferedResubmitBytesAllocFence(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds drop a share of sync.Pool puts on purpose")
+	}
+	pool := fleet.New(llm.NewSim(), fleet.Config{
+		Workers: 2,
+		Agent:   ioagent.Options{Index: knowledge.BuildIndex()},
+	})
+	t.Cleanup(pool.Close)
+	mux := NewMux(Config{Pool: pool})
+	resubmit := func(body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, r)
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("resubmit = %d %s", w.Code, w.Body)
+		}
+	}
+	var perOp [2]uint64
+	for i, files := range []int{6, 520} {
+		body := wideTrace(t, files)
+		if small, large := i == 0, i == 1; small && len(body) > 2<<10 || large && len(body) < 60<<10 {
+			t.Fatalf("trace of %d files is %d bytes, outside the sizes the fence compares", files, len(body))
+		}
+		resubmit(body) // first sight: decoded, diagnosed, remembered
+		pool.Wait()
+		for j := 0; j < 5; j++ {
+			resubmit(body) // warm the memo and the body buffers
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := 0; j < runs; j++ {
+			resubmit(body)
+		}
+		runtime.ReadMemStats(&after)
+		perOp[i] = (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%3d files, %6d wire bytes: %6d bytes allocated per hit resubmission", files, len(body), perOp[i])
+	}
+	if perOp[1] > perOp[0]+16<<10 {
+		t.Errorf("a 64 KiB trace's resubmission allocates %d bytes, a 1 KiB one's %d: more than 16 KiB apart", perOp[1], perOp[0])
 	}
 }
 

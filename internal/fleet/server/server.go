@@ -31,6 +31,7 @@ import (
 	"ioagent/internal/darshan"
 	"ioagent/internal/fleet"
 	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/bufpool"
 	"ioagent/internal/fleet/ingest"
 	"ioagent/internal/fleet/knowledge"
 	"ioagent/internal/fleet/store"
@@ -188,7 +189,12 @@ func NewMux(cfg Config) http.Handler {
 	// (header — what a router routes by), computed on the fly by the
 	// client (trailer), or left to the server; an asserted digest that
 	// does not match the parsed bytes is refused.
-	submitTrace := func(parse func(w http.ResponseWriter, r *http.Request) (fleet.Preparsed, error)) http.HandlerFunc {
+	//
+	// parse may hand back the body buffer it read the trace into; it is
+	// released once the pool has taken the submission (Preparsed.Decode
+	// runs only inside SubmitPreparsed, and a decoded log holds no slice
+	// of it).
+	submitTrace := func(parse func(w http.ResponseWriter, r *http.Request) (fleet.Preparsed, *bufpool.Buf, error)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if refuseSubmission(w, r) {
 				return
@@ -198,7 +204,8 @@ func NewMux(cfg Config) http.Handler {
 				WriteError(w, apiErr)
 				return
 			}
-			pp, err := parse(w, r)
+			pp, body, err := parse(w, r)
+			defer body.Release()
 			if err != nil {
 				if !errors.As(err, &apiErr) {
 					apiErr = ingestError(r, "submit", err, cfg.MaxBody)
@@ -223,39 +230,39 @@ func NewMux(cfg Config) http.Handler {
 	// decode them should the job have to run. An asserted digest is only
 	// ever compared against the memo's answer, never stored in it.
 	memo := ingest.NewMemo()
-	handle("POST /v1/jobs", submitTrace(func(w http.ResponseWriter, r *http.Request) (fleet.Preparsed, error) {
+	handle("POST /v1/jobs", submitTrace(func(w http.ResponseWriter, r *http.Request) (fleet.Preparsed, *bufpool.Buf, error) {
 		body, apiErr := ReadBody(w, r, cfg.MaxBody, r.ContentLength, "trace body", "server")
 		if apiErr != nil {
-			return fleet.Preparsed{}, apiErr
+			return fleet.Preparsed{}, nil, apiErr
 		}
-		trace, cd, _, err := memo.Decode(body)
+		trace, cd, _, err := memo.Decode(body.B)
 		if err != nil {
-			return fleet.Preparsed{}, err
+			return fleet.Preparsed{}, body, err
 		}
 		pp := fleet.Preparsed{Log: trace, ContentDigest: cd}
 		if trace == nil {
 			pp.Decode = func() (*darshan.Log, error) {
-				decoded, _, err := ingest.Decode(body)
+				decoded, _, err := ingest.Decode(body.B)
 				return decoded, err
 			}
 		}
-		return pp, nil
+		return pp, body, nil
 	}))
 	// Streaming submission: the body is fed to the incremental parser as
 	// it arrives — for the text renderings, pre-processing starts on the
 	// first complete line, long before the final chunk lands — and the
 	// raw bytes are never buffered.
-	handle("POST /v1/jobs/stream", submitTrace(func(w http.ResponseWriter, r *http.Request) (fleet.Preparsed, error) {
+	handle("POST /v1/jobs/stream", submitTrace(func(w http.ResponseWriter, r *http.Request) (fleet.Preparsed, *bufpool.Buf, error) {
 		if claim := r.Header.Get(api.DigestHeader); claim != "" && !darshan.ValidContentDigest(claim) {
-			return fleet.Preparsed{}, api.Errorf(api.CodeBadRequest,
+			return fleet.Preparsed{}, nil, api.Errorf(api.CodeBadRequest,
 				"malformed %s header (want 64 hex chars)", api.DigestHeader)
 		}
 		parser := ingest.NewParser(cfg.MaxBody)
 		if _, err := io.Copy(parser, r.Body); err != nil {
-			return fleet.Preparsed{}, err
+			return fleet.Preparsed{}, nil, err
 		}
 		trace, cd, err := parser.Finish()
-		return fleet.Preparsed{Log: trace, ContentDigest: cd}, err
+		return fleet.Preparsed{Log: trace, ContentDigest: cd}, nil, err
 	}))
 
 	// Resumable upload sessions: open, append chunks at asserted offsets
@@ -295,7 +302,7 @@ func NewMux(cfg Config) http.Handler {
 			WriteError(w, apiErr)
 			return
 		}
-		info, err := cfg.Uploads.Append(r.PathValue("id"), offset, chunk)
+		info, err := cfg.Uploads.Append(r.PathValue("id"), offset, chunk.B)
 		if err != nil {
 			var oe *ingest.OffsetError
 			if errors.As(err, &oe) {
@@ -687,26 +694,32 @@ func parseSubmitParams(r *http.Request) (api.Lane, string, *api.Error) {
 // "upload chunk"); owner names whose -max-body flag set the limit
 // ("server", "router").
 //
-// A positive sizeHint — the request's declared Content-Length — sizes the
-// buffer once, clamped to maxBody so a lying header reserves no more than
-// the bound, instead of growing from 512 B. Without one the body is read
-// with io.ReadAll's growth. Upload chunks pass none for now: sizing them
+// The body comes back in a bufpool.Buf held by the caller. A positive
+// sizeHint — the request's declared Content-Length — reads into a pooled
+// buffer sized once, clamped to maxBody so a lying header reserves no
+// more than the bound; the caller releases it when the body is dead (the
+// node once the pool has taken the submission, the router once its
+// forwards hold their own; see internal/fleet/bufpool). Without one the
+// body is read with io.ReadAll's growth into an unpooled Buf whose
+// Release does nothing. Upload chunks pass none for now: sizing them
 // speeds the upload path enough (~11 % on the benchmark's stream_large)
 // to run the frozen harness out of pre-generated inputs, so that half
 // waits for ROADMAP item 1.
-func ReadBody(w http.ResponseWriter, r *http.Request, maxBody, sizeHint int64, what, owner string) ([]byte, *api.Error) {
+func ReadBody(w http.ResponseWriter, r *http.Request, maxBody, sizeHint int64, what, owner string) (*bufpool.Buf, *api.Error) {
 	rd := http.MaxBytesReader(w, r.Body, maxBody)
-	var body []byte
+	var body *bufpool.Buf
 	var err error
 	if sizeHint > 0 {
-		// bytes.MinRead spare bytes let ReadFrom meet EOF without growing.
-		buf := bytes.NewBuffer(make([]byte, 0, min(sizeHint, maxBody)+bytes.MinRead))
-		_, err = buf.ReadFrom(rd)
-		body = buf.Bytes()
+		// bytes.MinRead spare bytes let the read meet EOF without growing.
+		body = bufpool.Get(int(min(sizeHint, maxBody)) + bytes.MinRead)
+		body.B, err = readAll(rd, body.B[:0])
 	} else {
-		body, err = io.ReadAll(rd)
+		var data []byte
+		data, err = io.ReadAll(rd)
+		body = bufpool.Wrap(data)
 	}
 	if err != nil {
+		body.Release()
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			return nil, api.Errorf(api.CodeTraceTooLarge,
@@ -717,6 +730,24 @@ func ReadBody(w http.ResponseWriter, r *http.Request, maxBody, sizeHint int64, w
 		return nil, api.Errorf(api.CodeBadRequest, "read %s: request aborted", what[strings.LastIndexByte(what, ' ')+1:])
 	}
 	return body, nil
+}
+
+// readAll appends rd's bytes to b until EOF, growing b only once its
+// capacity is spent.
+func readAll(rd io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // decodeJSONBody reads a size-bounded JSON request body into v, mapping

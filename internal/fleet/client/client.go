@@ -168,22 +168,6 @@ func decodeJob(path string, info *api.JobInfo) func(reply []byte) error {
 	}
 }
 
-// relayJob is use behind a read of only the ID of a submission reply
-// fetched from path, stored in id, which is all a relay needs of it: a
-// hit's diagnosis is not decoded and copied on the way through.
-func relayJob(path string, id *string, use func(reply []byte) error) func(reply []byte) error {
-	return func(reply []byte) error {
-		var job struct {
-			ID string `json:"id"`
-		}
-		if err := decodeJSON(reply, http.MethodPost, path, &job); err != nil {
-			return err
-		}
-		*id = job.ID
-		return use(reply)
-	}
-}
-
 // remember keeps the diagnosis a submission reply carries — the job was
 // done when the reply was written — for the WaitDiagnosis that usually
 // follows, and passes the reply through. A later done reply replaces it.

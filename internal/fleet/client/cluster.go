@@ -243,15 +243,16 @@ func failover(err error) bool {
 
 // walk is the cluster's one failover walk, behind SubmitJSON,
 // SubmitStream and UploadOpen. It tries targets in backoff order
-// (recently failed members last), feeds each member's endpoint window
-// with the outcome, and learns the node prefix of the ID try returns on
-// success. A non-failover error or a cancelled context ends the walk with
-// that error; a walk where every member failed over ends in node_down.
+// (recently failed members last) and feeds each member's endpoint window
+// with the outcome. try learns the node prefix of the ID member accepts
+// itself, before anyone else sees that ID. A non-failover error or a
+// cancelled context ends the walk with that error; a walk where every
+// member failed over ends in node_down.
 // rewind, when set, runs before every member after the first with the
 // previous member's error; a non-nil return ends the walk with that
 // error.
 func (cl *Cluster) walk(ctx context.Context, ms *membership, targets []string, what string,
-	try func(*Client) (id string, err error), rewind func(last error) error) error {
+	try func(c *Client, member string) error, rewind func(last error) error) error {
 	var last error
 	for i, member := range ms.orderByBackoff(targets) {
 		if i > 0 && rewind != nil {
@@ -260,10 +261,9 @@ func (cl *Cluster) walk(ctx context.Context, ms *membership, targets []string, w
 			}
 		}
 		c := ms.clients[member]
-		id, err := try(c)
+		err := try(c, member)
 		c.backoff.observe(err != nil && failover(err), time.Now())
 		if err == nil {
-			cl.learn(id, member)
 			return nil
 		}
 		if !failover(err) || ctx.Err() != nil {
@@ -314,10 +314,29 @@ func (cl *Cluster) SubmitJSON(ctx context.Context, lane api.Lane, tenant string,
 		return err
 	}
 	ms := cl.cur.Load()
-	return cl.walk(ctx, ms, ms.targets(cl.routeKey(body.B)), "submission", func(c *Client) (id string, err error) {
-		err = c.fetch(ctx, http.MethodPost, path, body, nil, relayJob(path, &id, use))
-		return id, err
+	return cl.walk(ctx, ms, ms.targets(cl.routeKey(body.B)), "submission", func(c *Client, member string) error {
+		return c.fetch(ctx, http.MethodPost, path, body, nil, cl.relayJob(path, member, use))
 	}, nil)
+}
+
+// relayJob is use behind a read of only the ID of a submission reply
+// fetched from path, which is all a relay needs of it: a hit's diagnosis
+// is not decoded and copied on the way through. The ID's node prefix is
+// learned for member, when there is one, before use sees the reply: a
+// relay that has served the ID must already route lookups for it.
+func (cl *Cluster) relayJob(path, member string, use func(reply []byte) error) func(reply []byte) error {
+	return func(reply []byte) error {
+		var job struct {
+			ID string `json:"id"`
+		}
+		if err := decodeJSON(reply, http.MethodPost, path, &job); err != nil {
+			return err
+		}
+		if member != "" {
+			cl.learn(job.ID, member)
+		}
+		return use(reply)
+	}
 }
 
 // nodeFromID extracts the node prefix a -node-id daemon bakes into its
@@ -583,12 +602,11 @@ func (cl *Cluster) SubmitStream(ctx context.Context, body io.Reader, opts Stream
 func (cl *Cluster) SubmitStreamJSON(ctx context.Context, body io.Reader, opts StreamOpts, use func(reply []byte) error) error {
 	ms := cl.cur.Load()
 	consumed := &countingReader{r: body}
-	return cl.walk(ctx, ms, ms.targets(opts.Digest), "stream", func(c *Client) (id string, err error) {
+	return cl.walk(ctx, ms, ms.targets(opts.Digest), "stream", func(c *Client, member string) error {
 		// consumed preserves the body's io.Seeker (when it has one), so
 		// the member client's own per-node retry budget still applies to
 		// rewindable streams.
-		err = c.submitStream(ctx, consumed.reader(), opts, relayJob("/v1/jobs/stream", &id, use))
-		return id, err
+		return c.submitStream(ctx, consumed.reader(), opts, cl.relayJob("/v1/jobs/stream", member, use))
 	}, func(last error) error {
 		// A previous attempt shipped bytes; only a rewindable body can
 		// honestly be replayed at another member.
@@ -659,9 +677,11 @@ func (c *countingReader) rewind() bool {
 func (cl *Cluster) UploadOpen(ctx context.Context, opts StreamOpts) (api.UploadInfo, error) {
 	ms := cl.cur.Load()
 	var info api.UploadInfo
-	err := cl.walk(ctx, ms, ms.targets(opts.Digest), "upload", func(c *Client) (_ string, err error) {
-		info, err = c.UploadOpen(ctx, opts)
-		return info.ID, err
+	err := cl.walk(ctx, ms, ms.targets(opts.Digest), "upload", func(c *Client, member string) (err error) {
+		if info, err = c.UploadOpen(ctx, opts); err == nil {
+			cl.learn(info.ID, member)
+		}
+		return err
 	}, nil)
 	return info, err
 }
@@ -722,9 +742,9 @@ func (cl *Cluster) UploadComplete(ctx context.Context, id string) (api.JobInfo, 
 // UploadCompleteJSON is UploadComplete lending the owning node's reply,
 // as the bytes it sent, to use once it is known to be a job document.
 func (cl *Cluster) UploadCompleteJSON(ctx context.Context, id string, use func(reply []byte) error) error {
-	var jobID string // the session ID already routes; the job's needs no learning
+	// The session ID already routes; the job's needs no learning.
 	return cl.uploadLookup(ctx, id, func(c *Client) error {
-		return c.uploadComplete(ctx, id, relayJob("/v1/uploads/{id}/complete", &jobID, use))
+		return c.uploadComplete(ctx, id, cl.relayJob("/v1/uploads/{id}/complete", "", use))
 	})
 }
 

@@ -120,3 +120,57 @@ func TestForwardBodyLifetimeLateClose(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// roundTripFunc is an http.RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestClusterLearnsBeforeRelay: a relay that has the accepted job's ID
+// in hand already routes lookups for it. The member cannot be probed for
+// its node id (its /metrics fails), so a lookup made from inside the
+// reply's use — before SubmitJSON returns, as a caller that got the
+// relayed reply at once would make it — finds the job only if the ID's
+// node prefix was learned before use ran.
+func TestClusterLearnsBeforeRelay(t *testing.T) {
+	const id = "n1-job-000001"
+	job := []byte(`{"id":"` + id + `","status":"done"}`)
+	transport := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.Body != nil {
+			io.Copy(io.Discard, req.Body)
+			req.Body.Close()
+		}
+		status := http.StatusOK
+		switch {
+		case req.URL.Path == "/metrics":
+			return nil, errors.New("node id probe refused")
+		case req.Method == http.MethodPost && req.URL.Path == "/v1/jobs":
+			status = http.StatusAccepted
+		case req.URL.Path != "/v1/jobs/"+id:
+			return nil, fmt.Errorf("unexpected %s %s", req.Method, req.URL.Path)
+		}
+		h := http.Header{}
+		h.Set(api.VersionHeader, api.CurrentHeader)
+		h.Set("Content-Type", "application/json")
+		return &http.Response{StatusCode: status, Header: h, Request: req,
+			Body: io.NopCloser(bytes.NewReader(job)), ContentLength: int64(len(job))}, nil
+	})
+	cl, err := client.NewCluster([]string{"http://127.0.0.1:1"},
+		client.WithHTTPClient(&http.Client{Transport: transport}), client.WithRetry(1, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	err = cl.SubmitJSON(ctx, api.LaneBatch, "acme", bufpool.Wrap([]byte("trace")), func([]byte) error {
+		return cl.JobJSON(ctx, id, func(reply []byte) error {
+			if !bytes.Equal(reply, job) {
+				return fmt.Errorf("lookup relayed %q, want %q", reply, job)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Errorf("lookup of the accepted job while its reply is relayed: %v", err)
+	}
+}

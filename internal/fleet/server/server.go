@@ -712,7 +712,9 @@ func ReadBody(w http.ResponseWriter, r *http.Request, maxBody, sizeHint int64, w
 	if sizeHint > 0 {
 		// bytes.MinRead spare bytes let the read meet EOF without growing.
 		body = bufpool.Get(int(min(sizeHint, maxBody)) + bytes.MinRead)
-		body.B, err = readAll(rd, body.B[:0])
+		buf := bytes.NewBuffer(body.B[:0])
+		_, err = buf.ReadFrom(rd)
+		body.B = buf.Bytes()
 	} else {
 		var data []byte
 		data, err = io.ReadAll(rd)
@@ -730,24 +732,6 @@ func ReadBody(w http.ResponseWriter, r *http.Request, maxBody, sizeHint int64, w
 		return nil, api.Errorf(api.CodeBadRequest, "read %s: request aborted", what[strings.LastIndexByte(what, ' ')+1:])
 	}
 	return body, nil
-}
-
-// readAll appends rd's bytes to b until EOF, growing b only once its
-// capacity is spent.
-func readAll(rd io.Reader, b []byte) ([]byte, error) {
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := rd.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-	}
 }
 
 // decodeJSONBody reads a size-bounded JSON request body into v, mapping

@@ -13,12 +13,9 @@ package bench
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"ioagent/internal/darshan"
 	"ioagent/internal/eval"
-	"ioagent/internal/fleet"
-	"ioagent/internal/fleet/store"
 	"ioagent/internal/ioagent"
 	"ioagent/internal/iosim"
 	"ioagent/internal/issue"
@@ -26,7 +23,6 @@ import (
 	"ioagent/internal/knowledge"
 	"ioagent/internal/llm"
 	"ioagent/internal/tracebench"
-	"ioagent/internal/vectordb"
 )
 
 // referenceTrace is a representative multi-issue trace (first ior-hard
@@ -459,271 +455,6 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-// fleetTraces generates the n-trace iosim batch the fleet benchmarks
-// shard across workers: distinct seeds give distinct traces (and distinct
-// cache digests), each a small-write-bound MPI job.
-func fleetTraces(n int) []*darshan.Log {
-	out := make([]*darshan.Log, n)
-	for i := range out {
-		sim := iosim.New(iosim.Config{
-			Seed: int64(i)*13 + 5, NProcs: 4, UsesMPI: true,
-			Exe: fmt.Sprintf("/apps/fleet/job%03d.ex", i),
-		})
-		f := sim.OpenShared(fmt.Sprintf("/scratch/fleet/run%03d.dat", i), iosim.POSIX, false, nil)
-		for rank := 0; rank < 4; rank++ {
-			base := int64(rank) * (1 << 20)
-			for op := int64(0); op < 16; op++ {
-				f.WriteAt(rank, base+op*16384, 16384)
-			}
-		}
-		f.Close()
-		out[i] = sim.Finalize()
-	}
-	return out
-}
-
-// fleetAPILatency is the simulated model-API round trip used by the fleet
-// benchmarks. Real diagnosis time is dominated by API latency, not local
-// compute, and this is the property the worker pool exploits: workers
-// overlap their waits, so throughput scales near-linearly until the queue
-// or the backend saturates.
-const fleetAPILatency = 15 * time.Millisecond
-
-// fleetBatch pushes every trace through a fresh pool and returns the batch
-// wall time. Caching is disabled so each run measures full pipeline work.
-func fleetBatch(b *testing.B, workers int, traces []*darshan.Log, ix *vectordb.Index) time.Duration {
-	b.Helper()
-	pool := fleet.New(llm.WithLatency(llm.NewSim(), fleetAPILatency), fleet.Config{
-		Workers:   workers,
-		CacheSize: -1,
-		Agent:     ioagent.Options{Index: ix},
-	})
-	defer pool.Close()
-	start := time.Now()
-	for _, tr := range traces {
-		if _, err := pool.Submit(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	pool.Wait()
-	elapsed := time.Since(start)
-	if m := pool.Metrics(); m.Failed != 0 {
-		b.Fatalf("%d fleet jobs failed", m.Failed)
-	}
-	return elapsed
-}
-
-// BenchmarkFleet_Throughput measures batch-diagnosis throughput of the
-// fleet pool across worker counts on a 32-trace iosim batch. The
-// traces_per_sec metric scales near-linearly with workers; the speedup_vs_1w
-// metric reports each width's advantage over the serial baseline directly
-// (8 workers is required to clear 3x).
-func BenchmarkFleet_Throughput(b *testing.B) {
-	traces := fleetTraces(32)
-	ix := knowledge.BuildIndex()
-	var serialPerBatch time.Duration // workers-1 mean batch time (runs first)
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var total time.Duration
-			for i := 0; i < b.N; i++ {
-				total += fleetBatch(b, workers, traces, ix)
-			}
-			perBatch := total / time.Duration(b.N)
-			if workers == 1 {
-				serialPerBatch = perBatch
-			}
-			b.ReportMetric(float64(len(traces)*b.N)/total.Seconds(), "traces_per_sec")
-			if workers > 1 && serialPerBatch > 0 {
-				b.ReportMetric(serialPerBatch.Seconds()/perBatch.Seconds(), "speedup_vs_1w")
-			}
-		})
-	}
-}
-
-// BenchmarkFleet_CacheHitRate submits the same 32-trace batch twice to one
-// pool: the second pass must be answered from the content-addressed result
-// cache (hit rate >= 0.9 is the acceptance bar; content addressing makes it
-// exactly 1.0) at effectively zero marginal cost.
-func BenchmarkFleet_CacheHitRate(b *testing.B) {
-	traces := fleetTraces(32)
-	ix := knowledge.BuildIndex()
-	var hitRate, speedup float64
-	for i := 0; i < b.N; i++ {
-		pool := fleet.New(llm.WithLatency(llm.NewSim(), fleetAPILatency), fleet.Config{
-			Workers: 8,
-			Agent:   ioagent.Options{Index: ix},
-		})
-		run := func() time.Duration {
-			start := time.Now()
-			for _, tr := range traces {
-				if _, err := pool.Submit(tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			pool.Wait()
-			return time.Since(start)
-		}
-		cold := run()
-		before := pool.Metrics()
-		warm := run()
-		after := pool.Metrics()
-		hitRate = float64(after.CacheHits-before.CacheHits) / float64(len(traces))
-		speedup = cold.Seconds() / warm.Seconds()
-		pool.Close()
-	}
-	b.ReportMetric(hitRate, "second_batch_hit_rate")
-	b.ReportMetric(speedup, "warm_batch_speedup")
-}
-
-// BenchmarkFleet_Retry measures the overhead the retry layer adds when the
-// backend is healthy versus transiently failing once per 1000 calls. The
-// failure window lands on a scheduling-dependent call, so the attempt
-// budget is sized to make exhaustion vanishingly unlikely.
-func BenchmarkFleet_Retry(b *testing.B) {
-	traces := fleetTraces(8)
-	ix := knowledge.BuildIndex()
-	for _, c := range []struct {
-		name   string
-		period int
-	}{
-		{"healthy", 0},
-		{"flaky-1-in-1000", 1000},
-	} {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var retries int64
-			for i := 0; i < b.N; i++ {
-				client := llm.Flaky(llm.NewSim(), c.period)
-				pool := fleet.New(client, fleet.Config{
-					Workers:     8,
-					CacheSize:   -1,
-					MaxAttempts: 6,
-					RetryDelay:  time.Millisecond,
-					Agent:       ioagent.Options{Index: ix},
-				})
-				for _, tr := range traces {
-					if _, err := pool.Submit(tr); err != nil {
-						b.Fatal(err)
-					}
-				}
-				pool.Wait()
-				m := pool.Metrics()
-				if m.Failed != 0 {
-					b.Fatalf("%d jobs failed despite retries", m.Failed)
-				}
-				retries = m.Retries
-				pool.Close()
-			}
-			b.ReportMetric(float64(retries), "retries")
-		})
-	}
-}
-
-// BenchmarkFleet_Persistence measures the durability layer that backs
-// iofleetd's -state-dir: the cost of a checkpoint (cache snapshot + journal
-// compaction), of a cold recovery (journal scan + snapshot restore into a
-// fresh pool), and of the write-ahead journal append on the submit path
-// under each fsync policy.
-func BenchmarkFleet_Persistence(b *testing.B) {
-	const entries = 32
-	traces := fleetTraces(entries)
-	ix := knowledge.BuildIndex()
-	warmPool := func(st *store.Store) *fleet.Pool {
-		cfg := fleet.Config{Workers: 8, Agent: ioagent.Options{Index: ix}}
-		if st != nil {
-			cfg.OnJobEvent = st.OnJobEvent
-			cfg.OnCacheInsert = st.CacheChanged
-			cfg.OnCacheEvict = st.CacheChanged
-		}
-		pool := fleet.New(llm.NewSim(), cfg)
-		for _, tr := range traces {
-			if _, err := pool.Submit(tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		pool.Wait()
-		return pool
-	}
-
-	b.Run("checkpoint", func(b *testing.B) {
-		st, err := store.Open(b.TempDir(), store.Options{Logf: b.Logf})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		pool := warmPool(st)
-		defer pool.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := st.FinalCheckpoint(pool); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(entries, "cache_entries")
-	})
-
-	b.Run("recover", func(b *testing.B) {
-		dir := b.TempDir()
-		st, err := store.Open(dir, store.Options{Logf: b.Logf})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool := warmPool(st)
-		if err := st.FinalCheckpoint(pool); err != nil {
-			b.Fatal(err)
-		}
-		pool.Close()
-		st.Close()
-		var restored int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st, err := store.Open(dir, store.Options{Logf: b.Logf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool := fleet.New(llm.NewSim(), fleet.Config{Workers: 8, Agent: ioagent.Options{Index: ix}})
-			restored, _, err = st.Replay(pool)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			pool.Close()
-			st.Close()
-			b.StartTimer()
-		}
-		if restored != entries {
-			b.Fatalf("restored %d entries, want %d", restored, entries)
-		}
-		b.ReportMetric(float64(restored), "entries_restored")
-	})
-
-	for _, mode := range []store.FsyncMode{store.FsyncAlways, store.FsyncOff} {
-		mode := mode
-		b.Run("journal-append-fsync-"+string(mode), func(b *testing.B) {
-			st, err := store.Open(b.TempDir(), store.Options{Fsync: mode, Logf: b.Logf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			tr := traces[0]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := fmt.Sprintf("job-%06d", i)
-				st.OnJobEvent(fleet.Event{
-					Kind: fleet.EventSubmitted,
-					Job:  fleet.JobInfo{ID: id, Digest: "bench", Status: fleet.StatusQueued, SubmittedAt: time.Now()},
-					Log:  tr,
-				})
-				st.OnJobEvent(fleet.Event{
-					Kind: fleet.EventDone,
-					Job:  fleet.JobInfo{ID: id, Digest: "bench", Status: fleet.StatusDone},
-				})
-			}
-		})
-	}
 }
 
 // BenchmarkCostPerDiagnosis reports the simulated API cost of diagnosing

@@ -23,7 +23,7 @@
 //	         [-max-body 67108864] [-batch-share 4] [-node-id NAME]
 //	         [-breaker 8] [-breaker-cooldown 5s] [-tenant-max-inflight 0]
 //	         [-tenant-weights T=W,...] [-slo-classes T=CLASS,...]
-//	         [-slo-admission] [-sched-fifo]
+//	         [-slo-admission]
 //	         [-upload-ttl 1h] [-max-uploads 64]
 //	         [-semcache] [-sim-threshold 0.85] [-gate-model NAME]
 //	         [-tier-models M1,M2,...] [-tier-threshold 0.6] [-tier-budget 0]
@@ -123,8 +123,7 @@
 // tenant's class target refuse with the retryable slo_exceeded code
 // instead of being admitted to rot. Assignments also change at runtime
 // via POST /v1/sched/tenants and, with -state-dir, survive restarts
-// through the journal. -sched-fifo restores the tenant-blind baseline
-// (for A/B runs; admission is off in this mode).
+// through the journal.
 //
 // -api-latency adds a simulated network round trip to every model call,
 // which is how a deployment against a remote LLM API behaves; it makes the
@@ -189,7 +188,6 @@ func main() {
 	tenantWeights := flag.String("tenant-weights", "", "comma-separated tenant=weight pairs pinning explicit DRR dequeue weights (e.g. acme=8,guest=1)")
 	sloClasses := flag.String("slo-classes", "", "comma-separated tenant=class pairs assigning SLO classes: gold (8x, 2s target), silver (4x, 10s), bronze (1x, 60s)")
 	flag.BoolVar(&fc.SLOAdmission, "slo-admission", false, "refuse submissions whose projected queue age exceeds the tenant's SLO class target (retryable slo_exceeded)")
-	flag.BoolVar(&fc.SchedFIFO, "sched-fifo", false, "tenant-blind baseline: drain each lane in arrival order, ignoring weights, classes, and admission")
 	flag.DurationVar(&uc.TTL, "upload-ttl", time.Hour, "idle upload sessions expire after this long")
 	flag.IntVar(&uc.MaxSessions, "max-uploads", 64, "max concurrently open upload sessions")
 	flag.BoolVar(&fc.SemCache, "semcache", false, "serve near-duplicate traces from a similarity-matched cached diagnosis (gated by confidence)")

@@ -16,8 +16,8 @@ import (
 // where judge maps the diagnosis's mean rank against judge.NullReport
 // (rank 1 — always wins — scores 1.0; rank 2 scores 0.0). The result is
 // in [0, 1]. This is the per-scenario verdict internal/scenario's matrix
-// and cmd/fleetbench compare against committed baselines; the fleet's
-// reuse gate and tier self-check run the same kernel, judge.AgainstNull.
+// tests compare against committed baselines; the fleet's reuse gate and
+// tier self-check run the same kernel, judge.AgainstNull.
 func ScoreDiagnosis(client llm.Client, model string, expected issue.Set, diagnosisText string) (float64, error) {
 	fit, err := judge.AgainstNull(client, model, expected, diagnosisText)
 	if err != nil {

@@ -343,6 +343,10 @@ type SchedClass struct {
 // its class catalog, and the current tenant-to-class assignments.
 // Added in 1.6.
 type SchedStatus struct {
+	// FIFO marked a node running the tenant-blind FIFO baseline
+	// scheduler, a mode this version no longer has: its nodes always
+	// report false. The field stays for older members of a mixed
+	// cluster.
 	FIFO      bool `json:"fifo,omitempty"`
 	Admission bool `json:"admission,omitempty"`
 	// Classes maps class name (gold/silver/bronze) to its definition.

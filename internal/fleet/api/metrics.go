@@ -130,9 +130,11 @@ type Metrics struct {
 // SchedMetrics is the fair scheduler's wire snapshot, embedded in
 // Metrics and aggregated cluster-wide by routers. Added in 1.6.
 type SchedMetrics struct {
-	// FIFO marks a node running the tenant-blind baseline scheduler
-	// (iofleetd -sched-fifo); Admission reports whether SLO admission
-	// control is enforced.
+	// FIFO marked a node running the tenant-blind FIFO baseline
+	// scheduler, a mode this version no longer has: its nodes always
+	// report false. The field stays for older members of a mixed
+	// cluster. Admission reports whether SLO admission control is
+	// enforced.
 	FIFO      bool `json:"fifo,omitempty"`
 	Admission bool `json:"admission,omitempty"`
 	// Dequeues / Rejects are lifetime totals across all tenants,
@@ -272,7 +274,8 @@ var families = []family{
 	{"fleet_handoff_replica_pushed_total", counter, "Cache entries replicated out to ring successors on insert.", []leaf{{"Handoff.ReplicaPushed", "", sum}}},
 	{"fleet_handoff_replica_received_total", counter, "Replica copies accepted from digest owners.", []leaf{{"Handoff.ReplicaReceived", "", sum}}},
 
-	// A single FIFO (or admission-enforcing) node marks the whole
+	// A single admission-enforcing node (or an older node still running
+	// the FIFO baseline; current nodes always report 0) marks the whole
 	// aggregate: mixed modes are an operator condition worth seeing.
 	{"fleet_sched_fifo", gauge, "1 while the node runs the tenant-blind FIFO baseline instead of weighted DRR, else 0.", []leaf{{"Sched.FIFO", "", or}}},
 	{"fleet_sched_admission", gauge, "1 while SLO admission control is enforced, else 0.", []leaf{{"Sched.Admission", "", or}}},

@@ -7,7 +7,7 @@
 // concurrent workers that share one race-free ioagent.Agent and one
 // knowledge index. Diagnosis time is dominated by LLM round trips, not
 // local compute, so N workers overlapping their waits yield near-linear
-// throughput scaling (see BenchmarkFleet_Throughput at the repo root).
+// throughput scaling.
 //
 // Three layers keep repeated work free and transient failures invisible:
 //

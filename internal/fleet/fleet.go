@@ -206,11 +206,6 @@ type Config struct {
 	// from the lane's measured drain rate and the tenant's fair share —
 	// it bounds expected queue age, it does not guarantee it.
 	SLOAdmission bool
-	// SchedFIFO disables per-tenant fairness and drains each lane in
-	// strict arrival order — the pre-DRR behavior. It exists as the
-	// measurable baseline for cmd/fairbench; production daemons should
-	// leave it off.
-	SchedFIFO bool
 
 	// Agent configures the diagnosis pipeline shared by all workers.
 	Agent ioagent.Options
@@ -579,7 +574,6 @@ func New(client llm.Client, cfg Config) *Pool {
 			Weights:   cfg.TenantWeights,
 			Classes:   cfg.TenantClasses,
 			Admission: cfg.SLOAdmission,
-			FIFO:      cfg.SchedFIFO,
 			Now:       cfg.now,
 		}),
 		jobs:     make(map[string]*Job),
@@ -938,11 +932,10 @@ func (p *Pool) TenantClasses() map[string]string {
 }
 
 // SchedStatus describes the fair scheduler's configuration surface:
-// whether admission control is on, whether the pool runs the FIFO
-// baseline, the class definitions, and the current assignments.
+// whether admission control is on, the class definitions, and the
+// current assignments.
 type SchedStatus struct {
 	Admission   bool
-	FIFO        bool
 	Classes     map[string]sched.Class
 	Assignments map[string]string
 }
@@ -952,7 +945,6 @@ type SchedStatus struct {
 func (p *Pool) SchedStatus() SchedStatus {
 	return SchedStatus{
 		Admission:   p.schd.Admission(),
-		FIFO:        p.schd.FIFO(),
 		Classes:     p.schd.ClassDefs(),
 		Assignments: p.schd.TenantClasses(),
 	}

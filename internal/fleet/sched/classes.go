@@ -76,10 +76,6 @@ func (s *Scheduler[T]) ClassDefs() map[string]Class {
 // Admission reports whether SLO admission control is enabled.
 func (s *Scheduler[T]) Admission() bool { return s.cfg.Admission }
 
-// FIFO reports whether the scheduler runs in the tenant-blind baseline
-// mode.
-func (s *Scheduler[T]) FIFO() bool { return s.cfg.FIFO }
-
 func (s *Scheduler[T]) classNames() []string {
 	names := make([]string, 0, len(s.cfg.ClassDefs))
 	for name := range s.cfg.ClassDefs {

@@ -77,7 +77,6 @@ func (s *Scheduler[T]) Metrics() api.SchedMetrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := api.SchedMetrics{
-		FIFO:      s.cfg.FIFO,
 		Admission: s.cfg.Admission,
 		Dequeues:  s.stats.dequeues,
 		Rejects:   s.stats.rejects,

@@ -31,10 +31,6 @@
 //     semantics), so batch keeps its guaranteed slice of worker dequeues
 //     and fairness *within* each lane composes with priority *between*
 //     lanes.
-//
-// FIFO mode (Config.FIFO) keeps the legacy tenant-blind order per lane.
-// It exists so cmd/fairbench can measure exactly what DRR buys under a
-// noisy-tenant flood; production daemons have no reason to enable it.
 package sched
 
 import (
@@ -87,10 +83,6 @@ type Config struct {
 	// age exceeds its class target. Tenants without a class (or with a
 	// zero MaxQueueAge) are never rejected.
 	Admission bool
-	// FIFO disables per-tenant fairness and drains each lane in strict
-	// arrival order — the pre-DRR behavior, kept as a measurable
-	// baseline for cmd/fairbench.
-	FIFO bool
 	// Now is the clock (default time.Now); injectable for tests.
 	Now func() time.Time
 }
@@ -128,7 +120,6 @@ type tenantQueue[T any] struct {
 // tenants with backlog, and the DRR cursor into it.
 type lane[T any] struct {
 	name  string
-	fifo  []entry[T] // FIFO mode only
 	byTen map[string]*tenantQueue[T]
 	ring  []string // tenants with a non-empty queue, visit order
 	idx   int      // ring cursor
@@ -220,20 +211,15 @@ func (s *Scheduler[T]) Enqueue(ctx context.Context, laneName, tenant string, v T
 		return ErrClosed
 	}
 	ln := s.lanes[laneName]
-	e := entry[T]{v: v, tenant: tenant, at: s.cfg.Now()}
-	if s.cfg.FIFO {
-		ln.fifo = append(ln.fifo, e)
-	} else {
-		tq := ln.byTen[tenant]
-		if tq == nil {
-			tq = &tenantQueue[T]{}
-			ln.byTen[tenant] = tq
-		}
-		if len(tq.items) == 0 {
-			ln.ring = append(ln.ring, tenant)
-		}
-		tq.items = append(tq.items, e)
+	tq := ln.byTen[tenant]
+	if tq == nil {
+		tq = &tenantQueue[T]{}
+		ln.byTen[tenant] = tq
 	}
+	if len(tq.items) == 0 {
+		ln.ring = append(ln.ring, tenant)
+	}
+	tq.items = append(tq.items, entry[T]{v: v, tenant: tenant, at: s.cfg.Now()})
 	ln.count++
 	s.stats.hold(tenant)
 	s.mu.Unlock()
@@ -291,21 +277,13 @@ func (s *Scheduler[T]) pickLocked() (entry[T], *lane[T], bool) {
 }
 
 // next removes and returns the lane's next item; the caller guarantees
-// count > 0. In FIFO mode that is arrival order; otherwise the DRR pass
-// walks the active-tenant ring, crediting each visited tenant's deficit
-// with its weight and spending one credit per dequeue, so a tenant
-// yields the cursor after weight consecutive items (or sooner, when its
-// queue empties — leftover credit is forfeited, never banked).
+// count > 0. The DRR pass walks the active-tenant ring, crediting each
+// visited tenant's deficit with its weight and spending one credit per
+// dequeue, so a tenant yields the cursor after weight consecutive items
+// (or sooner, when its queue empties — leftover credit is forfeited,
+// never banked).
 func (ln *lane[T]) next(weightOf func(string) int) entry[T] {
 	ln.count--
-	if ln.byTen == nil || len(ln.ring) == 0 { // FIFO mode
-		e := ln.fifo[0]
-		ln.fifo = ln.fifo[1:]
-		if len(ln.fifo) == 0 {
-			ln.fifo = nil // release the drained backing array
-		}
-		return e
-	}
 	for {
 		if ln.idx >= len(ln.ring) {
 			ln.idx = 0
@@ -369,16 +347,16 @@ func (ln *lane[T]) observeDequeue(now time.Time) {
 
 // Admit decides whether a submission from tenant on the named lane may
 // enter, per the tenant's SLO class target. It returns nil when
-// admission control is off, the scheduler is in FIFO mode, or the
-// tenant has no age target; otherwise it rejects with ErrSLOExceeded
-// when either (a) the tenant's oldest queued item in the lane already
-// exceeds the target — the queue is provably rotting — or (b) the
-// projected age of the new item, estimated from the lane's drain rate
-// and the tenant's fair share of it, exceeds the target. The estimate
-// is advisory: it cannot see future arrivals, so admission bounds
-// expected queue age, it does not guarantee it.
+// admission control is off or the tenant has no age target; otherwise
+// it rejects with ErrSLOExceeded when either (a) the tenant's oldest
+// queued item in the lane already exceeds the target — the queue is
+// provably rotting — or (b) the projected age of the new item,
+// estimated from the lane's drain rate and the tenant's fair share of
+// it, exceeds the target. The estimate is advisory: it cannot see
+// future arrivals, so admission bounds expected queue age, it does not
+// guarantee it.
 func (s *Scheduler[T]) Admit(laneName, tenant string) error {
-	if !s.cfg.Admission || s.cfg.FIFO {
+	if !s.cfg.Admission {
 		return nil
 	}
 	s.mu.Lock()

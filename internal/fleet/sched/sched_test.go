@@ -48,51 +48,45 @@ func drain(t *testing.T, s *Scheduler[int], n int) []int {
 	return out
 }
 
-func TestSchedFIFOPreservesArrivalOrder(t *testing.T) {
-	s := newTest(t, Config{FIFO: true, AltShare: -1})
-	for i := 0; i < 20; i++ {
-		mustEnqueue(t, s, laneI, fmt.Sprintf("t%d", i%3), i)
-	}
-	got := drain(t, s, 20)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("FIFO order broken at %d: got %v", i, got)
-		}
-	}
-}
-
-// TestSchedDRRWeightedShares floods three tenants with known weights
-// and checks the realized dequeue shares track the configured ratios.
+// TestSchedDRRWeightedShares floods tenants with known weights and
+// checks the realized dequeue shares track the configured ratios, with
+// the weights set explicitly or derived from the tenants' SLO classes.
 func TestSchedDRRWeightedShares(t *testing.T) {
-	s := newTest(t, Config{
-		AltShare: -1,
-		Weights:  map[string]int{"heavy": 6, "mid": 3, "light": 1},
-	})
-	const perTenant = 200
-	// Tag items by tenant: heavy=0, mid=1, light=2.
-	for i := 0; i < perTenant; i++ {
-		mustEnqueue(t, s, laneI, "heavy", 0)
-		mustEnqueue(t, s, laneI, "mid", 1)
-		mustEnqueue(t, s, laneI, "light", 2)
-	}
-	// Sample only while every tenant is still backlogged: heavy runs
-	// dry first (200 items at share 0.6 ≈ 333 dequeues), so stop at 300.
-	counts := [3]int{}
-	const sample = 300
-	for i := 0; i < sample; i++ {
-		v, ok := s.Dequeue()
-		if !ok {
-			t.Fatal("closed early")
-		}
-		counts[v]++
-	}
-	total := counts[0] + counts[1] + counts[2]
-	wantShare := [3]float64{0.6, 0.3, 0.1}
-	for i, c := range counts {
-		share := float64(c) / float64(total)
-		if diff := share - wantShare[i]; diff > 0.05 || diff < -0.05 {
-			t.Fatalf("tenant %d share %.3f, want %.3f ±0.05 (counts %v)", i, share, wantShare[i], counts)
-		}
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		tenants []string
+		want    []float64
+		// sample stops while every tenant is still backlogged: the
+		// heaviest runs dry after perTenant/share dequeues.
+		sample int
+	}{
+		{"explicit", Config{Weights: map[string]int{"heavy": 6, "mid": 3, "light": 1}},
+			[]string{"heavy", "mid", "light"}, []float64{0.6, 0.3, 0.1}, 300},
+		{"classes", Config{Classes: map[string]string{"vip": "gold", "farm": "bronze"}},
+			[]string{"vip", "farm"}, []float64{8.0 / 9, 1.0 / 9}, 200},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.AltShare = -1
+			s := newTest(t, c.cfg)
+			const perTenant = 200
+			// Tag items by the tenant's index in c.tenants.
+			for i := 0; i < perTenant; i++ {
+				for tag, tenant := range c.tenants {
+					mustEnqueue(t, s, laneI, tenant, tag)
+				}
+			}
+			counts := make([]int, len(c.tenants))
+			for _, v := range drain(t, s, c.sample) {
+				counts[v]++
+			}
+			for i, n := range counts {
+				share := float64(n) / float64(c.sample)
+				if diff := share - c.want[i]; diff > 0.05 || diff < -0.05 {
+					t.Fatalf("%s share %.3f, want %.3f ±0.05 (counts %v)", c.tenants[i], share, c.want[i], counts)
+				}
+			}
+		})
 	}
 }
 

@@ -897,7 +897,7 @@ func submitReply(job *fleet.Job) api.JobInfo {
 // toAPISchedStatus maps the pool's scheduler configuration onto the wire
 // payload of GET /v1/sched.
 func toAPISchedStatus(st fleet.SchedStatus) api.SchedStatus {
-	out := api.SchedStatus{FIFO: st.FIFO, Admission: st.Admission}
+	out := api.SchedStatus{Admission: st.Admission}
 	if len(st.Classes) > 0 {
 		out.Classes = make(map[string]api.SchedClass, len(st.Classes))
 		for name, c := range st.Classes {

@@ -17,10 +17,11 @@
 // modality contract ARCHITECTURE.md layer 10 documents.
 //
 // Everything here is deterministic: fixed simulator seeds, fixed
-// workload shapes. TestScenarioMatrix (run under -race in CI) and
-// cmd/fleetbench both consume this matrix; a drishti, derivation, or
-// pipeline change that shifts a scenario's labels or score below its
-// committed values fails the build.
+// workload shapes. The TestMatrix* tests (run under -race in CI) consume
+// this matrix, scoring it through the agent alone and through a
+// two-node cluster behind a router; a drishti, derivation, or pipeline
+// change that shifts a scenario's labels or score below its committed
+// values fails the build.
 package scenario
 
 import (

@@ -2,14 +2,24 @@ package scenario
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math/rand"
+	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"ioagent/internal/darshan"
 	"ioagent/internal/drishti"
 	"ioagent/internal/dxt"
 	"ioagent/internal/eval"
+	"ioagent/internal/fleet"
+	"ioagent/internal/fleet/api"
+	"ioagent/internal/fleet/client"
+	"ioagent/internal/fleet/fleettest"
 	"ioagent/internal/fleet/ingest"
+	"ioagent/internal/fleet/node"
+	"ioagent/internal/fleet/router"
 	"ioagent/internal/ioagent"
 	"ioagent/internal/issue"
 	"ioagent/internal/llm"
@@ -85,8 +95,8 @@ func TestMatrixIngestDigest(t *testing.T) {
 }
 
 // TestMatrixLabels: every scenario triggers exactly its committed drishti
-// label set — the machine-checkable ground truth fleetbench scores
-// diagnoses against. A drishti or derivation change that shifts any set
+// label set — the machine-checkable ground truth diagnoses are scored
+// against. A drishti or derivation change that shifts any set
 // fails here, which is the point: the matrix is the regression fence.
 func TestMatrixLabels(t *testing.T) {
 	for _, sc := range Matrix() {
@@ -105,8 +115,11 @@ func TestMatrixLabels(t *testing.T) {
 // TestMatrixModalityContract: the darshan and DXT renderings of the
 // metadata storm must disagree on HighMetadataLoad — metadata operations
 // are invisible in the per-operation stream — while agreeing on the
-// workload's data-path labels. This pins the modality contract
-// ARCHITECTURE.md layer 10 documents.
+// workload's data-path labels. And a node with semantic reuse on that has
+// diagnosed the tiny-write workload's counter log must diagnose its DXT
+// rendering fresh over HTTP: neither a similarity hit (the cross-modality
+// fence) nor an exact hit (the renderings have distinct digests). This
+// pins the modality contract ARCHITECTURE.md layer 10 documents.
 func TestMatrixModalityContract(t *testing.T) {
 	darshanSide := byName(t, "metadata-storm").Expected
 	dxtSide := byName(t, "metadata-storm-dxt").Expected
@@ -119,31 +132,132 @@ func TestMatrixModalityContract(t *testing.T) {
 	if !dxtSide[issue.SmallWrites] {
 		t.Fatal("DXT metadata storm must still expect the data-path labels")
 	}
+
+	// Thresholds this low let any candidate through the similarity
+	// prefilter and the gate, so only the modality fence stands between
+	// the DXT job and reuse.
+	n := fleettest.Start(t, node.Config{Fleet: fleet.Config{
+		SemCache:      true,
+		SimThreshold:  0.0001,
+		GateThreshold: 0.0001,
+	}})
+	c := client.New(n.URL())
+	defer c.Close()
+	for _, name := range []string{"tiny-unaligned-writes", "tiny-unaligned-writes-dxt"} {
+		wire, _ := byName(t, name).Build()
+		d, err := c.SubmitAndWait(context.Background(), api.SubmitRequest{Trace: wire})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d.SimilarityHit || d.CacheHit {
+			t.Fatalf("%s reused a diagnosis (similarity hit %v from %.12s, exact hit %v); each modality must be diagnosed fresh",
+				name, d.SimilarityHit, d.SourceDigest, d.CacheHit)
+		}
+	}
 }
 
-// TestMatrixDiagnosisScores: a diagnosis produced by the agent under the
-// deterministic sim LLM must score at or above each scenario's committed
-// baseline on the eval.ScoreDiagnosis scale.
+// TestMatrixDiagnosisScores: a diagnosis of every scenario must score at
+// or above its committed baseline on the eval.ScoreDiagnosis scale, from
+// two inputs: the agent alone under the deterministic sim LLM, and a
+// router over two nodes with semantic reuse and the gpt-4o-mini → gpt-4o
+// tier ladder on, fed the matrix as a client would (mixed lanes and
+// tenants). The cluster then takes one near-duplicate of every scenario
+// (a new digest, the same I/O profile), concurrently, and each must
+// complete.
 func TestMatrixDiagnosisScores(t *testing.T) {
-	client := llm.NewSim()
-	for _, sc := range Matrix() {
-		sc := sc
+	sim := llm.NewSim()
+	cluster := startCluster(t)
+	submit := func(i int, wire []byte) (api.Diagnosis, error) {
+		lane := api.LaneInteractive
+		if i%3 == 0 {
+			lane = api.LaneBatch
+		}
+		return cluster.SubmitAndWait(context.Background(), api.SubmitRequest{
+			Trace: wire, Lane: lane, Tenant: fmt.Sprintf("tenant-%d", i%3),
+		})
+	}
+	for i, sc := range Matrix() {
 		t.Run(sc.Name, func(t *testing.T) {
-			_, log := sc.Build()
-			agent := ioagent.New(client, ioagent.Options{})
-			res, err := agent.Diagnose(log)
+			wire, log := sc.Build()
+			res, err := ioagent.New(sim, ioagent.Options{}).Diagnose(log)
 			if err != nil {
 				t.Fatalf("diagnose: %v", err)
 			}
-			score, err := eval.ScoreDiagnosis(client, "", sc.Expected, res.Text)
+			d, err := submit(i, wire)
 			if err != nil {
-				t.Fatalf("score: %v", err)
+				t.Fatalf("cluster: %v", err)
 			}
-			if score < sc.Baseline {
-				t.Fatalf("diagnosis score %.3f below committed baseline %.3f", score, sc.Baseline)
+			for _, in := range []struct{ name, text string }{{"agent", res.Text}, {"cluster", d.Text}} {
+				score, err := eval.ScoreDiagnosis(sim, "", sc.Expected, in.text)
+				if err != nil {
+					t.Fatalf("score %s: %v", in.name, err)
+				}
+				if score < sc.Baseline {
+					t.Errorf("%s diagnosis score %.3f below committed baseline %.3f", in.name, score, sc.Baseline)
+				}
+				t.Logf("%s score %.3f, baseline %.3f", in.name, score, sc.Baseline)
 			}
 		})
 	}
+
+	var wg sync.WaitGroup
+	for i, sc := range Matrix() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := submit(i, nearDuplicate(t, sc)); err != nil {
+				t.Errorf("near-duplicate of %s: %v", sc.Name, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// startCluster boots two nodes with semantic reuse and the tier ladder
+// behind a digest-sharding router, and returns a client of the router.
+func startCluster(t *testing.T) *client.Client {
+	t.Helper()
+	var urls []string
+	for _, id := range []string{"n1", "n2"} {
+		n := fleettest.Start(t, node.Config{Fleet: fleet.Config{
+			NodeID:     id,
+			SemCache:   true,
+			TierModels: []string{llm.GPT4oMini, llm.GPT4o},
+		}})
+		urls = append(urls, n.URL())
+	}
+	rt, err := router.New(router.Config{Members: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	c := client.New(front.URL)
+	t.Cleanup(c.Close)
+	return c
+}
+
+// nearDuplicate renders a scenario with a new content digest and the same
+// I/O profile, in the scenario's own modality.
+func nearDuplicate(t *testing.T, sc Scenario) []byte {
+	_, log := sc.Build()
+	if sc.Modality == "dxt" {
+		// Comments do not survive canonicalization, so a metadata line
+		// would collapse to the same digest; shift every timestamp by a
+		// multiple of the text-precision quantum instead.
+		shifted := &dxt.Trace{NProcs: log.DXT.NProcs, Events: append([]dxt.Event(nil), log.DXT.Events...)}
+		for i := range shifted.Events {
+			shifted.Events[i].Start += 2e-6
+			shifted.Events[i].End += 2e-6
+		}
+		return []byte(dxt.TextString(shifted))
+	}
+	text, err := darshan.TextString(log)
+	if err != nil {
+		t.Errorf("render %s: %v", sc.Name, err)
+	}
+	return []byte(text + "# metadata: variant = " + sc.Name + "-v0\n")
 }
 
 // TestDXTRenderingCanonicalDigest: for every DXT scenario, three distinct

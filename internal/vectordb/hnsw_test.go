@@ -70,39 +70,6 @@ func buildPair(docs []Document, opts Options) (brute, ann *Index) {
 	return brute, ann
 }
 
-// TestHNSWRecallSynthetic property-tests recall@15 ≥ 0.95 against the
-// exact scan over several deterministic synthetic corpora — the brute
-// index is the recall oracle the ANN index is held to.
-func TestHNSWRecallSynthetic(t *testing.T) {
-	for _, n := range []int{40, 120, 400} {
-		docs := synthDocs(n, 60, uint64(n))
-		brute, ann := buildPair(docs, Options{ChunkSize: 512, Overlap: 20})
-		const k = 15
-		var got, want int
-		for _, q := range synthQueries(docs, 30) {
-			exact := brute.Search(q, k)
-			approx := ann.Search(q, k)
-			if len(approx) != len(exact) {
-				t.Fatalf("n=%d: ANN returned %d hits, exact %d", n, len(approx), len(exact))
-			}
-			keys := make(map[string]bool, len(exact))
-			for _, h := range exact {
-				keys[h.Chunk.DocKey+"#"+fmt.Sprint(h.Chunk.Seq)] = true
-			}
-			for _, h := range approx {
-				if keys[h.Chunk.DocKey+"#"+fmt.Sprint(h.Chunk.Seq)] {
-					got++
-				}
-			}
-			want += len(exact)
-		}
-		recall := float64(got) / float64(want)
-		if recall < 0.95 {
-			t.Errorf("n=%d: recall@%d = %.3f, want >= 0.95", n, k, recall)
-		}
-	}
-}
-
 // TestHNSWDeterministicBuild pins that two indexes fed the same documents
 // answer identically — level assignment is hashed, not drawn.
 func TestHNSWDeterministicBuild(t *testing.T) {

@@ -1,0 +1,5 @@
+//go:build !race
+
+package vectordb_test
+
+const raceEnabled = false

@@ -8,9 +8,7 @@
 # SDK) on each priority lane, then submits a near-duplicate of the same
 # trace (text rendering + one extra metadata line, so the content digest
 # differs) and asserts it is served as a similarity hit citing the
-# original's digest. It then submits one scenario workload in both trace
-# modalities (binary counter log, DXT per-operation text) and asserts the
-# DXT rendering is diagnosed fresh — the cross-modality fence.
+# original's digest.
 #
 # Part 2 (cluster): boots TWO iofleetd nodes plus iofleet-router, routes
 # both lanes through the router, restarts the router and checks a warm
@@ -71,7 +69,6 @@ go build -race -o "$workdir/iofleet-router" ./cmd/iofleet-router
 go build -race -o "$workdir/ioagent" ./cmd/ioagent
 go build -o "$workdir/tracebench" ./cmd/tracebench
 go build -o "$workdir/darshan-parser" ./cmd/darshan-parser
-go build -o "$workdir/fleetbench" ./cmd/fleetbench
 
 echo "== materializing traces"
 "$workdir/tracebench" -out "$workdir/traces" >/dev/null
@@ -118,23 +115,6 @@ curl -sf -H 'Accept: text/plain' "http://$addr/metrics" | grep -q '^fleet_jobs_d
     || { echo "/metrics text exposition missing fleet_jobs_done_total"; exit 1; }
 curl -sf -H 'Accept: text/plain' "http://$addr/metrics" | grep -q '^fleet_semcache_hits_total 1' \
     || { echo "/metrics exposition missing fleet_semcache_hits_total 1"; exit 1; }
-
-echo "== cross-modality fence: DXT rendering must never reuse a counter diagnosis"
-# The same adversarial workload in both modalities: the binary counter log
-# and the DXT per-operation text rendering. Their derived profiles sit
-# close in feature space, but the evidence classes differ — the DXT
-# submission must be diagnosed fresh, never served via similarity hit.
-"$workdir/fleetbench" -dump "$workdir/scenarios" -dump-only
-"$workdir/ioagent" -server "http://$addr" -lane interactive "$workdir/scenarios/tiny-unaligned-writes.trace" >"$workdir/mod-darshan.out"
-grep -q "I/O" "$workdir/mod-darshan.out" || { echo "darshan-modality scenario diagnosis looks empty:"; cat "$workdir/mod-darshan.out"; exit 1; }
-"$workdir/ioagent" -server "http://$addr" -lane interactive "$workdir/scenarios/tiny-unaligned-writes-dxt.trace" >"$workdir/mod-dxt.out"
-grep -q "I/O" "$workdir/mod-dxt.out" || { echo "DXT-modality scenario diagnosis looks empty:"; cat "$workdir/mod-dxt.out"; exit 1; }
-if grep '^=== ' "$workdir/mod-dxt.out" | grep -q "similarity hit"; then
-    echo "cross-modality fence breached: DXT trace served a counter diagnosis:"; cat "$workdir/mod-dxt.out"; exit 1
-fi
-if grep '^=== ' "$workdir/mod-dxt.out" | grep -q ", cache hit"; then
-    echo "DXT rendering collapsed onto the counter digest:"; cat "$workdir/mod-dxt.out"; exit 1
-fi
 
 echo "== clean shutdown of the single daemon"
 kill -TERM "$daemon_pid"
@@ -244,7 +224,8 @@ krouter=$(wait_addr "$workdir/krouter.log" "$krouter_pid")
 echo "   nodes at $k1 (k1) and $k2 (k2), router at $krouter"
 
 echo "== baseline diagnosis from the compiled-in corpus (epoch 1)"
-"$workdir/ioagent" -server "http://$krouter" "$workdir/scenarios/metadata-storm.trace" >"$workdir/k-base.out"
+mdtrace="$workdir/traces/sb05-metadata-storm.darshan"
+"$workdir/ioagent" -server "http://$krouter" "$mdtrace" >"$workdir/k-base.out"
 grep -q "I/O" "$workdir/k-base.out" || { echo "baseline knowledge diagnosis looks empty:"; cat "$workdir/k-base.out"; exit 1; }
 if grep -q "e2esync-advisory" "$workdir/k-base.out"; then
     echo "baseline diagnosis cites a document that does not exist yet:"; cat "$workdir/k-base.out"; exit 1
@@ -274,7 +255,7 @@ echo "   batch of 4 completed across the swap ($kdone reports)"
 echo "== fresh diagnosis at epoch 2 must cite the new document"
 # A text rendering with one extra metadata line: a new content digest, so
 # the diagnosis is computed fresh against the promoted corpus.
-"$workdir/darshan-parser" "$workdir/scenarios/metadata-storm.trace" >"$workdir/k-variant.txt"
+"$workdir/darshan-parser" "$mdtrace" >"$workdir/k-variant.txt"
 printf '# metadata: smoke_variant = knowledge\n' >>"$workdir/k-variant.txt"
 "$workdir/ioagent" -server "http://$krouter" "$workdir/k-variant.txt" >"$workdir/k-post.out"
 grep -q "e2esync-advisory" "$workdir/k-post.out" \
